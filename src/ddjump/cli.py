@@ -215,10 +215,10 @@ def cmd_equilibrium(args):
     out = _ensure_out(args)
     delta = args.delta if args.delta is not None else cert.delta0 / 2
     summary = {"provenance": _provenance(args, text, seed=args.seed), "N": [], "delta": delta}
+    sigma2 = equilibrium_sigma2(m, cert.c)
+    Sigma = solve_lyapunov_sigma(cert.A, sigma2)
     for N in args.N:
         pi, method = _pi_for(m, N, cert, delta, args, lambda s: print(s, file=sys.stderr))
-        sigma2 = equilibrium_sigma2(m, cert.c)
-        Sigma = solve_lyapunov_sigma(cert.A, sigma2)
         dn = discrete_normal(N, cert.c, Sigma)
         entry = {
             "N": N,
@@ -232,8 +232,8 @@ def cmd_equilibrium(args):
         rows = ([*map(int, s), repr(float(p))] for s, p in zip(pi.support, pi.mass))
         _io.write_csv(os.path.join(out, f"equilibrium_N{N}.csv"), meta, header, rows)
         summary["N"].append(entry)
-    summary["sigma2"] = equilibrium_sigma2(m, cert.c).tolist()
-    summary["Sigma"] = solve_lyapunov_sigma(cert.A, equilibrium_sigma2(m, cert.c)).tolist()
+    summary["sigma2"] = sigma2.tolist()
+    summary["Sigma"] = Sigma.tolist()
     _io.write_json(os.path.join(out, "equilibrium.json"), summary)
     print(json.dumps(summary["N"], sort_keys=True))
     return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     HorizonError,
-    RateError,
 )
 from .model import eval_drift, eval_jacobian, eval_rates, rate_gradients
 
@@ -41,11 +41,18 @@ def default_step(rho_hat):
     return min(1e-3, 0.01 / rho_hat) if rho_hat > 0 else 1e-3
 
 
-def _rk4_step(m, y, h):
-    k1 = eval_drift(m, y, check_domain=False)
-    k2 = eval_drift(m, y + 0.5 * h * k1, check_domain=False)
-    k3 = eval_drift(m, y + 0.5 * h * k2, check_domain=False)
-    k4 = eval_drift(m, y + h * k3, check_domain=False)
+def _drift(m):
+    """Validated scalar drift y -> F(y); the domain is not checked, since RK4
+    stages may step outside it."""
+    return partial(eval_drift, m, check_domain=False)
+
+
+def _rk4_step(F, y, h):
+    """One classical RK4 step of dy/dt = F(y); ``y`` may be a batch of points."""
+    k1 = F(y)
+    k2 = F(y + 0.5 * h * k1)
+    k3 = F(y + 0.5 * h * k2)
+    k4 = F(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -60,12 +67,13 @@ def integrate_ode(m, y0, T, h=1e-3, record_every=1):
         raise DomainError(f"initial point {y.tolist()} outside domain")
     if h <= 0:
         raise ValueError("step must be positive")
+    F = _drift(m)
     n_steps = max(0, int(round(T / h)))
     times = [0.0]
     states = [y.copy()]
     terminated = HORIZON
     for k in range(n_steps):
-        y_new = _rk4_step(m, y, h)
+        y_new = _rk4_step(F, y, h)
         if not np.all(np.isfinite(y_new)):
             raise ConvergenceError(f"non-finite state at t={k * h}")
         if not m.domain.contains(y_new):
@@ -82,27 +90,20 @@ def flow_many(m, Y0, T, h, record_every=1):
     """Vectorized RK4 flow of many initial points at once.
 
     Returns (times, states) with states[k] the (n, d) block at times[k].
-    No domain checks; intended for batch property sweeps inside a certified
-    ball.
+    No domain or rate checks; intended for batch property sweeps inside a
+    certified ball.
     """
-    from . import engine
-
-    rates_fn = engine.compile_rates(m)
-    J = m.jump_array.astype(float)
+    rates, J = m.kernel.rates_array, m.kernel.J
 
     def F(Y):
-        return rates_fn(Y) @ J
+        return rates(Y) @ J
 
     Y = np.array(Y0, dtype=float)
     n_steps = max(0, int(round(T / h)))
     times = [0.0]
     states = [Y.copy()]
     for k in range(n_steps):
-        k1 = F(Y)
-        k2 = F(Y + 0.5 * h * k1)
-        k3 = F(Y + 0.5 * h * k2)
-        k4 = F(Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y = _rk4_step(F, Y, h)
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             times.append((k + 1) * h)
             states.append(Y.copy())
@@ -306,6 +307,24 @@ def _sample_ball(c, M, delta, n, rng):
     return c + delta * radii[:, None] * (U @ Linv_T.T)
 
 
+def _ball_passes(m, pts, grad_c, tol):
+    """True when every point lies in the domain, every rate there is finite
+    and strictly positive, and every rate gradient lies within ``tol`` of
+    ``grad_c``.  One array call covers all points; a division by zero at any
+    point fails them all."""
+    if not np.all((pts >= m.domain.lower) & (pts <= m.domain.upper)):
+        return False
+    try:
+        with np.errstate(divide="raise", invalid="ignore", over="ignore"):
+            R = m.kernel.rates_array(pts)
+            G = m.kernel.grads_array(pts)
+    except FloatingPointError:
+        return False
+    if not (np.isfinite(R).all() and (R > 0).all()):
+        return False
+    return bool((np.linalg.norm(G - grad_c, axis=-1) < tol).all())
+
+
 def certify(m, guess, rho_fraction=0.9, grid=None):
     """Build the full stability certificate.
 
@@ -359,24 +378,7 @@ def certify(m, guess, rho_fraction=0.9, grid=None):
     delta = delta_max
     for _ in range(grid.n_deltas):
         pts = _sample_ball(c, M, delta, grid.samples, rng)
-        ok = True
-        for y in pts:
-            if not m.domain.contains(y):
-                ok = False
-                break
-            try:
-                r = eval_rates(m, y, check_domain=False)
-            except RateError:
-                ok = False
-                break
-            if np.min(r) <= 0:
-                ok = False
-                break
-            gdev = np.linalg.norm(rate_gradients(m, y) - grad_c, axis=1).max()
-            if not gdev < eps / c0:
-                ok = False
-                break
-        if ok:
+        if _ball_passes(m, pts, grad_c, eps / c0):
             delta0 = delta
             break
         delta *= grid.factor
@@ -421,17 +423,18 @@ def cutoff_time(m, cert, x0, N, horizon=None, h=None, time_tol=1e-10):
     if horizon is None:
         # distance decays like e^{-rho t} once near c; generous default
         horizon = 10.0 + 3.0 * (math.log(max(N, 2.0)) / (2 * cert.rho) + math.log(1 + g) / cert.rho)
+    F = _drift(m)
     y = x0.copy()
     t = 0.0
     n_steps = int(math.ceil(horizon / h))
     for _ in range(n_steps):
-        y_next = _rk4_step(m, y, h)
+        y_next = _rk4_step(F, y, h)
         g_next = cert.m_norm(y_next - cert.c)
         if g_next <= target:
             lo, hi = 0.0, h
             while hi - lo > time_tol:
                 mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(m, y, mid)
+                y_mid = _rk4_step(F, y, mid)
                 if cert.m_norm(y_mid - cert.c) <= target:
                     hi = mid
                 else:

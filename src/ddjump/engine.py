@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import rng as _rng
 from .errors import SimulationError
 
@@ -25,23 +24,9 @@ EXIT = "exit"
 
 
 def compile_rates(model):
-    """Compile the model's rate expressions into one vectorized function.
-
-    Returns ``f`` with ``f(Y)[..., k] = r_k(Y[..., :])`` for float array Y.
-    Parameter values are inlined; the generated source contains only
-    arithmetic on the state columns (the expression language is closed, so
-    no user code can reach the exec).
-    """
-    lines = ["def _rates(Y, _np=_np):"]
-    for i in range(model.d):
-        lines.append(f"    y{i} = Y[..., {i}]")
-    lines.append(f"    _out = _np.empty(Y.shape[:-1] + ({len(model.jumps)},))")
-    for k, node in enumerate(model.rate_exprs):
-        lines.append(f"    _out[..., {k}] = {ex.codegen(node, model.params)}")
-    lines.append("    return _out")
-    ns = {"_np": np}
-    exec("\n".join(lines), ns)  # noqa: S102 - source generated from closed AST
-    return ns["_rates"]
+    """The model's vectorized rate function, ``f(Y)[..., k] = r_k(Y[..., :])``
+    for float array Y (the array form of its compiled kernel)."""
+    return model.kernel.rates_array
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ import scipy.sparse.linalg as spla
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution, canonical_order
-from .dynamics import _rk4_step, cutoff_time, default_step
-from .errors import CapExceededError, ConvergenceError, DomainError
+from .dynamics import _drift, _rk4_step, cutoff_time, default_step
+from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
 from .simulate import sample_states
 
 STATE_CAP = 200_000
@@ -159,7 +159,7 @@ def stationary_exact(
             W = states.astype(float) - N * cert.c
             qf = np.einsum("ni,ij,nj->n", W, np.linalg.inv(N * Sigma), W)
             pi0 = np.exp(-0.5 * np.minimum(qf, 700.0))
-        except Exception:
+        except (DdjumpError, np.linalg.LinAlgError):
             pi0 = None
     if method == "direct":
         pi = _pi_direct(Q)
@@ -454,6 +454,7 @@ def transition_width(profile, hi=0.9, lo=None):
 
 def _flow_at_times(m, y0, times, h):
     """RK4 states at exact times (whole steps of h plus one partial step)."""
+    F = _drift(m)
     out = np.empty((len(times), len(y0)))
     y = np.asarray(y0, dtype=float)
     t = 0.0
@@ -461,10 +462,10 @@ def _flow_at_times(m, y0, times, h):
         span = T - t
         n = int(math.floor(span / h))
         for _ in range(n):
-            y = _rk4_step(m, y, h)
+            y = _rk4_step(F, y, h)
         rem = span - n * h
         if rem > 1e-15:
-            y = _rk4_step(m, y, rem)
+            y = _rk4_step(F, y, rem)
         t = T
         out[k] = y
     return out

@@ -15,13 +15,18 @@ Grammar (used by :func:`parse_expr`)::
     atom    := NUMBER | NAME | '(' expr ')'
 
 ``x<k>`` names (k = 1..d, no leading zero) are variables; every other name
-must be a bound parameter.  Integer exponents are chained multiplications in
-both the interpreter and the generated numpy code, so the two evaluation
-paths agree bit for bit.
+must be a bound parameter.
+
+Rates, drift and rate gradients are compiled once per model from
+:func:`codegen` output, in ``model._compile_kernel``, the only caller of
+:func:`differentiate`.  The interpreter :func:`evaluate` is kept as the
+reference the tests check the generated code against.  Integer exponents are
+chained multiplications in both, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -77,6 +82,10 @@ class Pow:
     base: object
     exponent: int  # >= 0
 
+
+# binary node types: their infix operator and the float operation it performs
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -227,14 +236,8 @@ def evaluate(node, y, params):
         return float(y[node.index])
     if isinstance(node, Param):
         return float(params[node.name])
-    if isinstance(node, Add):
-        return evaluate(node.left, y, params) + evaluate(node.right, y, params)
-    if isinstance(node, Sub):
-        return evaluate(node.left, y, params) - evaluate(node.right, y, params)
-    if isinstance(node, Mul):
-        return evaluate(node.left, y, params) * evaluate(node.right, y, params)
-    if isinstance(node, Div):
-        return evaluate(node.left, y, params) / evaluate(node.right, y, params)
+    if type(node) in _APPLY:
+        return _APPLY[type(node)](evaluate(node.left, y, params), evaluate(node.right, y, params))
     if isinstance(node, Neg):
         return -evaluate(node.operand, y, params)
     if isinstance(node, Pow):
@@ -324,7 +327,7 @@ def differentiate(node, index):
 
 
 def codegen(node, params):
-    """Emit a numpy-broadcastable Python expression over columns ``y0..y{d-1}``.
+    """Emit a Python expression over ``y0..y{d-1}``, floats or numpy columns.
 
     Parameter values are inlined via ``repr`` (shortest round-trip), so the
     compiled function is a pure function of the state columns.
@@ -335,14 +338,8 @@ def codegen(node, params):
         return f"y{node.index}"
     if isinstance(node, Param):
         return repr(float(params[node.name]))
-    if isinstance(node, Add):
-        return f"({codegen(node.left, params)} + {codegen(node.right, params)})"
-    if isinstance(node, Sub):
-        return f"({codegen(node.left, params)} - {codegen(node.right, params)})"
-    if isinstance(node, Mul):
-        return f"({codegen(node.left, params)} * {codegen(node.right, params)})"
-    if isinstance(node, Div):
-        return f"({codegen(node.left, params)} / {codegen(node.right, params)})"
+    if type(node) in _INFIX:
+        return f"({codegen(node.left, params)} {_INFIX[type(node)]} {codegen(node.right, params)})"
     if isinstance(node, Neg):
         return f"(-{codegen(node.operand, params)})"
     if isinstance(node, Pow):
@@ -353,19 +350,6 @@ def codegen(node, params):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def free_variables(node):
-    """Set of variable indices appearing in the tree."""
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, (Const, Param)):
-        return set()
-    if isinstance(node, Neg):
-        return free_variables(node.operand)
-    if isinstance(node, Pow):
-        return free_variables(node.base)
-    return free_variables(node.left) | free_variables(node.right)
-
-
 def to_source(node):
     """Human-readable rendering (parameters kept by name)."""
     if isinstance(node, Const):
@@ -374,14 +358,8 @@ def to_source(node):
         return f"x{node.index + 1}"
     if isinstance(node, Param):
         return node.name
-    if isinstance(node, Add):
-        return f"({to_source(node.left)} + {to_source(node.right)})"
-    if isinstance(node, Sub):
-        return f"({to_source(node.left)} - {to_source(node.right)})"
-    if isinstance(node, Mul):
-        return f"({to_source(node.left)} * {to_source(node.right)})"
-    if isinstance(node, Div):
-        return f"({to_source(node.left)} / {to_source(node.right)})"
+    if type(node) in _INFIX:
+        return f"({to_source(node.left)} {_INFIX[type(node)]} {to_source(node.right)})"
     if isinstance(node, Neg):
         return f"(-{to_source(node.operand)})"
     if isinstance(node, Pow):

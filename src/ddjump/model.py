@@ -1,4 +1,4 @@
-"""Process definitions: config parsing, rate/drift/Jacobian evaluation.
+"""Process definitions: config parsing and the compiled rate kernel.
 
 A model is a density-dependent jump process on the integer lattice: from
 state X it jumps to X + J at rate N * r_J(X/N) for each jump J in a finite
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,7 +81,10 @@ class Domain:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable process definition; all operations on it are pure."""
+    """Immutable process definition; all operations on it are pure.
+
+    ``kernel`` holds the model's compiled ``Kernel``.
+    """
 
     d: int
     jumps: tuple  # tuple of d-tuples of ints
@@ -105,24 +109,20 @@ class Model:
             if J in seen:
                 raise ConfigError(f"duplicate jump {J}")
             seen.add(J)
+        # not a field: pickles carry only the fields; __setstate__ recompiles
+        object.__setattr__(self, "kernel", _compile_kernel(self))
 
     @property
     def jump_array(self):
         return np.array(self.jumps, dtype=np.int64)
 
     def __getstate__(self):
-        return {
-            "d": self.d,
-            "jumps": self.jumps,
-            "rate_exprs": self.rate_exprs,
-            "params": self.params,
-            "domain": self.domain,
-            "source": self.source,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state):
         for k, v in state.items():
             object.__setattr__(self, k, v)
+        object.__setattr__(self, "kernel", _compile_kernel(self))
 
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
@@ -246,83 +246,131 @@ def parse_model(text):
     )
 
 
-def eval_rates(m, y, check_domain=True):
-    """Rate vector (one entry per jump) at scaled state ``y``."""
+# A model's rates and rate gradients, generated once as Python source.  The
+# scalar forms take the d coordinates as floats and return a tuple:
+# rates(y0, ..)[k] = r_k(y) and grads(y0, ..)[k * d + i] = d r_k / d y_i.  The
+# array forms take the coordinates in the last axis of Y: rates_array(Y)[..., k]
+# and grads_array(Y)[..., k, i].  The entry tuples hold one scalar function per
+# rate and per gradient entry, to find the one that divides by zero.  J is the
+# read-only float jump matrix, one row per jump.
+Kernel = namedtuple("Kernel", "rates grads rates_array grads_array rate_entries grad_entries J")
+
+
+def _compile_kernel(m):
+    """Generate the ``Kernel`` of model ``m``; the only place rate code is generated.
+
+    Each rate is differentiated once, here.  Parameter values are inlined and
+    the source holds only arithmetic on the coordinates (the expression
+    language is closed, so no user code reaches the exec).  Every form uses
+    the operation order of ``expr.evaluate``, so all agree with it bit for bit.
+    """
+    d, n = m.d, len(m.jumps)
+    args = ", ".join(f"y{i}" for i in range(d))
+    rates = [ex.codegen(r, m.params) for r in m.rate_exprs]
+    grads = [ex.codegen(ex.differentiate(r, i), m.params) for r in m.rate_exprs for i in range(d)]
+    src = []
+    for name, exprs, shape in (("rate", rates, (n,)), ("grad", grads, (n, d))):
+        src += [
+            f"{name}s = lambda {args}: ({', '.join(exprs)},)",
+            f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
+            f"def {name}s_array(Y):",
+            *(f"    y{i} = Y[..., {i}]" for i in range(d)),
+            f"    out = np.empty(Y.shape[:-1] + ({len(exprs)},))",
+            *(f"    out[..., {k}] = {e}" for k, e in enumerate(exprs)),
+            f"    return out.reshape(Y.shape[:-1] + {shape})",
+        ]
+    ns = {"np": np, "inf": math.inf, "nan": math.nan}
+    exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
+    J = np.array(m.jumps, dtype=np.int64).astype(float)
+    J.setflags(write=False)
+    return Kernel(*(ns[name] for name in Kernel._fields[:-1]), J)
+
+
+def _point(m, y, check_domain):
+    """``y`` as a list of d floats, after the shape and domain checks."""
     y = np.asarray(y, dtype=float)
     if y.shape != (m.d,):
         raise DimensionMismatchError(f"point has shape {y.shape}, expected ({m.d},)")
     if check_domain and not m.domain.contains(y):
         raise DomainError(f"point {y.tolist()} outside domain")
-    out = np.empty(len(m.jumps))
-    for k, node in enumerate(m.rate_exprs):
+    return y.tolist()
+
+
+def _rates_in_order(m, y):
+    for k, rate in enumerate(m.kernel.rate_entries):
         try:
-            v = ex.evaluate(node, y, m.params)
+            v = rate(*y)
         except ZeroDivisionError:
-            raise RateError(f"division by zero in rate {k} at {y.tolist()}") from None
+            raise RateError(f"division by zero in rate {k} at {y}") from None
+        yield v
+
+
+def eval_rates(m, y, check_domain=True):
+    """Rate vector (one entry per jump) at scaled state ``y``."""
+    y = _point(m, y, check_domain)
+    try:
+        r = m.kernel.rates(*y)
+    except ZeroDivisionError:
+        # one rate at a time, so the checks fire in jump order; some rate
+        # divides by zero, so the loop below always raises
+        r = _rates_in_order(m, y)
+    for k, v in enumerate(r):
         if not math.isfinite(v):
-            raise RateError(f"non-finite rate {k} at {y.tolist()}")
+            raise RateError(f"non-finite rate {k} at {y}")
         if v < 0:
-            raise RateError(f"negative rate {v} for jump {m.jumps[k]} at {y.tolist()}")
-        out[k] = v
-    return out
+            raise RateError(f"negative rate {v} for jump {m.jumps[k]} at {y}")
+    return np.array(r)
 
 
 def eval_drift(m, y, check_domain=True):
     """Drift F(y) = sum_J J r_J(y)."""
-    r = eval_rates(m, y, check_domain=check_domain)
-    return m.jump_array.T.astype(float) @ r
+    return m.kernel.J.T @ eval_rates(m, y, check_domain=check_domain)
+
+
+def _gradients(m, y):
+    """Rate gradients at the coordinate list ``y``, shape (n_jumps, d)."""
+    n = len(m.jumps)
+    try:
+        g = m.kernel.grads(*y)
+    except ZeroDivisionError:
+        g = [_partial(m, k, i, y) for k in range(n) for i in range(m.d)]
+    return np.array(g).reshape(n, m.d)
+
+
+def _partial(m, k, i, y, h=1e-6):
+    """d r_k / d y_i; central differences of r_k where the symbolic
+    derivative divides by zero at ``y``."""
+    try:
+        return m.kernel.grad_entries[k * m.d + i](*y)
+    except ZeroDivisionError:
+        pass
+    yp, ym = list(y), list(y)
+    yp[i] += h
+    ym[i] -= h
+    rate = m.kernel.rate_entries[k]
+    try:
+        return (rate(*yp) - rate(*ym)) / (2 * h)
+    except ZeroDivisionError:
+        raise RateError(f"division by zero differentiating rate at {y}") from None
 
 
 def eval_jacobian(m, y, check_domain=True):
-    """Jacobian sum_J J grad r_J(y) via expression-tree differentiation.
+    """Jacobian sum_J J grad r_J(y) from the generated rate gradients.
 
-    Falls back to central finite differences of a rate's value when its
-    symbolic derivative hits a division by zero at ``y``.
+    A gradient entry whose symbolic form divides by zero at ``y`` falls back
+    to central finite differences of its rate.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m.d,):
-        raise DimensionMismatchError(f"point has shape {y.shape}, expected ({m.d},)")
-    if check_domain and not m.domain.contains(y):
-        raise DomainError(f"point {y.tolist()} outside domain")
+    G = _gradients(m, _point(m, y, check_domain))
     A = np.zeros((m.d, m.d))
-    J = m.jump_array.astype(float)
-    for k, node in enumerate(m.rate_exprs):
-        grad = np.empty(m.d)
-        for i in range(m.d):
-            dnode = ex.differentiate(node, i)
-            try:
-                grad[i] = ex.evaluate(dnode, y, m.params)
-            except ZeroDivisionError:
-                grad[i] = _fd_partial(node, y, i, m.params)
-        A += np.outer(J[k], grad)
+    # one jump at a time: a single J.T @ G sums in another order
+    for Jk, gk in zip(m.kernel.J, G):
+        A += np.outer(Jk, gk)
     return A
-
-
-def _fd_partial(node, y, i, params, h=1e-6):
-    yp = np.array(y, dtype=float)
-    ym = np.array(y, dtype=float)
-    yp[i] += h
-    ym[i] -= h
-    try:
-        return (ex.evaluate(node, yp, params) - ex.evaluate(node, ym, params)) / (2 * h)
-    except ZeroDivisionError:
-        raise RateError(
-            f"division by zero differentiating rate at {np.asarray(y).tolist()}"
-        ) from None
 
 
 def rate_gradients(m, y):
     """Gradient row vectors of every rate at ``y``, shape (n_jumps, d)."""
-    y = np.asarray(y, dtype=float)
-    G = np.empty((len(m.jumps), m.d))
-    for k, node in enumerate(m.rate_exprs):
-        for i in range(m.d):
-            dnode = ex.differentiate(node, i)
-            try:
-                G[k, i] = ex.evaluate(dnode, y, m.params)
-            except ZeroDivisionError:
-                G[k, i] = _fd_partial(node, y, i, m.params)
-    return G
+    return _gradients(m, np.asarray(y, dtype=float).tolist())
 
 
 _HAMER_SIR_TEMPLATE = """\

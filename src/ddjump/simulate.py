@@ -272,18 +272,15 @@ def estimate_K2(m, cert, N, samples=4000, seed=0, cap_factor=16.0):
     return float(min(hs[last_bad + 1], cap))
 
 
-def _scalar_rates_fn(model):
-    """Plain-Python tuple-returning rate function (fast scalar path)."""
-    from . import expr as ex
-
-    parts = []
-    for node in model.rate_exprs:
-        parts.append(ex.codegen(node, model.params))
-    args = ", ".join(f"y{i}" for i in range(model.d))
-    src = f"def _r({args}):\n    return ({', '.join(parts)}{',' if len(parts) == 1 else ''})"
-    ns = {}
-    exec(src, ns)  # noqa: S102 - source generated from closed AST
-    return ns["_r"]
+def _pick(rates, acc):
+    """First jump index whose running rate sum reaches ``acc`` (the last
+    index when rounding leaves ``acc`` above the total)."""
+    j = 0
+    run = rates[0]
+    while run < acc and j < len(rates) - 1:
+        j += 1
+        run += rates[j]
+    return j
 
 
 def simulate_coupled(
@@ -331,12 +328,9 @@ def simulate_coupled(
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
 
-    rates = _scalar_rates_fn(m)
+    rates = m.kernel.rates
     jumps = [tuple(int(v) for v in J) for J in m.jumps]
-    njump = len(jumps)
     M = cert.M
-    MJ = [tuple(float(x) for x in (M @ np.array(J, dtype=float))) for J in jumps]
-    JMJ = [float(np.array(J) @ M @ np.array(J)) for J in jumps]
     d = m.d
 
     def ball_ok(Z, J):
@@ -401,11 +395,7 @@ def simulate_coupled(
                 t = opts.horizon
                 break
             acc = u2 * tot
-            j = 0
-            run = ru[0]
-            while run < acc and j < njump - 1:
-                j += 1
-                run += ru[j]
+            j = _pick(ru, acc)
             U = U + np.array(jumps[j])
             V = U.copy()
             t = t_next
@@ -425,11 +415,7 @@ def simulate_coupled(
                 t = opts.horizon
                 break
             acc = u2 * tot
-            j = 0
-            run = mx[0]
-            while run < acc and j < njump - 1:
-                j += 1
-                run += mx[j]
+            j = _pick(mx, acc)
             a, b = ru[j], rv[j]
             lo = a if a < b else b
             if u3 * mx[j] < lo:
@@ -465,19 +451,11 @@ def simulate_coupled(
             break
         acc = u2 * tot
         if acc < su:
-            j = 0
-            run = ru[0]
-            while run < acc and j < njump - 1:
-                j += 1
-                run += ru[j]
+            j = _pick(ru, acc)
             U = U + np.array(jumps[j])
         else:
             acc -= su
-            j = 0
-            run = rv[0]
-            while run < acc and j < njump - 1:
-                j += 1
-                run += rv[j]
+            j = _pick(rv, acc)
             V = V + np.array(jumps[j])
         w = (U - V).astype(float)
         H = Hnorm(w)

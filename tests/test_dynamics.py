@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import ddjump as dj
-from ddjump.dynamics import flow_many
-from ddjump.errors import CertificateError, ConvergenceError
+from ddjump.dynamics import _ball_passes, _sample_ball, flow_many
+from ddjump.errors import CertificateError, ConvergenceError, RateError
+from ddjump.model import rate_gradients
 from conftest import identity_certificate
 
 
@@ -185,6 +186,39 @@ def test_certify_requires_positive_rates_at_fixed_point():
     # fixed point at 0 has both rates zero
     with pytest.raises((CertificateError, ConvergenceError)):
         dj.certify(m, (1.0,), rho_fraction=0.5)
+
+
+def _ball_passes_pointwise(m, pts, grad_c, tol):
+    # one scalar call per point, as the radius check worked before batching
+    for y in pts:
+        if not m.domain.contains(y):
+            return False
+        try:
+            r = dj.eval_rates(m, y, check_domain=False)
+        except RateError:
+            return False
+        if np.min(r) <= 0:
+            return False
+        if not np.linalg.norm(rate_gradients(m, y) - grad_c, axis=1).max() < tol:
+            return False
+    return True
+
+
+def test_batched_radius_check_matches_pointwise(sir, cert05):
+    division = dj.parse_model(
+        "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
+        " 2 -3 : a * x1 / (1 + x2)\n-1  0 : x1^2 + 0.1\n 0  1 : 0.7 + x1*x2/(2 + x1)\n"
+    )
+    rng = np.random.default_rng(4)
+    verdicts = set()
+    for m in (sir, division):
+        grad_c = rate_gradients(m, cert05.c)
+        for delta in np.geomspace(1e-3, 1.2, 40):
+            pts = _sample_ball(cert05.c, cert05.M, delta, 64, rng)
+            verdict = _ball_passes(m, pts, grad_c, 0.05)
+            assert verdict == _ball_passes_pointwise(m, pts, grad_c, 0.05)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_certificate_serialization_roundtrip(cert05, tmp_path):

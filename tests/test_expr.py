@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ddjump import expr as ex
 from ddjump.errors import DimensionMismatchError, ExprSyntaxError, UnknownParameterError
+from ddjump.model import Domain, Model, parse_model
 
 
 def parse(text, dim=2, params=("a", "b")):
@@ -128,6 +129,50 @@ def test_interpreter_matches_codegen_bitwise():
     for _ in range(200):
         y = rng.uniform(0.01, 5.0, size=2)
         assert ex.evaluate(node, y, params) == fn(float(y[0]), float(y[1]))
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+def _assert_kernel_matches_interpreter(m, points):
+    """Scalar form, array form and the interpreter agree bit for bit on every
+    rate and every gradient entry (derivatives taken by ``ex.differentiate``)."""
+    d = m.d
+    R = m.kernel.rates_array(np.array(points, dtype=float))
+    G = m.kernel.grads_array(np.array(points, dtype=float))
+    for y, r_row, g_row in zip(points, R, G):
+        rates = m.kernel.rates(*y)
+        grads = m.kernel.grads(*y)
+        for k, node in enumerate(m.rate_exprs):
+            ref = _bits(ex.evaluate(node, y, m.params))
+            assert _bits(rates[k]) == _bits(r_row[k]) == ref
+            for i in range(d):
+                ref = _bits(ex.evaluate(ex.differentiate(node, i), y, m.params))
+                assert _bits(grads[k * d + i]) == _bits(g_row[k, i]) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(nodes(), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)), min_size=1, max_size=4),
+    st.floats(0.5, 1.5),
+)
+def test_kernel_forms_match_interpreter_bitwise(rate_nodes, points, a):
+    jumps = ((1, 0), (0, 1), (1, 1))[: len(rate_nodes)]
+    m = Model(
+        d=2, jumps=jumps, rate_exprs=tuple(rate_nodes), params={"a": a}, domain=Domain.unbounded(2)
+    )
+    _assert_kernel_matches_interpreter(m, points)
+
+
+def test_kernel_matches_interpreter_with_division():
+    m = parse_model(
+        "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
+        " 2 -3 : a * x1 / (1 + x2)\n-1  0 : -x1^2 + 4\n 0  1 : 0.7 + x1*x2/(2 + x1)^3\n"
+    )
+    rng = np.random.default_rng(1)
+    _assert_kernel_matches_interpreter(m, [tuple(p) for p in rng.uniform(0.0, 5.0, size=(200, 2))])
 
 
 def test_to_source_round_trips_through_parser():

@@ -180,3 +180,59 @@ def test_model_pickles():
     m = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
     m2 = pickle.loads(pickle.dumps(m))
     assert dj.eval_rates(m2, (1.0, 1.0)).tolist() == [2.0, 1.0, 1.0]
+
+
+def test_model_pickle_round_trip_recompiles_kernel():
+    # worker processes receive models as pickles: only the fields travel, and
+    # the copy compiles a kernel that gives identical results
+    import pickle
+
+    m = dj.parse_model(
+        "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
+        " 2 -3 : a * x1 / (1 + x2)\n-1  0 : x1^2 + 0.1\n 0  1 : 0.7 + x1*x2/(2 + x1)\n"
+    )
+    assert "kernel" not in m.__getstate__()
+    m2 = pickle.loads(pickle.dumps(m))
+    assert m2 == m and m2.kernel is not m.kernel
+    Y = np.random.default_rng(3).uniform(0.0, 4.0, size=(100, 2))
+    assert m2.kernel.rates_array(Y).tobytes() == m.kernel.rates_array(Y).tobytes()
+    for y in Y:
+        assert dj.eval_rates(m2, y).tobytes() == dj.eval_rates(m, y).tobytes()
+        assert dj.eval_jacobian(m2, y).tobytes() == dj.eval_jacobian(m, y).tobytes()
+
+
+def test_rate_errors_fire_in_jump_order():
+    # rate 0 is valid and rate 1 divides by zero at x1 = 0
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : x1\n-1 : 1 / x1\n2 : x1 - 1\n")
+    with pytest.raises(RateError, match="division by zero in rate 1"):
+        dj.eval_rates(m, (0.0,))
+    # a negative rate ahead of the division is reported first
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : x1 - 1\n-1 : 1 / x1\n")
+    with pytest.raises(RateError, match="negative rate"):
+        dj.eval_rates(m, (0.0,))
+
+
+def test_overflowing_literal_is_a_rate_error():
+    # 1e999 parses to an infinite constant, which the generated code must
+    # still evaluate (to a non-finite rate, not a NameError)
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1e999 * x1\n")
+    with pytest.raises(RateError, match="non-finite rate 0"):
+        dj.eval_rates(m, (1.0,))
+
+
+def test_jacobian_matches_interpreter_jump_by_jump():
+    # A = sum_J J grad r_J(y), summed in jump order with interpreter-evaluated
+    # gradients; a single J.T @ G may fuse -3 * g with the running sum and
+    # round differently
+    from ddjump import expr as ex
+
+    m = dj.parse_model(
+        "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
+        "-1  0 : x1^2 + 0.1\n 0  1 : 0.7 + x1*x2/(2 + x1)\n 2 -3 : a * x1 / (1 + x2)\n"
+    )
+    for y in np.random.default_rng(8).uniform(0.05, 3.0, size=(200, 2)):
+        A = np.zeros((2, 2))
+        for J, node in zip(m.jump_array.astype(float), m.rate_exprs):
+            grad = [ex.evaluate(ex.differentiate(node, i), y, m.params) for i in range(2)]
+            A += np.outer(J, grad)
+        assert dj.eval_jacobian(m, y).tobytes() == A.tobytes()

@@ -6,7 +6,6 @@ import pytest
 import ddjump as dj
 import ddjump.engine as engine
 from ddjump.errors import DomainError
-from ddjump.simulate import _scalar_rates_fn
 
 
 def pure_death():
@@ -171,7 +170,7 @@ def test_contractive_generator_identity_and_negativity(sir, cert05):
     Nc = N * cert05.c
     L = np.linalg.cholesky(cert05.M)
     LinvT = np.linalg.inv(L).T
-    rates = _scalar_rates_fn(sir)
+    rates = sir.kernel.rates
     checked = 0
     for _ in range(400):
         r1, r2 = cert05.delta0 * np.sqrt(rng.random(2))
