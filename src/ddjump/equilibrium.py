@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import engine, rng as _rng
-from .dist import LatticeDistribution, canonical_order
+from .dist import LatticeDistribution, LatticeKeys, canonical_order
 from .dynamics import _drift, _rk4_step, cutoff_time, default_step
 from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
 from .simulate import sample_states
@@ -62,21 +63,26 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
             raise DomainError(
                 f"restriction ball leaves the domain along axis {i + 1}; shrink delta"
             )
-    index = {tuple(s): i for i, s in enumerate(map(tuple, states))}
     rates_fn = engine.compile_rates(m)
     r = rates_fn(states.astype(float) / N)
     engine._validate_rates(r, states, N)
-    rows, cols, vals = [], [], []
+    rows, targets, vals = [], [], []
     for k, J in enumerate(m.jump_array):
-        targets = states + J
-        W = targets.astype(float) - N * cert.c
+        W = (states + J).astype(float) - N * cert.c
         q = np.einsum("ni,ij,nj->n", W, cert.M, W)
         ok = np.flatnonzero(q <= (N * delta) ** 2)
-        for i in ok:
-            rows.append(i)
-            cols.append(index[tuple(targets[i])])
-            vals.append(N * r[i, k])
-    Q = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        rows.append(ok)
+        targets.append(states[ok] + J)
+        vals.append(N * r[ok, k])
+    codec = LatticeKeys(states, *targets)
+    keys = codec.encode(states)  # ascending: the states are in canonical order
+    target_keys = codec.encode(np.concatenate(targets))
+    cols = np.searchsorted(keys, target_keys)
+    if not np.array_equal(keys[np.minimum(cols, n - 1)], target_keys):
+        raise DdjumpError("a transition target inside the ball is missing from its enumeration")
+    Q = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(n, n)
+    ).tocsr()
     diag = np.asarray(Q.sum(axis=1)).ravel()
     Q = Q - sp.diags(diag)
     return states, Q.tocsr()
@@ -93,8 +99,24 @@ def _pi_direct(Q):
     return pi / pi.sum()
 
 
+def _closed_classes(Q):
+    """Number of closed communicating classes of the chain with generator Q:
+    strongly connected components of its positive-rate graph that no
+    positive rate leaves (Tarjan 1972)."""
+    G = (Q > 0).tocoo()
+    n_scc, label = csgraph.connected_components(G, directed=True, connection="strong")
+    leaving = label[G.row] != label[G.col]
+    return n_scc - len(np.unique(label[G.row[leaving]]))
+
+
 def _pi_power(Q, tol, max_iters, pi0=None):
     n = Q.shape[0]
+    closed = _closed_classes(Q)
+    if closed > 1:
+        raise ConvergenceError(
+            f"the restricted chain has {closed} closed communicating classes, "
+            "so its stationary law is not unique"
+        )
     diag = -Q.diagonal()
     lam = float(diag.max())
     if lam <= 0:
@@ -123,8 +145,9 @@ def _pi_power(Q, tol, max_iters, pi0=None):
                     if best <= 1e-8:  # converged to the floating-point floor
                         return new
                     raise ConvergenceError(
-                        f"power iteration stalled at residual {resid:.3g}; "
-                        "the restricted chain may not be irreducible"
+                        f"power iteration stalled at residual {resid:.3g} after {it + 1} "
+                        "iterations; the restricted chain has one closed class, so its "
+                        "stationary law is unique"
                     )
             else:
                 stall = 0
@@ -345,24 +368,42 @@ class CutoffProfile:
 
 def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
     """Plug-in TV of an empirical sample against ``pi`` with a multinomial
-    bootstrap CI, computed on the union support."""
-    emp = LatticeDistribution.from_points(points)
-    d_emp = emp.as_dict()
-    d_pi = pi.as_dict()
-    keys = sorted(d_emp.keys() | d_pi.keys())
-    p_hat = np.array([d_emp.get(k, 0.0) for k in keys])
-    p_ref = np.array([d_pi.get(k, 0.0) for k in keys])
+    bootstrap CI, computed on the union support.
+
+    Each bootstrap draw is a multinomial over only the union points the
+    sample hits, plus the last union point.  numpy draws a multinomial as a
+    chain of binomials, one per category but the last, which takes the
+    remainder; a binomial with p = 0 returns 0 without using the generator,
+    and leaves the running probability total unchanged.  So the dropped
+    zero-mass categories cost no random numbers, and the counts and the
+    generator state after the call are those of a draw over the whole union.
+    Each draw is still scored over the whole union, so that every TV sum
+    runs over the same terms in the same order.
+    """
+    codec = LatticeKeys(points, pi.support)
+    sample_keys, counts = np.unique(codec.encode(points), return_counts=True)
+    pi_keys = codec.encode(pi.support)
+    keys = np.union1d(sample_keys, pi_keys)
+    hit = np.searchsorted(keys, sample_keys)
+    p_hat = np.zeros(len(keys))
+    p_hat[hit] = counts / len(points)
+    p_ref = np.zeros(len(keys))
+    p_ref[np.searchsorted(keys, pi_keys)] = pi.mass
     tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
     if n_boot <= 0:
         return tv, (tv, tv)
+    cats = hit if hit[-1] == len(keys) - 1 else np.append(hit, len(keys) - 1)
+    p_cat, ref_cat = p_hat[cats], p_ref[cats]
+    absent = np.abs(0.0 - p_ref)  # the score terms of categories a draw leaves empty
+    chunk = max(1, min(n_boot, 2**20 // len(keys)))
+    block = np.empty((chunk, len(keys)))
     tvs = np.empty(n_boot)
-    chunk = max(1, min(n_boot, int(2e7 // max(len(keys), 1))))
-    done = 0
-    while done < n_boot:
+    for done in range(0, n_boot, chunk):
         b = min(chunk, n_boot - done)
-        counts = rng.multinomial(reps, p_hat, size=b)
-        tvs[done : done + b] = 0.5 * np.abs(counts / reps - p_ref).sum(axis=1)
-        done += b
+        rows = block[:b]
+        rows[:] = absent
+        rows[:, cats] = np.abs(rng.multinomial(reps, p_cat, size=b) / reps - ref_cat)
+        tvs[done : done + b] = 0.5 * rows.sum(axis=1)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return tv, (float(lo), float(hi))
 

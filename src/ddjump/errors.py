@@ -61,6 +61,10 @@ class CapExceededError(DdjumpError):
     """A state-space enumeration would exceed the configured cap."""
 
 
+class KeyRangeError(DdjumpError):
+    """A lattice box holds more points than int64 keys can number."""
+
+
 class HorizonError(DdjumpError):
     """A time horizon was exhausted before the sought event occurred."""
 

@@ -283,6 +283,20 @@ def _pick(rates, acc):
     return j
 
 
+def _rates_at(rates, Z, N):
+    """Scalar kernel ``rates`` at Z / N, on Python floats (the fast path).
+
+    Python floats raise ``ZeroDivisionError`` where numpy scalars give inf or
+    nan, so that case is evaluated again on numpy scalars, whose inf or nan
+    the caller's rate check reports.
+    """
+    y = [z / N for z in Z.tolist()]
+    try:
+        return rates(*y)
+    except ZeroDivisionError:
+        return rates(*map(np.float64, y))
+
+
 def simulate_coupled(
     m,
     cert,
@@ -371,10 +385,8 @@ def simulate_coupled(
         if phase == COALESCED and not (trace_states or run_past_coalescence):
             flush_records(math.inf)
             break
-        yu = tuple(U[i] / N for i in range(d))
-        yv = tuple(V[i] / N for i in range(d))
-        ru = rates(*yu)
-        rv = rates(*yv)
+        ru = _rates_at(rates, U, N)
+        rv = _rates_at(rates, V, N)
         if restr is not None:
             ru = tuple(r if ball_ok(U, J) else 0.0 for r, J in zip(ru, jumps))
             rv = tuple(r if ball_ok(V, J) else 0.0 for r, J in zip(rv, jumps))

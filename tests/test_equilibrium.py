@@ -127,6 +127,33 @@ def test_stationary_irreducibility_guard(cert05):
         dj.stationary_exact(m, 10, cert, 0.8, warm_start=False)
 
 
+def test_stationary_counts_closed_classes():
+    # the four parity classes of the even-step walker are each closed
+    m = dj.parse_model(
+        "[dimension]\n2\n[jumps]\n2 0 : 1\n-2 0 : 1\n0 2 : 1\n0 -2 : 1\n"
+        "[domain]\nx1 >= -100\nx2 >= -100\n"
+    )
+    cert = identity_certificate(d=2, c=(0.0, 0.0))
+    with pytest.raises(ConvergenceError, match=r"\b4 closed communicating classes"):
+        dj.stationary_exact(m, 10, cert, 0.8, warm_start=False)
+
+
+def test_stationary_solves_with_a_transient_state():
+    # states -1..5; the down-rate x1^2 vanishes at 0, so -1 is never entered
+    # and {0, ..., 5} is the one closed class
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1 * x1\n[domain]\nx1 >= -1\n")
+    cert = identity_certificate(d=1, c=(0.2,))
+    states, Q = build_restricted_generator(m, 10, cert, 0.3)
+    assert states[:, 0].tolist() == list(range(-1, 6))
+    assert Q[1, 0] == 0.0
+    pi = dj.stationary_exact(m, 10, cert, 0.3)
+    assert pi.mass[0] < 1e-12
+    # detailed balance on the closed class: up-rate 1 at k, down-rate (k / 10)^2 at k
+    rest = pi.mass[1:]
+    for k in range(5):
+        assert rest[k] == pytest.approx(rest[k + 1] * ((k + 1) / 10) ** 2, rel=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # sigma^2, Sigma, discrete normal
 # ---------------------------------------------------------------------------

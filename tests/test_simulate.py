@@ -5,7 +5,8 @@ import pytest
 
 import ddjump as dj
 import ddjump.engine as engine
-from ddjump.errors import DomainError
+from ddjump.errors import DomainError, SimulationError
+from conftest import identity_certificate
 
 
 def pure_death():
@@ -116,6 +117,23 @@ def test_coupled_equal_starts_coalesce_immediately(sir, cert05):
     tr = dj.simulate_coupled(sir, cert05, opts, X0, X0, k2=5.0)
     assert tr.coalesce_time == 0.0
     assert np.all(tr.H == 0.0)
+
+
+@pytest.mark.parametrize(
+    "U0,V0,seed,message",
+    [
+        (2, 8, 1, "invalid rate nan for chain U at [5]"),
+        (3, 5, 0, "invalid rate nan for chain V at [5]"),
+    ],
+)
+def test_coupled_rate_dividing_by_zero_is_a_simulation_error(U0, V0, seed, message):
+    # 0 / (x1 - 0.5) is 0 everywhere but at X = 5, where it is 0 / 0
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1 + 0 / (x1 - 0.5)\n-1 : x1\n")
+    cert = identity_certificate(d=1, c=(0.5,))
+    opts = dj.SimOptions(N=10, seed=seed, horizon=50.0, record=(0.0, 1.0))
+    with pytest.warns(RuntimeWarning), pytest.raises(SimulationError) as info:
+        dj.simulate_coupled(m, cert, opts, np.array([U0]), np.array([V0]), k2=1.0, nu=2.0)
+    assert str(info.value) == message
 
 
 def test_coalescence_is_absorbing(sir, cert05):
