@@ -1,10 +1,18 @@
 """Vectorized exact-SSA engine.
 
-Paths are simulated replicate-batched: one numpy step advances every active
+Paths are simulated replicate-batched: one numpy step advances every live
 replicate by one jump event.  Each replicate consumes uniforms from its own
 counter-based stream (two per event: waiting time, jump pick), so results
 are bit-identical to the scalar reference engine and independent of chunking
 and worker count.
+
+A step costs a few contiguous array operations.  The live replicates sit in
+compacted arrays, in row order: state, time, original row, the column of
+their uniforms, and each mode's own per-replicate state.  The arrays are
+compacted only on the steps where some replicate retires.  Uniforms are
+stored one row per draw, so a draw is one row gathered by the live columns.
+The total rate, the running sums that pick the jump and the martingale drift
+are added jump by jump, left to right, in the order the scalar path uses.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ class Restriction:
 
 
 def _validate_rates(r, X, N):
+    # two reductions clear the common case; the element-wise checks name the state
+    if r.size == 0 or (r.min() >= 0.0 and r.max() < math.inf):
+        return
     if not np.all(np.isfinite(r)):
         i = int(np.argwhere(~np.isfinite(r))[0][0])
         raise SimulationError(f"non-finite rate at state {X[i].tolist()} (N={N})")
@@ -47,14 +58,66 @@ def _validate_rates(r, X, N):
         raise SimulationError(f"negative rate at state {X[i].tolist()} (N={N})")
 
 
-def _restriction_mask(X, jumps, restr):
-    W = X.astype(float) - restr.center
+def _restriction_mask(restr, jumps):
+    """``mask(X)[n, k]``: jump k from state ``X[n]`` stays in the ball.
+
+    The terms that depend only on the jumps are computed here, once.
+    """
     MJt = restr.M @ jumps.T.astype(float)
-    base = np.einsum("ni,ij,nj->n", W, restr.M, W)
-    cross = W @ MJt
     JMJ = np.einsum("ji,ij->j", jumps.astype(float), MJt)
-    q = base[:, None] + 2.0 * cross + JMJ[None, :]
-    return q <= restr.radius**2
+    r2 = restr.radius**2
+
+    def mask(X):
+        W = X.astype(float) - restr.center
+        base = np.einsum("ni,ij,nj->n", W, restr.M, W)
+        q = base[:, None] + 2.0 * (W @ MJt) + JMJ[None, :]
+        return q <= r2
+
+    return mask
+
+
+def _running_sums(r):
+    """Running sums of ``r`` over its last axis, added left to right: entry
+    k is ``r[..., 0] + ... + r[..., k]`` and the last entry is the total.
+
+    Both engines take the total rate and the jump pick from these, so the two
+    agree bit for bit.  (numpy's ``sum`` adds 8 or more terms pairwise, so it
+    can differ from the running sum in the last bit from 8 jumps on.)
+    """
+    cum = [r[..., 0]]
+    for k in range(1, r.shape[-1]):
+        cum.append(cum[-1] + r[..., k])
+    return cum
+
+
+def _drift(r, J):
+    """``sum_k r[..., k] J[k]``, added left to right.
+
+    A matrix product adds in an order that can depend on how many rows it
+    is given, which would tie the martingale to the chunk layout.
+    """
+    F = r[..., 0, None] * J[0]
+    for k in range(1, len(J)):
+        F = F + r[..., k, None] * J[k]
+    return F
+
+
+def _draw_blocks(bufs, gens, row):
+    """Put the next ``len(bufs)`` uniforms of replicate ``row[k]`` in column
+    k of ``bufs`` and return those columns.
+
+    The transposed writes go 64 by 64 replicates, so each tile stays in cache.
+    """
+    block = len(bufs)
+    for a in range(0, len(row), 64):
+        fresh = np.array([gens[i].random(block) for i in row[a : a + 64]])
+        for b in range(0, block, 64):
+            bufs[b : b + 64, a : a + len(fresh)] = fresh[:, b : b + 64].T
+    return np.arange(len(row))
+
+
+def _keep(live, keep):
+    return {name: a[keep] for name, a in live.items()}
 
 
 def simulate_chunk(
@@ -82,174 +145,154 @@ def simulate_chunk(
     mode "exit": first time ||X - center||_M exceeds the exit_ball radius,
         censored at ``horizon``.
     """
+    if mode not in (RECORDS, MARTINGALE, EXIT):
+        raise ValueError(f"unknown mode {mode!r}")
     n = rep_hi - rep_lo
     d = model.d
     jumps = model.jump_array
-    njump = len(model.jumps)
+    J = model.kernel.J
     rates_fn = compile_rates(model)
+    mask = None if restriction is None else _restriction_mask(restriction, jumps)
 
     X0 = np.asarray(X0, dtype=np.int64)
-    if X0.ndim == 1:
-        X = np.tile(X0, (n, 1))
-    else:
-        X = X0[rep_lo:rep_hi].copy()
-    t = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    X = np.tile(X0, (n, 1)) if X0.ndim == 1 else X0[rep_lo:rep_hi].copy()
+    # the live replicates, in row order; compacted on the steps where some retire
+    live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}
     absorbed = np.zeros(n, dtype=bool)
 
     record_times = np.asarray(record_times, dtype=float)
     n_rec = len(record_times)
     if mode == RECORDS:
         records = np.zeros((n, n_rec, d), dtype=np.int64)
-        rec_idx = np.zeros(n, dtype=np.int64)
+        if not n_rec:
+            return {"records": records, "absorbed": absorbed}
+        # next record index and time; the time is inf once every record is taken
+        rec_next = np.append(record_times, math.inf)
+        live["k"] = np.zeros(n, dtype=np.int64)
+        live["due_t"] = np.full(n, rec_next[0])
     if mode == MARTINGALE:
-        X_start = X.astype(float).copy()
-        integral = np.zeros((n, d))
+        live["X_start"] = X.astype(float)
+        live["integral"] = np.zeros((n, d))
+        live["sup"] = np.zeros(n)
         sup_m = np.zeros(n)
         final_m = np.zeros((n, d))
-        exited = np.zeros(n, dtype=bool)
-        exit_time = np.full(n, math.inf)
         box_lo = np.asarray(stop_box[0], dtype=float)
         box_hi = np.asarray(stop_box[1], dtype=float)
-    if mode == EXIT:
+    if mode in (MARTINGALE, EXIT):
         exited = np.zeros(n, dtype=bool)
         exit_time = np.full(n, math.inf)
 
+    # uniforms stored (draw, replicate): a draw is one row of ``bufs``, gathered
+    # by the live replicates' columns ("slot")
     gens = [_rng.substream(seed, rep_lo + i, _rng.PATH) for i in range(n)]
-    bufs = np.empty((n, block))
-    for i in range(n):
-        bufs[i] = gens[i].random(block)
+    bufs = np.empty((block, n))
+    live["slot"] = _draw_blocks(bufs, gens, live["row"])
     col = 0
 
-    while active.any():
-        idx = np.flatnonzero(active)
+    while live["row"].size:
+        row = live["row"]
         if col + 2 > block:
-            for i in idx:
-                bufs[i] = gens[i].random(block)
+            live["slot"] = _draw_blocks(bufs, gens, row)
             col = 0
-        Xa = X[idx]
-        y = Xa.astype(float) / N
-        r = rates_fn(y)
-        _validate_rates(r, Xa, N)
-        if restriction is not None:
-            r = np.where(_restriction_mask(Xa, jumps, restriction), r, 0.0)
-        tot = r.sum(axis=1)
+        X = live["X"]
+        r = rates_fn(X / N)
+        _validate_rates(r, X, N)
+        if mask is not None:
+            r = np.where(mask(X), r, 0.0)
+        cum = _running_sums(r)
 
-        dead = tot <= 0.0
+        dead = cum[-1] <= 0.0
         if dead.any():
-            rows = idx[dead]
-            absorbed[rows] = True
-            if mode == RECORDS:
-                # absorbing state holds its value through every remaining record
-                for row in rows:
-                    k = rec_idx[row]
-                    if k < n_rec:
-                        records[row, k:] = X[row]
-                        rec_idx[row] = n_rec
-            if mode == MARTINGALE:
-                # state frozen: m drifts by -F (=0 if all rates vanish) to T
-                for row in rows:
-                    seg = max(0.0, horizon - t[row])
-                    f_row = rates_fn(X[row].astype(float) / N) @ jumps.astype(float)
-                    m_T = (X[row] - X_start[row]) / N - integral[row] - f_row * seg
-                    sup_m[row] = max(sup_m[row], float(np.linalg.norm(m_T)))
-                    final_m[row] = m_T
-            active[rows] = False
+            absorbed[row[dead]] = True
+            for i in np.flatnonzero(dead):
+                if mode == RECORDS:
+                    # an absorbing state holds its value through every remaining record
+                    records[row[i], live["k"][i] :] = X[i]
+                if mode == MARTINGALE:
+                    # state frozen: m drifts by -F (=0 if all rates vanish) to T
+                    seg = max(0.0, horizon - live["t"][i])
+                    f_row = _drift(rates_fn(X[i] / N), J)
+                    m_T = (X[i] - live["X_start"][i]) / N - live["integral"][i] - f_row * seg
+                    sup_m[row[i]] = max(live["sup"][i], float(np.linalg.norm(m_T)))
+                    final_m[row[i]] = m_T
             keep = ~dead
-            idx = idx[keep]
-            if idx.size == 0:
-                continue
-            Xa = Xa[keep]
-            y = y[keep]
-            r = r[keep]
-            tot = tot[keep]
+            live = _keep(live, keep)
+            if not live["row"].size:
+                break
+            row, X, r = live["row"], live["X"], r[keep]
+            cum = [c[keep] for c in cum]
 
-        u1 = bufs[idx, col]
-        u2 = bufs[idx, col + 1]
+        t = live["t"]
+        tot = cum[-1]
+        u2 = bufs[col + 1].take(live["slot"])
+        dt = -np.log(bufs[col].take(live["slot"])) / (N * tot)
         col += 2
-        dt = -np.log(u1) / (N * tot)
-        t_next = t[idx] + dt
+        t_next = t + dt
+        pick = u2 * tot
+        j = np.zeros(row.size, dtype=np.intp)
+        for c in cum[:-1]:
+            j += c < pick
+        step = jumps.take(j, axis=0)
 
+        gone = None
         if mode == RECORDS:
-            while True:
-                k = rec_idx[idx]
-                due = (k < n_rec) & (record_times[np.minimum(k, n_rec - 1)] < t_next)
-                if not due.any():
-                    break
-                rows = idx[due]
-                records[rows, rec_idx[rows]] = X[rows]
-                rec_idx[rows] += 1
-            done = rec_idx[idx] >= n_rec
-            if done.any():
-                active[idx[done]] = False
-                live = ~done
-                idx = idx[live]
-                if idx.size == 0:
-                    continue
-                r = r[live]
-                tot = tot[live]
-                u2 = u2[live]
-                dt = dt[live]
-                t_next = t_next[live]
+            k, due_t = live["k"], live["due_t"]
+            due = np.flatnonzero(due_t < t_next)
+            if due.size:
+                while due.size:
+                    records[row[due], k[due]] = X[due]
+                    k[due] += 1
+                    due_t[due] = rec_next[k[due]]
+                    due = due[due_t[due] < t_next[due]]
+                gone = due_t == math.inf
 
         if mode == MARTINGALE:
-            F = r @ jumps.astype(float)
+            F = _drift(r, J)
             over = t_next >= horizon
             if over.any():
-                rows = idx[over]
-                seg = horizon - t[rows]
-                m_T = (X[rows] - X_start[rows]) / N - integral[rows] - F[over] * seg[:, None]
-                nrm = np.linalg.norm(m_T, axis=1)
-                sup_m[rows] = np.maximum(sup_m[rows], nrm)
-                final_m[rows] = m_T
-                active[rows] = False
-                live = ~over
-                idx = idx[live]
-                if idx.size == 0:
-                    continue
-                r = r[live]
-                tot = tot[live]
-                u2 = u2[live]
-                dt = dt[live]
-                t_next = t_next[live]
-                F = F[live]
+                seg = horizon - t[over]
+                m_T = (
+                    (X[over] - live["X_start"][over]) / N
+                    - live["integral"][over]
+                    - F[over] * seg[:, None]
+                )
+                sup_m[row[over]] = np.maximum(live["sup"][over], np.linalg.norm(m_T, axis=1))
+                final_m[row[over]] = m_T
+                keep = ~over
+                live = _keep(live, keep)
+                if not live["row"].size:
+                    break
+                row, X = live["row"], live["X"]
+                dt, t_next, F, step = dt[keep], t_next[keep], F[keep], step[keep]
+            Fdt = F * dt[:, None]
+            m_pre = (X - live["X_start"]) / N - live["integral"] - Fdt
+            sup = np.maximum(live["sup"], np.linalg.norm(m_pre, axis=1))
+            m_post = m_pre + step / N
+            live["sup"] = np.maximum(sup, np.linalg.norm(m_post, axis=1))
+            live["integral"] += Fdt
 
-        cum = np.cumsum(r, axis=1)
-        pick = (u2 * tot)[:, None]
-        j = np.minimum((cum < pick).sum(axis=1), njump - 1)
-
-        if mode == MARTINGALE:
-            m_pre = (X[idx] - X_start[idx]) / N - integral[idx] - F * dt[:, None]
-            sup_m[idx] = np.maximum(sup_m[idx], np.linalg.norm(m_pre, axis=1))
-            m_post = m_pre + jumps[j] / N
-            sup_m[idx] = np.maximum(sup_m[idx], np.linalg.norm(m_post, axis=1))
-            integral[idx] += F * dt[:, None]
-
-        X[idx] += jumps[j]
-        t[idx] = t_next
+        X += step
+        live["t"] = t_next
 
         if mode == MARTINGALE:
-            ynew = X[idx].astype(float) / N
-            out = np.any((ynew < box_lo) | (ynew > box_hi), axis=1)
-            if out.any():
-                rows = idx[out]
+            y = X / N
+            gone = np.any((y < box_lo) | (y > box_hi), axis=1)
+            if gone.any():
+                rows = row[gone]
                 exited[rows] = True
-                exit_time[rows] = t[rows]
-                final_m[rows] = (X[rows] - X_start[rows]) / N - integral[rows]
-                active[rows] = False
+                exit_time[rows] = t_next[gone]
+                final_m[rows] = (X[gone] - live["X_start"][gone]) / N - live["integral"][gone]
+                sup_m[rows] = live["sup"][gone]
 
         if mode == EXIT:
-            W = X[idx].astype(float) - exit_ball.center
-            q = np.einsum("ni,ij,nj->n", W, exit_ball.M, W)
-            out = q > exit_ball.radius**2
-            if out.any():
-                rows = idx[out]
-                exited[rows] = True
-                exit_time[rows] = t[rows]
-                active[rows] = False
-            over = t[idx] >= horizon
-            if over.any():
-                active[idx[over]] = False
+            W = X.astype(float) - exit_ball.center
+            out = np.einsum("ni,ij,nj->n", W, exit_ball.M, W) > exit_ball.radius**2
+            exited[row[out]] = True
+            exit_time[row[out]] = t_next[out]
+            gone = out | (t_next >= horizon)
+
+        if gone is not None and gone.any():
+            live = _keep(live, ~gone)
 
     if mode == RECORDS:
         return {"records": records, "absorbed": absorbed}
@@ -261,9 +304,7 @@ def simulate_chunk(
             "exit_time": exit_time,
             "absorbed": absorbed,
         }
-    if mode == EXIT:
-        return {"exited": exited, "exit_time": exit_time, "absorbed": absorbed}
-    raise ValueError(f"unknown mode {mode!r}")
+    return {"exited": exited, "exit_time": exit_time, "absorbed": absorbed}
 
 
 def _chunk_task(kwargs):
@@ -276,6 +317,10 @@ def run_paths(model, N, X0, seed, reps, workers=1, chunk=4096, **kwargs):
     The chunk layout is a pure function of ``reps`` and ``chunk``; worker
     count only distributes chunks, so outputs are identical for any value.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     tasks = [
         dict(model=model, N=N, X0=X0, seed=seed, rep_lo=lo, rep_hi=hi, **kwargs)

@@ -124,7 +124,8 @@ def _pi_power(Q, tol, max_iters, pi0=None):
         pi[0] = 1.0
         return pi
     lam *= 1.0 + 1e-6  # strictly positive self-loops keep the kernel aperiodic
-    P = sp.eye(n, format="csr") + Q / lam
+    # the kernel P = I + Q/lam, transposed once: each step is pi P = P^T pi
+    PT = (sp.eye(n, format="csr") + Q / lam).T.tocsr()
     pi = np.full(n, 1.0 / n) if pi0 is None else pi0 / pi0.sum()
     # aim well below the requested tolerance; the stall branch accepts the
     # floating-point floor when the target is unreachable
@@ -132,7 +133,7 @@ def _pi_power(Q, tol, max_iters, pi0=None):
     best = math.inf
     stall = 0
     for it in range(max_iters):
-        new = pi @ P
+        new = PT @ pi
         s = new.sum()
         new /= s
         if it % 16 == 0:

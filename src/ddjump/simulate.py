@@ -110,6 +110,7 @@ def simulate_path(m, opts, X0, replicate=0):
     rates_fn = engine.compile_rates(m)
     jumps = m.jump_array
     restr = opts.engine_restriction()
+    mask = None if restr is None else engine._restriction_mask(restr, jumps)
     ub = _rng.UniformBlocks(opts.seed, replicate, _rng.PATH)
 
     rec_times = opts.record
@@ -126,10 +127,10 @@ def simulate_path(m, opts, X0, replicate=0):
         y = X.astype(float) / N
         r = rates_fn(y)
         engine._validate_rates(r[None, :], X[None, :], N)
-        if restr is not None:
-            mask = engine._restriction_mask(X[None, :], jumps, restr)[0]
-            r = np.where(mask, r, 0.0)
-        tot = r.sum()
+        if mask is not None:
+            r = np.where(mask(X[None, :])[0], r, 0.0)
+        cum = engine._running_sums(r)
+        tot = cum[-1]
         if tot <= 0.0:
             absorbed = True
             break
@@ -143,8 +144,8 @@ def simulate_path(m, opts, X0, replicate=0):
         if t_next >= opts.horizon:
             t = opts.horizon
             break
-        cum = np.cumsum(r)
-        j = min(int((cum < u2 * tot).sum()), len(jumps) - 1)
+        pick = u2 * tot
+        j = sum(int(c < pick) for c in cum[:-1])
         X = X + jumps[j]
         t = t_next
         times.append(t)
@@ -343,14 +344,14 @@ def simulate_coupled(
     nuK3 = nu * K3
 
     rates = m.kernel.rates
-    jumps = [tuple(int(v) for v in J) for J in m.jumps]
+    jumps = list(m.jump_array)
     M = cert.M
     d = m.d
 
     def ball_ok(Z, J):
         if restr is None:
             return True
-        w = Z + np.array(J) - restr.center
+        w = Z + J - restr.center
         return w @ restr.M @ w <= restr.radius**2
 
     def Hnorm(w):
@@ -408,7 +409,7 @@ def simulate_coupled(
                 break
             acc = u2 * tot
             j = _pick(ru, acc)
-            U = U + np.array(jumps[j])
+            U = U + jumps[j]
             V = U.copy()
             t = t_next
             continue
@@ -431,14 +432,14 @@ def simulate_coupled(
             a, b = ru[j], rv[j]
             lo = a if a < b else b
             if u3 * mx[j] < lo:
-                U = U + np.array(jumps[j])
-                V = V + np.array(jumps[j])
+                U = U + jumps[j]
+                V = V + jumps[j]
             elif a >= b:
-                U = U + np.array(jumps[j])
+                U = U + jumps[j]
                 w = (U - V).astype(float)
                 H = Hnorm(w)
             else:
-                V = V + np.array(jumps[j])
+                V = V + jumps[j]
                 w = (U - V).astype(float)
                 H = Hnorm(w)
             t = t_next
@@ -464,11 +465,11 @@ def simulate_coupled(
         acc = u2 * tot
         if acc < su:
             j = _pick(ru, acc)
-            U = U + np.array(jumps[j])
+            U = U + jumps[j]
         else:
             acc -= su
             j = _pick(rv, acc)
-            V = V + np.array(jumps[j])
+            V = V + jumps[j]
         w = (U - V).astype(float)
         H = Hnorm(w)
         t = t_next

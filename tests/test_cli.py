@@ -154,6 +154,14 @@ def test_cutoff_deterministic_across_workers(sir_cfg, tmp_path):
     assert read(os.path.join(out1, "cutoff.json")) == read(os.path.join(out2, "cutoff.json"))
 
 
+def test_cutoff_zero_reps_is_validation_error(sir_cfg, tmp_path, capsys):
+    args = ["cutoff", "--model", sir_cfg, "--N", "30", "--x0", "1,1", "--s-grid", "0"]
+    code = main(args + ["--reps", "0", "--delta", "0.6", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: reps must be >= 1, got 0\n"
+
+
 def test_cutoff_single_row_grid(sir_cfg, tmp_path):
     out = str(tmp_path / "out")
     code = main(

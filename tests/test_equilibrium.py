@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -81,6 +82,23 @@ def test_power_iteration_matches_direct_solve(sir, cert05):
     p2 = dj.stationary_exact(sir, N, cert05, delta, method="direct")
     assert len(p1) > 500
     assert dj.tv_distance(p1, p2) <= 1e-8
+
+
+def test_transposed_kernel_iterates_match_row_vector_products(sir, cert05):
+    # the power iteration steps with P^T built once (P^T pi); each iterate
+    # equals the row-vector product pi P bit for bit
+    states, Q = build_restricted_generator(sir, 30, cert05, 0.78)
+    n = Q.shape[0]
+    lam = float((-Q.diagonal()).max()) * (1.0 + 1e-6)
+    P = sp.eye(n, format="csr") + Q / lam
+    PT = P.T.tocsr()
+    a = b = np.full(n, 1.0 / n)
+    for _ in range(300):
+        a = a @ P
+        a /= a.sum()
+        b = PT @ b
+        b /= b.sum()
+        assert np.array_equal(a, b)
 
 
 def test_stationary_residual_invariant(sir, cert05):
