@@ -325,7 +325,7 @@ def cmd_couple(args):
     _io.write_csv(os.path.join(out, "couple_trace.csv"), meta, header, rows)
 
     summary = {"provenance": _provenance(args, text, seed=args.seed), "N": N, "K3": trace.K3}
-    if args.reps > 1:
+    if args.reps != 1:  # coupled_ensemble rejects reps < 1
         H, coal = coupled_ensemble(
             m, cert, opts, U0, V0, args.reps, k2=k2, workers=args.workers
         )

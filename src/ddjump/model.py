@@ -252,8 +252,11 @@ def parse_model(text):
 # array forms take the coordinates in the last axis of Y: rates_array(Y)[..., k]
 # and grads_array(Y)[..., k, i].  The entry tuples hold one scalar function per
 # rate and per gradient entry, to find the one that divides by zero.  J is the
-# read-only float jump matrix, one row per jump.
-Kernel = namedtuple("Kernel", "rates grads rates_array grads_array rate_entries grad_entries J")
+# read-only float jump matrix, one row per jump, and rate_src the rates' source
+# expressions, which the coupled-pair loop inlines.
+Kernel = namedtuple(
+    "Kernel", "rates grads rates_array grads_array rate_entries grad_entries J rate_src"
+)
 
 
 def _compile_kernel(m):
@@ -283,7 +286,7 @@ def _compile_kernel(m):
     exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
     J = np.array(m.jumps, dtype=np.int64).astype(float)
     J.setflags(write=False)
-    return Kernel(*(ns[name] for name in Kernel._fields[:-1]), J)
+    return Kernel(*(ns[name] for name in Kernel._fields[:-2]), J, tuple(rates))
 
 
 def _point(m, y, check_domain):

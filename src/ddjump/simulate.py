@@ -1,11 +1,19 @@
 """Exact stochastic simulation: free/restricted paths, the two-phase
-coupling, and the martingale / exit-time deviation experiments."""
+coupling, and the martingale / exit-time deviation experiments.
+
+The coupled pairs run one loop per model, generated as Python source on the
+model's first coupled use: the coordinates and jumps are unrolled, the rates
+are the kernel's source expressions inlined, and every quantity is a Python
+int or float.  Batching pairs in numpy pays only at hundreds of pairs per
+batch, far above the chunks the ensembles use.
+"""
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -273,29 +281,165 @@ def estimate_K2(m, cert, N, samples=4000, seed=0, cap_factor=16.0):
     return float(min(hs[last_bad + 1], cap))
 
 
-def _pick(rates, acc):
-    """First jump index whose running rate sum reaches ``acc`` (the last
-    index when rounding leaves ``acc`` above the total)."""
-    j = 0
-    run = rates[0]
-    while run < acc and j < len(rates) - 1:
-        j += 1
-        run += rates[j]
-    return j
+def _default_k2_nu(m, cert, N, seed, k2, nu):
+    """``k2`` and ``nu``, where None stands for ``estimate_K2`` at ``seed``
+    and for the jump analysis's nu (kept above 1)."""
+    from .lattice import classify_jumps
+
+    if k2 is None:
+        k2 = estimate_K2(m, cert, N, seed=seed)
+    if nu is None:
+        nu = max(classify_jumps(m.jumps, norm_matrix=cert.M).nu, 1.0 + 1e-9)
+    return k2, nu
 
 
-def _rates_at(rates, Z, N):
-    """Scalar kernel ``rates`` at Z / N, on Python floats (the fast path).
+def _bad_rate(name, rates, Z):
+    for v in rates:
+        if not (v >= 0.0) or math.isinf(v):
+            raise SimulationError(f"invalid rate {v} for chain {name} at {list(Z)}")
 
-    Python floats raise ``ZeroDivisionError`` where numpy scalars give inf or
-    nan, so that case is evaluated again on numpy scalars, whose inf or nan
-    the caller's rate check reports.
+
+def _pair_loop(m):
+    """The model's coupled-pair loop, generated on first use and kept on the
+    model outside its fields, so it is not pickled.
+
+    The loop runs on Python ints and floats, with the coordinates and jumps
+    unrolled and the kernel's rate expressions inlined.  H and the ball
+    check both take ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right.
+    Rates that divide by zero on floats are evaluated again on numpy
+    scalars; the ball then zeroes the jumps leaving it, and any inf, nan or
+    negative rate left raises.  Phases are coded as in ``_PHASE_CODE``.
     """
-    y = [z / N for z in Z.tolist()]
-    try:
-        return rates(*y)
-    except ZeroDivisionError:
-        return rates(*map(np.float64, y))
+    loop = m.__dict__.get("pair_loop")
+    if loop is not None:
+        return loop
+    d, n = m.d, len(m.jumps)
+    u, v, w, e, c, j = ([f"{p}{i}" for i in range(d)] for p in "uvwecj")
+    a, b, x = ([f"{p}{k}" for k in range(n)] for p in "abx")
+
+    def tup(names):
+        return "(" + "".join(f"{s}, " for s in names) + ")"
+
+    def ind(lines, k=1):
+        return ["    " * k + s for s in lines]
+
+    def mq(w, M):
+        rows = (" + ".join(f"{w[i]} * {M}{i}_{k} * {w[k]}" for k in range(d)) for i in range(d))
+        return " + ".join(f"({r})" for r in rows)
+
+    def rates_of(z, r):  # rates at z / N into r, then the ball restriction
+        lines = ["try:", *ind(f"y{i} = {z[i]} / N" for i in range(d))]
+        lines += ind(f"{rk} = {src}" for rk, src in zip(r, m.kernel.rate_src))
+        fallback = f"{tup(r)} = rates(*[np.float64(y / N) for y in {tup(z)}])"
+        lines += ["except ZeroDivisionError:", *ind([fallback])]
+        lines.append("if ball:")
+        for k, J in enumerate(m.jumps):
+            lines += ind(f"{e[i]} = ({z[i]} + {J[i]}) - {c[i]}" for i in range(d))
+            lines += ind([f"if {mq(e, 'B')} > r2:", f"    {r[k]} = 0.0"])
+        return lines
+
+    def valid(name, z, r):
+        ok = " and ".join(f"0.0 <= {rk} < inf" for rk in r)
+        return [f"if not ({ok}):", f"    _bad_rate({name!r}, {tup(r)}, {tup(z)})"]
+
+    def pick(r, body):  # body(k) for the first k whose running sum of r reaches acc
+        lines = []
+        for k in range(n - 1):
+            run = r[0] if k == 0 else f"run + {r[k]}"
+            lines += [f"{'elif' if k else 'if'} not ((run := {run}) < acc):", *ind(body(k))]
+        return lines + (["else:", *ind(body(n - 1))] if n > 1 else body(0))
+
+    def jump(k):
+        return [f"{tup(j)} = {tup(m.jumps[k])}"]
+
+    def move(z):
+        return [f"{z[i]} += {j[i]}" for i in range(d)]
+
+    def flush(t_next):
+        return [
+            f"while nxt < {t_next}:",
+            "    Hs.append(H)",
+            "    Ps.append(phase)",
+            "    if trace:",
+            f"        Us.append({tup(u)})",
+            f"        Vs.append({tup(v)})",
+            "    i += 1",
+            "    nxt = rec[i] if i < len(rec) else inf",
+        ]
+
+    hnorm = [f"{w[i]} = {u[i]} - {v[i]}" for i in range(d)]
+    hnorm += [f"qf = {mq(w, 'M')}", "H = sqrt(qf) if qf > 0.0 else 0.0"]
+    ij = [f"{i}_{k}" for i in range(d) for k in range(d)]
+    src = [
+        "def pair_loop(draw, N, U, V, H, K3, nuK3, horizon, rec, trace, past, M, ball):",
+        f"    {tup(u)} = U",
+        f"    {tup(v)} = V",
+        f"    {tup('M' + s for s in ij)} = M",
+        "    if ball:",
+        f"        {tup(c + ['r2'] + ['B' + s for s in ij])} = ball",
+        "    phase = 2 if H == 0.0 else (1 if H <= K3 else 0)",
+        "    coal = 0.0 if phase == 2 else inf",
+        "    t = 0.0",
+        "    Hs, Ps, Us, Vs = [], [], [], []",
+        "    i = 0",
+        "    nxt = rec[0] if rec else inf",
+        "    while t < horizon:",
+        "        if phase == 2 and not (trace or past):",
+        "            break",
+        *ind(rates_of(u, a) + rates_of(v, b) + valid("U", u, a) + valid("V", v, b), 2),
+        "        if phase == 0:",
+        *ind((f"{x[k]} = {a[k]} if {a[k]} >= {b[k]} else {b[k]}" for k in range(n)), 3),
+        f"            tot = {' + '.join(x)}",
+        "        elif phase == 1:",
+        f"            su = {' + '.join(a)}",
+        f"            tot = su + ({' + '.join(b)})",
+        "        else:",
+        f"            tot = {' + '.join(a)}",
+        "        if tot <= 0.0:",
+        "            break",
+        "        t_next = t + -log(draw()) / (N * tot)",
+        "        acc = draw() * tot",
+        "        if phase == 0:",
+        "            g3 = draw()",
+        *ind(flush("t_next"), 2),
+        "        if t_next >= horizon:",
+        "            break",
+        "        t = t_next",
+        "        if phase == 0:",
+        *ind(pick(x, lambda k: [f"pa, pb, px = {a[k]}, {b[k]}, {x[k]}", *jump(k)]), 3),
+        "            if g3 * px < (pa if pa < pb else pb):",
+        *ind(move(u) + move(v), 4),
+        "            elif pa >= pb:",
+        *ind(move(u) + hnorm, 4),
+        "            else:",
+        *ind(move(v) + hnorm, 4),
+        "            if H <= K3:",
+        "                phase = 2 if H == 0.0 else 1",
+        "                if phase == 2 and coal == inf:",
+        "                    coal = t",
+        "        elif phase == 1:",
+        "            if acc < su:",
+        *ind(pick(a, jump) + move(u), 4),
+        "            else:",
+        "                acc -= su",
+        *ind(pick(b, jump) + move(v), 4),
+        *ind(hnorm, 3),
+        "            if H == 0.0:",
+        "                phase = 2",
+        "                if coal == inf:",
+        "                    coal = t",
+        "            elif H >= nuK3:",
+        "                phase = 0",
+        "        else:",
+        *ind(pick(a, jump) + move(u) + [f"{v[i]} = {u[i]}" for i in range(d)], 3),
+        *ind(flush("inf")),
+        "    return Hs, Ps, coal, Us, Vs",
+    ]
+    ns = {"np": np, "inf": math.inf, "nan": math.nan, "log": math.log, "sqrt": math.sqrt}
+    ns.update(rates=m.kernel.rates, _bad_rate=_bad_rate)
+    exec("\n".join(src), ns)  # noqa: S102 - source generated from the model's kernel
+    object.__setattr__(m, "pair_loop", ns["pair_loop"])
+    return ns["pair_loop"]
 
 
 def simulate_coupled(
@@ -319,177 +463,45 @@ def simulate_coupled(
     run until they are equal (coalesced, identical transitions thereafter)
     or H >= nu K3 (back to contractive).  With the partner marginalized out,
     each leg is a copy of the free chain.
-    """
-    from .lattice import classify_jumps
 
+    Pair ``replicate`` draws from the stream (seed, replicate, COUPLED):
+    three uniforms per contractive event and two otherwise.  H(0) is
+    ``cert.m_norm(U0 - V0)``.
+    """
     N = opts.N
-    U = np.asarray(U0, dtype=np.int64).copy()
-    V = np.asarray(V0, dtype=np.int64).copy()
+    U = np.asarray(U0, dtype=np.int64)
+    V = np.asarray(V0, dtype=np.int64)
     for name, Z in (("U0", U), ("V0", V)):
         if not m.domain.contains(Z / N):
             raise DomainError(f"{name} outside domain")
     restr = opts.engine_restriction()
+    ball = None
     if restr is not None:
         for name, Z in (("U0", U), ("V0", V)):
             w = Z - restr.center
             if w @ restr.M @ w > restr.radius**2:
                 raise DomainError(f"{name} outside the restriction ball")
-
-    if k2 is None:
-        k2 = estimate_K2(m, cert, N, seed=opts.seed)
-    if nu is None:
-        analysis = classify_jumps(m.jumps, norm_matrix=cert.M)
-        nu = max(analysis.nu, 1.0 + 1e-9)
+        ball = (*restr.center.tolist(), restr.radius**2, *restr.M.ravel().tolist())
+    k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
 
-    rates = m.kernel.rates
-    jumps = list(m.jump_array)
-    M = cert.M
-    d = m.d
-
-    def ball_ok(Z, J):
-        if restr is None:
-            return True
-        w = Z + J - restr.center
-        return w @ restr.M @ w <= restr.radius**2
-
-    def Hnorm(w):
-        return math.sqrt(max(0.0, float(w @ M @ w)))
-
-    ub = _rng.UniformBlocks(opts.seed, replicate, _rng.COUPLED)
-    rec_times = opts.record
-    n_rec = len(rec_times)
-    H_rec = np.zeros(n_rec)
-    phase_rec = np.zeros(n_rec, dtype=np.int8)
-    U_rec = np.zeros((n_rec, d), dtype=np.int64) if trace_states else None
-    V_rec = np.zeros((n_rec, d), dtype=np.int64) if trace_states else None
-
-    w = (U - V).astype(float)
-    H = Hnorm(w)
-    phase = COALESCED if H == 0.0 else (INDEPENDENT if H <= K3 else CONTRACTIVE)
-    coalesce_time = 0.0 if phase == COALESCED else math.inf
-    t = 0.0
-    rec_idx = 0
-
-    def flush_records(t_next):
-        nonlocal rec_idx
-        while rec_idx < n_rec and rec_times[rec_idx] < t_next:
-            H_rec[rec_idx] = H
-            phase_rec[rec_idx] = _PHASE_CODE[phase]
-            if trace_states:
-                U_rec[rec_idx] = U
-                V_rec[rec_idx] = V
-            rec_idx += 1
-
-    while t < opts.horizon:
-        if phase == COALESCED and not (trace_states or run_past_coalescence):
-            flush_records(math.inf)
-            break
-        ru = _rates_at(rates, U, N)
-        rv = _rates_at(rates, V, N)
-        if restr is not None:
-            ru = tuple(r if ball_ok(U, J) else 0.0 for r, J in zip(ru, jumps))
-            rv = tuple(r if ball_ok(V, J) else 0.0 for r, J in zip(rv, jumps))
-        for name, rr, Z in (("U", ru, U), ("V", rv, V)):
-            for v in rr:
-                if not (v >= 0.0) or math.isinf(v):
-                    raise SimulationError(f"invalid rate {v} for chain {name} at {Z.tolist()}")
-
-        if phase == COALESCED:
-            tot = sum(ru)
-            if tot <= 0.0:
-                break
-            u1, u2 = ub.next(), ub.next()
-            dt = -math.log(u1) / (N * tot)
-            t_next = t + dt
-            flush_records(t_next)
-            if t_next >= opts.horizon:
-                t = opts.horizon
-                break
-            acc = u2 * tot
-            j = _pick(ru, acc)
-            U = U + jumps[j]
-            V = U.copy()
-            t = t_next
-            continue
-
-        if phase == CONTRACTIVE:
-            mx = tuple(a if a >= b else b for a, b in zip(ru, rv))
-            tot = sum(mx)
-            if tot <= 0.0:
-                flush_records(math.inf)
-                break
-            u1, u2, u3 = ub.next(), ub.next(), ub.next()
-            dt = -math.log(u1) / (N * tot)
-            t_next = t + dt
-            flush_records(t_next)
-            if t_next >= opts.horizon:
-                t = opts.horizon
-                break
-            acc = u2 * tot
-            j = _pick(mx, acc)
-            a, b = ru[j], rv[j]
-            lo = a if a < b else b
-            if u3 * mx[j] < lo:
-                U = U + jumps[j]
-                V = V + jumps[j]
-            elif a >= b:
-                U = U + jumps[j]
-                w = (U - V).astype(float)
-                H = Hnorm(w)
-            else:
-                V = V + jumps[j]
-                w = (U - V).astype(float)
-                H = Hnorm(w)
-            t = t_next
-            if H <= K3:
-                phase = COALESCED if H == 0.0 else INDEPENDENT
-                if phase == COALESCED and not math.isfinite(coalesce_time):
-                    coalesce_time = t
-            continue
-
-        # independent phase
-        su, sv = sum(ru), sum(rv)
-        tot = su + sv
-        if tot <= 0.0:
-            flush_records(math.inf)
-            break
-        u1, u2 = ub.next(), ub.next()
-        dt = -math.log(u1) / (N * tot)
-        t_next = t + dt
-        flush_records(t_next)
-        if t_next >= opts.horizon:
-            t = opts.horizon
-            break
-        acc = u2 * tot
-        if acc < su:
-            j = _pick(ru, acc)
-            U = U + jumps[j]
-        else:
-            acc -= su
-            j = _pick(rv, acc)
-            V = V + jumps[j]
-        w = (U - V).astype(float)
-        H = Hnorm(w)
-        t = t_next
-        if H == 0.0:
-            phase = COALESCED
-            if not math.isfinite(coalesce_time):
-                coalesce_time = t
-        elif H >= nuK3:
-            phase = CONTRACTIVE
-
-    flush_records(math.inf)
+    gen = _rng.substream(opts.seed, replicate, _rng.COUPLED)
+    draw = chain.from_iterable(iter(lambda: gen.random(1024).tolist(), None)).__next__
+    H, phases, coal, Us, Vs = _pair_loop(m)(
+        draw, N, U.tolist(), V.tolist(), cert.m_norm(U - V), K3, nuK3, opts.horizon,
+        opts.record, trace_states, run_past_coalescence, cert.M.ravel().tolist(), ball,
+    )
+    shape = (len(opts.record), m.d)
     return CoupledTrace(
-        record_times=rec_times,
-        H=H_rec,
-        phases=phase_rec,
-        coalesce_time=coalesce_time,
+        record_times=opts.record,
+        H=np.array(H, dtype=float),
+        phases=np.array(phases, dtype=np.int8),
+        coalesce_time=coal,
         K3=K3,
         nuK3=nuK3,
-        U=U_rec,
-        V=V_rec,
+        U=np.array(Us, dtype=np.int64).reshape(shape) if trace_states else None,
+        V=np.array(Vs, dtype=np.int64).reshape(shape) if trace_states else None,
     )
 
 
@@ -507,13 +519,16 @@ def _coupled_chunk(args):
 
 
 def coupled_ensemble(m, cert, opts, U0, V0, reps, k2=None, nu=None, workers=1, chunk=64):
-    """H(t) samples and coalescence times over ``reps`` coupled pairs."""
-    from .lattice import classify_jumps
+    """H(t) samples and coalescence times over ``reps`` coupled pairs.
 
-    if k2 is None:
-        k2 = estimate_K2(m, cert, opts.N, seed=opts.seed)
-    if nu is None:
-        nu = max(classify_jumps(m.jumps, norm_matrix=cert.M).nu, 1.0 + 1e-9)
+    Pair r is ``simulate_coupled`` at replicate r, so the results do not
+    depend on ``chunk`` or ``workers``.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    k2, nu = _default_k2_nu(m, cert, opts.N, opts.seed, k2, nu)
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     tasks = [(m, cert, opts, U0, V0, k2, nu, lo, hi, False) for lo, hi in bounds]
     if workers > 1 and len(tasks) > 1:

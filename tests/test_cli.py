@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+import ddjump as dj
 from ddjump.cli import main
 
 SIR = """
@@ -160,6 +162,29 @@ def test_cutoff_zero_reps_is_validation_error(sir_cfg, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "validation error: reps must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_couple_zero_reps_is_validation_error(sir_cfg, tmp_path, capsys, reps):
+    args = ["couple", "--model", sir_cfg, "--N", "30", "--horizon", "1.0", "--k2", "5.0"]
+    code = main(args + ["--reps", reps, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: reps must be >= 1, got {reps}\n"
+
+
+@pytest.mark.parametrize("N", ["100", "400"])
+def test_couple_h0_is_the_certificate_norm_at_default_start(sir_cfg, tmp_path, N):
+    out = str(tmp_path / "out")
+    args = ["couple", "--model", sir_cfg, "--N", N, "--horizon", "0.5", "--k2", "5.0"]
+    assert main(args + ["--reps", "2", "--workers", "1", "--out", out]) == 0
+    lines = read(os.path.join(out, "couple_trace.csv")).decode().splitlines()
+    row = [ln for ln in lines if not ln.startswith("#")][1].split(",")
+    assert row[0] == "0.0"
+    U, V = np.array([int(v) for v in row[1:3]]), np.array([int(v) for v in row[3:5]])
+    cert = dj.certify(dj.parse_model(SIR), np.ones(2), rho_fraction=0.5)
+    h0 = cert.m_norm(U - V)
+    assert row[6] == repr(h0)
 
 
 def test_cutoff_single_row_grid(sir_cfg, tmp_path):

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
 from ddjump.errors import DomainError, SimulationError
 from conftest import identity_certificate
+from coupling_reference import simulate_coupled_reference
 
 
 def pure_death():
@@ -235,6 +241,190 @@ def test_coupled_trace_dump_fields(sir, cert05):
     assert tr.U.shape == (3, 2)
     assert tr.V.shape == (3, 2)
     assert tr.K3 == max(5.0, 8 * cert05.JstarM)
+
+
+# Two extra models for the generated pair loop: eight jumps (its totals and
+# picks run over eight terms) and three coordinates.
+EIGHT_JUMPS = dj.parse_model(
+    """
+[dimension]
+2
+[jumps]
+ 1  0 : 1.0
+-1  0 : x1
+ 0  1 : 0.5 + 0.2 * x1
+ 0 -1 : x2
+ 1  1 : 0.3 * x1 * x2 / (1 + x1)
+-1 -1 : 0.2 * x1 * x2
+ 1 -1 : 0.1 * x2
+-1  1 : 0.4 * x1
+"""
+)
+THREE_DIM = dj.parse_model(
+    """
+[dimension]
+3
+[jumps]
+ 1  0  0 : 1.0
+-1  1  0 : x1
+ 0 -1  1 : 0.8 * x2
+ 0  0 -1 : x3
+-1  0  0 : 0.5 * x1 * x3
+"""
+)
+DIVIDES_BY_ZERO = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1 + 0 / (x1 - 0.5)\n-1 : x1\n")
+
+
+def _certificate(M, c):
+    """A hand-built certificate with norm matrix M; K3 >= 8 JstarM = 2."""
+    M = np.asarray(M, dtype=float)
+    w = np.linalg.eigvalsh(M)
+    base = identity_certificate(d=len(c), c=c)
+    return dataclasses.replace(base, M=M, c0=math.sqrt(w[0]), c1=math.sqrt(w[-1]), JstarM=0.25)
+
+
+def _run_pair(fn, *args, **kwargs):
+    """``fn``'s trace, or its SimulationError text, plus its warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args, **kwargs)
+        except SimulationError as e:
+            out = str(e)
+    return out, [str(w.message) for w in caught]
+
+
+@st.composite
+def coupled_runs(draw, cases):
+    name = draw(st.sampled_from(sorted(cases)))
+    m, cert = cases[name]
+    N = draw(st.sampled_from([10, 20, 40]))
+    centre = np.round(N * cert.c).astype(np.int64)
+
+    def start():
+        return np.maximum(centre + draw(st.lists(st.integers(-8, 8), min_size=m.d, max_size=m.d)), 0)
+
+    U0 = start()
+    V0 = U0.copy() if draw(st.integers(0, 4)) == 0 else start()
+    restriction = None
+    if draw(st.booleans()):
+        restriction = (cert, cert.delta0 * draw(st.floats(0.3, 1.0)))
+        r = N * restriction[1]
+        U0, V0 = (Z if cert.m_norm(Z - N * cert.c) <= r else centre for Z in (U0, V0))
+    horizon = draw(st.sampled_from([0.5, 1.5, 3.0]))
+    inner = draw(st.lists(st.floats(0.0, horizon), max_size=12))
+    ends = draw(st.sampled_from([(), (0.0,), (horizon,), (0.0, horizon)]))
+    opts = dj.SimOptions(
+        N=N,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        horizon=horizon,
+        restriction=restriction,
+        record=sorted(inner + list(ends)),
+    )
+    kwargs = {
+        "k2": draw(st.floats(0.1, 40.0)),
+        "nu": draw(st.floats(1.0 + 1e-9, 3.0)),
+        "replicate": draw(st.integers(0, 10**6)),
+        "trace_states": draw(st.booleans()),
+        "run_past_coalescence": draw(st.booleans()),
+    }
+    return m, cert, opts, U0, V0, kwargs
+
+
+def test_pair_loop_matches_reference_bitwise(sir, cert05):
+    cases = {
+        "sir": (sir, cert05),
+        "divides_by_zero": (DIVIDES_BY_ZERO, identity_certificate(d=1, c=(0.5,))),
+        "eight_jumps": (EIGHT_JUMPS, _certificate([[1.3, 0.4], [0.4, 0.8]], (1.0, 1.0))),
+        "three_dim": (
+            THREE_DIM,
+            _certificate([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 0.9]], (1.0, 1.0, 1.0)),
+        ),
+    }
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(coupled_runs(cases))
+    def check(run):
+        m, cert, opts, U0, V0, kwargs = run
+        new, new_warned = _run_pair(dj.simulate_coupled, m, cert, opts, U0, V0, **kwargs)
+        ref, ref_warned = _run_pair(simulate_coupled_reference, m, cert, opts, U0, V0, **kwargs)
+        assert new_warned == ref_warned
+        if isinstance(ref, str):
+            assert new == ref
+            seen.add("error")
+            return
+        assert new.H.tobytes() == ref.H.tobytes()
+        assert new.phases.dtype == ref.phases.dtype and np.array_equal(new.phases, ref.phases)
+        assert new.coalesce_time == ref.coalesce_time
+        assert (new.K3, new.nuK3) == (ref.K3, ref.nuK3)
+        for a, b in ((new.U, ref.U), (new.V, ref.V)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        seen.update(new.phases.tolist())
+
+    check()
+    assert seen == {0, 1, 2, "error"}
+
+
+def test_coupled_h0_is_the_certificate_norm(sir, cert05):
+    # the criterion-06 and benchmark start: H(0) = 39.6 along (1, 0.3)
+    N = 400
+    Nc = N * cert05.c
+    u = np.linalg.inv(np.linalg.cholesky(cert05.M)).T @ np.array([1.0, 0.3])
+    u /= cert05.m_norm(u)
+    U0 = np.round(Nc + 20.0 * u).astype(np.int64)
+    V0 = np.round(Nc - 20.0 * u).astype(np.int64)
+    assert (U0 - V0).tolist() == [12, 8]
+    h0 = cert05.m_norm(U0 - V0)
+    opts = dj.SimOptions(N=N, seed=11, horizon=0.5, record=(0.0, 0.5))
+    tr = dj.simulate_coupled(sir, cert05, opts, U0, V0, k2=5.0, nu=2.0)
+    assert tr.H[0] == h0
+    H, _ = dj.coupled_ensemble(sir, cert05, opts, U0, V0, reps=3, k2=5.0, nu=2.0)
+    assert np.all(H[:, 0] == h0)
+
+
+def test_coupled_ensemble_invariant_to_chunk_and_workers(sir, cert05):
+    N = 60
+    Nc = np.round(N * cert05.c).astype(np.int64)
+    opts = dj.SimOptions(N=N, seed=4, horizon=2.0, record=(0.0, 0.5, 1.0, 2.0))
+    args = (sir, cert05, opts, Nc + [4, 1], Nc - [3, 2])
+    H0, coal0 = dj.coupled_ensemble(*args, reps=70, k2=3.0, workers=1, chunk=70)
+    assert np.isfinite(coal0).any() and not np.isfinite(coal0).all()
+    for workers in (1, 2):
+        for chunk in (1, 7, 16, 64):
+            H, coal = dj.coupled_ensemble(*args, reps=70, k2=3.0, workers=workers, chunk=chunk)
+            assert H.tobytes() == H0.tobytes()
+            assert coal.tobytes() == coal0.tobytes()
+
+
+@pytest.mark.parametrize(
+    "reps,chunk,message",
+    [
+        (0, 64, "reps must be >= 1, got 0"),
+        (-2, 64, "reps must be >= 1, got -2"),
+        (5, 0, "chunk must be >= 1, got 0"),
+    ],
+)
+def test_coupled_ensemble_rejects_empty_splits(sir, cert05, reps, chunk, message):
+    opts = dj.SimOptions(N=20, seed=0, horizon=1.0, record=(0.0,))
+    X0 = np.array([10, 20])
+    with pytest.raises(ValueError, match=message):
+        dj.coupled_ensemble(sir, cert05, opts, X0, X0, reps, k2=5.0, nu=2.0, chunk=chunk)
+
+
+def test_pair_loop_is_built_on_first_use_and_not_pickled(cert05):
+    m = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
+    assert "pair_loop" not in m.__dict__
+    opts = dj.SimOptions(N=40, seed=2, horizon=1.0, record=(0.5, 1.0))
+    X0 = np.array([20, 40])
+    first = dj.simulate_coupled(m, cert05, opts, X0 + [3, 0], X0, k2=2.0, nu=2.0)
+    assert "pair_loop" in m.__dict__
+    copy = pickle.loads(pickle.dumps(m))
+    assert "pair_loop" not in copy.__dict__
+    again = dj.simulate_coupled(copy, cert05, opts, X0 + [3, 0], X0, k2=2.0, nu=2.0)
+    assert again.H.tobytes() == first.H.tobytes()
 
 
 # ---------------------------------------------------------------------------
