@@ -83,8 +83,5 @@ class LatticeDistribution:
         x = np.asarray(x, dtype=np.int64).reshape(1, -1)
         return LatticeDistribution(x, np.array([1.0]))
 
-    def as_dict(self):
-        return {tuple(int(v) for v in s): float(p) for s, p in zip(self.support, self.mass)}
-
     def __len__(self):
         return len(self.mass)

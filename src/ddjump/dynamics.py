@@ -56,7 +56,32 @@ def _rk4_step(F, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_ode(m, y0, T, h=1e-3, record_every=1):
+def _rk4_flow(F, y, h, n_steps, every=1, stop=None):
+    """Up to ``n_steps`` RK4 steps of h from ``y`` at time 0.
+
+    Returns (times, states, stopped): every ``every``-th state and the last
+    one taken, with times added up step by step.  ``stop(t, y_new)`` sees
+    each new state with the time it starts from; when it returns True, the
+    flow ends before that state.
+    """
+    t, stopped = 0.0, False
+    times, states = [t], [y]
+    for k in range(1, n_steps + 1):
+        y_new = _rk4_step(F, y, h)
+        if stop is not None and stop(t, y_new):
+            stopped = True
+            break
+        y, t = y_new, t + h
+        if k % every == 0:
+            times.append(t)
+            states.append(y)
+    if states[-1] is not y:
+        times.append(t)
+        states.append(y)
+    return np.array(times), np.array(states), stopped
+
+
+def integrate_ode(m, y0, T, h=1e-3):
     """Classical fixed-step RK4 flow of dy/dt = sum_J J r_J(y).
 
     Stops early with ``left_domain`` if a step would exit the domain (the
@@ -67,47 +92,14 @@ def integrate_ode(m, y0, T, h=1e-3, record_every=1):
         raise DomainError(f"initial point {y.tolist()} outside domain")
     if h <= 0:
         raise ValueError("step must be positive")
-    F = _drift(m)
-    n_steps = max(0, int(round(T / h)))
-    times = [0.0]
-    states = [y.copy()]
-    terminated = HORIZON
-    for k in range(n_steps):
-        y_new = _rk4_step(F, y, h)
+
+    def left(t, y_new):
         if not np.all(np.isfinite(y_new)):
-            raise ConvergenceError(f"non-finite state at t={k * h}")
-        if not m.domain.contains(y_new):
-            terminated = LEFT_DOMAIN
-            break
-        y = y_new
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * h)
-            states.append(y.copy())
-    return FlowResult(np.array(times), np.array(states), terminated)
+            raise ConvergenceError(f"non-finite state at t={t}")
+        return not m.domain.contains(y_new)
 
-
-def flow_many(m, Y0, T, h, record_every=1):
-    """Vectorized RK4 flow of many initial points at once.
-
-    Returns (times, states) with states[k] the (n, d) block at times[k].
-    No domain or rate checks; intended for batch property sweeps inside a
-    certified ball.
-    """
-    rates, J = m.kernel.rates_array, m.kernel.J
-
-    def F(Y):
-        return rates(Y) @ J
-
-    Y = np.array(Y0, dtype=float)
-    n_steps = max(0, int(round(T / h)))
-    times = [0.0]
-    states = [Y.copy()]
-    for k in range(n_steps):
-        Y = _rk4_step(F, Y, h)
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * h)
-            states.append(Y.copy())
-    return np.array(times), np.array(states)
+    times, states, stopped = _rk4_flow(_drift(m), y, h, max(0, int(round(T / h))), stop=left)
+    return FlowResult(times, states, LEFT_DOMAIN if stopped else HORIZON)
 
 
 def find_fixed_point(m, guess, tol=1e-12, max_iter=100):
@@ -133,12 +125,12 @@ def find_fixed_point(m, guess, tol=1e-12, max_iter=100):
     raise ConvergenceError(f"Newton did not converge; |F| = {np.max(np.abs(F)):.3g}")
 
 
-def construct_M(A, rho, check_vectors=1000, seed=0):
+def construct_M(A, rho):
     """SPD matrix M with <x, Ax>_M <= -rho ||x||_M^2 for all real x.
 
     Solves the shifted equation (A + rho I)^T M + M (A + rho I) = -I as a
     dense d^2 x d^2 linear system (Kronecker lifting) and symmetrizes.  The
-    inequality then holds with slack -|x|^2/2.  Verified on random unit
+    inequality then holds with slack -|x|^2/2.  Verified on 1000 random unit
     vectors before returning.
     """
     A = np.asarray(A, dtype=float)
@@ -161,35 +153,12 @@ def construct_M(A, rho, check_vectors=1000, seed=0):
     M = 0.5 * (M + M.T)
     if np.min(np.linalg.eigvalsh(M)) <= 0:
         raise CertificateError("Lyapunov solution is not positive definite")
-    if check_vectors:
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(check_vectors, d))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        slack = np.einsum("ni,ij,nj->n", X, M @ A, X) + rho * np.einsum(
-            "ni,ij,nj->n", X, M, X
-        )
-        if np.max(slack) > 1e-9:
-            raise CertificateError(f"M verification failed, max slack {np.max(slack):.3g}")
+    X = np.random.default_rng(0).normal(size=(1000, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    slack = np.einsum("ni,ij,nj->n", X, M @ A, X) + rho * np.einsum("ni,ij,nj->n", X, M, X)
+    if np.max(slack) > 1e-9:
+        raise CertificateError(f"M verification failed, max slack {np.max(slack):.3g}")
     return M
-
-
-def construct_M_eigen(A, cond_cap=1e8):
-    """Eigenbasis construction of M, valid for diagonalizable A only.
-
-    Returns (P^-1)^T conj(P^-1) with P the eigenvector matrix; in this metric
-    the eigenbasis is orthonormal, so <x, Ax>_M <= max Re(eig) ||x||_M^2.
-    Used as an optional cross-check of :func:`construct_M`.
-    """
-    A = np.asarray(A, dtype=float)
-    evals, P = np.linalg.eig(A)
-    if np.linalg.cond(P) > cond_cap:
-        raise CertificateError("A is defective or near-defective; eigen construction unavailable")
-    Pinv = np.linalg.inv(P)
-    M = Pinv.T @ np.conj(Pinv)
-    if np.max(np.abs(M.imag)) > 1e-9:
-        raise CertificateError("eigen construction produced a non-real metric")
-    M = M.real
-    return 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
@@ -276,11 +245,6 @@ class StabilityCertificate:
     def load(path):
         with open(path) as f:
             return StabilityCertificate.from_json_dict(json.load(f))
-
-
-def m_norm(cert, x):
-    """sqrt(x^T M x); zero iff x = 0."""
-    return cert.m_norm(x)
 
 
 @dataclass(frozen=True)
@@ -424,27 +388,23 @@ def cutoff_time(m, cert, x0, N, horizon=None, h=None, time_tol=1e-10):
         # distance decays like e^{-rho t} once near c; generous default
         horizon = 10.0 + 3.0 * (math.log(max(N, 2.0)) / (2 * cert.rho) + math.log(1 + g) / cert.rho)
     F = _drift(m)
-    y = x0.copy()
-    t = 0.0
     n_steps = int(math.ceil(horizon / h))
-    for _ in range(n_steps):
-        y_next = _rk4_step(F, y, h)
-        g_next = cert.m_norm(y_next - cert.c)
-        if g_next <= target:
-            lo, hi = 0.0, h
-            while hi - lo > time_tol:
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(F, y, mid)
-                if cert.m_norm(y_mid - cert.c) <= target:
-                    hi = mid
-                else:
-                    lo = mid
-            return t + hi
-        y = y_next
-        t += h
-    raise HorizonError(
-        f"no crossing of radius {target:.3g} within horizon {horizon:.3g}"
-    )
+
+    def crossed(t, y_new):
+        return cert.m_norm(y_new - cert.c) <= target
+
+    times, states, stopped = _rk4_flow(F, x0, h, n_steps, every=max(1, n_steps), stop=crossed)
+    if not stopped:
+        raise HorizonError(f"no crossing of radius {target:.3g} within horizon {horizon:.3g}")
+    t, y = float(times[-1]), states[-1]
+    lo, hi = 0.0, h
+    while hi - lo > time_tol:
+        mid = 0.5 * (lo + hi)
+        if cert.m_norm(_rk4_step(F, y, mid) - cert.c) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return t + hi
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Paths are simulated replicate-batched: one numpy step advances every live
 replicate by one jump event.  Each replicate consumes uniforms from its own
 counter-based stream (two per event: waiting time, jump pick), so results
-are bit-identical to the scalar reference engine and independent of chunking
-and worker count.
+depend only on (seed, replicate), never on chunking or worker count.  A
+single path (``simulate.simulate_path``) is the ``events`` mode run on one.
 
 A step costs a few contiguous array operations.  The live replicates sit in
 compacted arrays, in row order: state, time, original row, the column of
@@ -12,7 +12,7 @@ their uniforms, and each mode's own per-replicate state.  The arrays are
 compacted only on the steps where some replicate retires.  Uniforms are
 stored one row per draw, so a draw is one row gathered by the live columns.
 The total rate, the running sums that pick the jump and the martingale drift
-are added jump by jump, left to right, in the order the scalar path uses.
+are added jump by jump, left to right, so no sum depends on the chunk layout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import rng as _rng
 from .errors import SimulationError
 
 RECORDS = "records"
+EVENTS = "events"
 MARTINGALE = "martingale"
 EXIT = "exit"
 
@@ -80,9 +81,9 @@ def _running_sums(r):
     """Running sums of ``r`` over its last axis, added left to right: entry
     k is ``r[..., 0] + ... + r[..., k]`` and the last entry is the total.
 
-    Both engines take the total rate and the jump pick from these, so the two
-    agree bit for bit.  (numpy's ``sum`` adds 8 or more terms pairwise, so it
-    can differ from the running sum in the last bit from 8 jumps on.)
+    The engine takes the total rate and the jump pick from these.  (numpy's
+    ``sum`` adds 8 or more terms pairwise, so it can differ from the running
+    sum in the last bit from 8 jumps on.)
     """
     cum = [r[..., 0]]
     for k in range(1, r.shape[-1]):
@@ -138,6 +139,10 @@ def simulate_chunk(
     """Advance replicates [rep_lo, rep_hi) and collect per-mode statistics.
 
     mode "records": states at the sorted ``record_times`` (cadlag value).
+    mode "events": records, plus every event before ``horizon`` as flat
+        ``event_rep`` (replicate index), ``event_t`` and ``event_X``
+        (post-jump state) arrays in replicate and time order; a replicate
+        runs to the horizon, not to its last record.
     mode "martingale": sup_{t <= T ^ tau_K} |m(t)| for the scaled compensated
         jump martingale m(t) = (X(t)-X(0))/N - int F, plus its final value;
         ``stop_box`` is the compact set K as an (lo, hi) box in x-coords and
@@ -145,7 +150,7 @@ def simulate_chunk(
     mode "exit": first time ||X - center||_M exceeds the exit_ball radius,
         censored at ``horizon``.
     """
-    if mode not in (RECORDS, MARTINGALE, EXIT):
+    if mode not in (RECORDS, EVENTS, MARTINGALE, EXIT):
         raise ValueError(f"unknown mode {mode!r}")
     n = rep_hi - rep_lo
     d = model.d
@@ -162,14 +167,16 @@ def simulate_chunk(
 
     record_times = np.asarray(record_times, dtype=float)
     n_rec = len(record_times)
-    if mode == RECORDS:
+    if mode in (RECORDS, EVENTS):
         records = np.zeros((n, n_rec, d), dtype=np.int64)
-        if not n_rec:
+        if mode == RECORDS and not n_rec:
             return {"records": records, "absorbed": absorbed}
         # next record index and time; the time is inf once every record is taken
         rec_next = np.append(record_times, math.inf)
         live["k"] = np.zeros(n, dtype=np.int64)
         live["due_t"] = np.full(n, rec_next[0])
+    if mode == EVENTS:
+        events = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, d), dtype=np.int64))]
     if mode == MARTINGALE:
         live["X_start"] = X.astype(float)
         live["integral"] = np.zeros((n, d))
@@ -205,7 +212,7 @@ def simulate_chunk(
         if dead.any():
             absorbed[row[dead]] = True
             for i in np.flatnonzero(dead):
-                if mode == RECORDS:
+                if mode in (RECORDS, EVENTS):
                     # an absorbing state holds its value through every remaining record
                     records[row[i], live["k"][i] :] = X[i]
                 if mode == MARTINGALE:
@@ -235,7 +242,7 @@ def simulate_chunk(
         step = jumps.take(j, axis=0)
 
         gone = None
-        if mode == RECORDS:
+        if mode in (RECORDS, EVENTS):
             k, due_t = live["k"], live["due_t"]
             due = np.flatnonzero(due_t < t_next)
             if due.size:
@@ -244,7 +251,12 @@ def simulate_chunk(
                     k[due] += 1
                     due_t[due] = rec_next[k[due]]
                     due = due[due_t[due] < t_next[due]]
-                gone = due_t == math.inf
+                if mode == RECORDS:
+                    gone = due_t == math.inf
+        if mode == EVENTS:
+            gone = t_next >= horizon
+            for i in np.flatnonzero(gone):
+                records[row[i], k[i] :] = X[i]
 
         if mode == MARTINGALE:
             F = _drift(r, J)
@@ -273,6 +285,8 @@ def simulate_chunk(
 
         X += step
         live["t"] = t_next
+        if mode == EVENTS:
+            events.append((row[~gone], t_next[~gone], X[~gone]))
 
         if mode == MARTINGALE:
             y = X / N
@@ -296,6 +310,16 @@ def simulate_chunk(
 
     if mode == RECORDS:
         return {"records": records, "absorbed": absorbed}
+    if mode == EVENTS:
+        ev_rep, ev_t, ev_X = (np.concatenate(a) for a in zip(*events))
+        order = np.argsort(ev_rep, kind="stable")  # each replicate's events stay in time order
+        return {
+            "records": records,
+            "absorbed": absorbed,
+            "event_rep": rep_lo + ev_rep[order],
+            "event_t": ev_t[order],
+            "event_X": ev_X[order],
+        }
     if mode == MARTINGALE:
         return {
             "sup_m": sup_m,
@@ -307,31 +331,49 @@ def simulate_chunk(
     return {"exited": exited, "exit_time": exit_time, "absorbed": absorbed}
 
 
-def _chunk_task(kwargs):
-    return simulate_chunk(**kwargs)
+_shared = None
 
 
-def run_paths(model, N, X0, seed, reps, workers=1, chunk=4096, **kwargs):
-    """Run ``reps`` replicates, split into fixed chunks, optionally parallel.
+def _share(shared):
+    global _shared
+    _shared = shared
 
-    The chunk layout is a pure function of ``reps`` and ``chunk``; worker
-    count only distributes chunks, so outputs are identical for any value.
+
+def _run_chunk(task):
+    fn, lo, hi = task
+    return fn(_shared, lo, hi)
+
+
+def map_chunks(fn, shared, reps, chunk, workers):
+    """``fn(shared, lo, hi)`` over the chunks [lo, hi) of ``range(reps)``,
+    ``chunk`` replicates each but the last, optionally parallel.
+
+    The chunk layout is a pure function of ``reps`` and ``chunk``.  With more
+    than one worker and chunk, a process pool runs the chunks and each worker
+    process receives ``shared`` once, through the pool's initializer.
+    ``fn`` is sent by name, so it must be a module-level function.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-    tasks = [
-        dict(model=model, N=N, X0=X0, seed=seed, rep_lo=lo, rep_hi=hi, **kwargs)
-        for lo, hi in bounds
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
-    else:
-        parts = [simulate_chunk(**t) for t in tasks]
-    out = {}
-    for key in parts[0]:
-        out[key] = np.concatenate([p[key] for p in parts], axis=0)
-    return out
+    if workers > 1 and len(bounds) > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(shared,)) as pool:
+            return list(pool.map(_run_chunk, [(fn, lo, hi) for lo, hi in bounds]))
+    return [fn(shared, lo, hi) for lo, hi in bounds]
+
+
+def _chunk_task(kwargs, lo, hi):
+    return simulate_chunk(rep_lo=lo, rep_hi=hi, **kwargs)
+
+
+def run_paths(model, N, X0, seed, reps, workers=1, chunk=4096, **kwargs):
+    """Run ``reps`` replicates, split into fixed chunks, optionally parallel.
+
+    Worker count only distributes the chunks, so outputs are identical for
+    any value.
+    """
+    kwargs = dict(model=model, N=N, X0=X0, seed=seed, **kwargs)
+    parts = map_chunks(_chunk_task, kwargs, reps, chunk, workers)
+    return {key: np.concatenate([p[key] for p in parts], axis=0) for key in parts[0]}

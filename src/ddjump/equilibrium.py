@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution, LatticeKeys, canonical_order
-from .dynamics import _drift, _rk4_step, cutoff_time, default_step
+from .dynamics import _drift, _rk4_flow, _rk4_step, cutoff_time, default_step
 from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
 from .simulate import sample_states
 
@@ -166,18 +166,18 @@ def stationary_exact(
     tol=1e-10,
     max_iters=2_000_000,
     method="power",
-    cross_check=True,
-    warm_start=True,
 ):
     """Stationary law of the restricted chain, solved on the enumerated ball.
 
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
-    primary route; a sparse direct solve cross-checks it (TV <= 1e-8) when
-    the ball holds at most 5000 states.
+    primary route, warm-started from the discrete-normal approximation; a
+    sparse direct solve cross-checks it (TV <= 1e-8) when the ball holds at
+    most 5000 states.
     """
     states, Q = build_restricted_generator(m, N, cert, delta, cap=cap)
-    pi0 = None
-    if warm_start and method == "power":
+    if method == "direct":
+        pi = _pi_direct(Q)
+    else:
         try:
             Sigma = solve_lyapunov_sigma(cert.A, equilibrium_sigma2(m, cert.c))
             W = states.astype(float) - N * cert.c
@@ -185,11 +185,8 @@ def stationary_exact(
             pi0 = np.exp(-0.5 * np.minimum(qf, 700.0))
         except (DdjumpError, np.linalg.LinAlgError):
             pi0 = None
-    if method == "direct":
-        pi = _pi_direct(Q)
-    else:
         pi = _pi_power(Q, tol, max_iters, pi0=pi0)
-        if cross_check and Q.shape[0] <= 5000:
+        if Q.shape[0] <= 5000:
             ref = _pi_direct(Q)
             tv = 0.5 * float(np.abs(pi - ref).sum())
             if tv > 1e-8:
@@ -326,11 +323,16 @@ def discrete_normal(N, c, Sigma, support_box=None):
 
 
 def tv_distance(p, q):
-    """Total variation: half the L1 distance over the union support."""
-    dp = p.as_dict()
-    dq = q.as_dict()
-    keys = dp.keys() | dq.keys()
-    return 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys)
+    """Total variation: half the L1 distance over the union support, with
+    both laws laid out on the sorted lattice keys of that support."""
+    codec = LatticeKeys(p.support, q.support)
+    p_keys, q_keys = codec.encode(p.support), codec.encode(q.support)
+    keys = np.union1d(p_keys, q_keys)
+    p_mass = np.zeros(len(keys))
+    p_mass[np.searchsorted(keys, p_keys)] = p.mass
+    q_mass = np.zeros(len(keys))
+    q_mass[np.searchsorted(keys, q_keys)] = q.mass
+    return 0.5 * float(np.abs(p_mass - q_mass).sum())
 
 
 def tail_mass(pi, cert, N, z):
@@ -421,7 +423,6 @@ def cutoff_profile(
     seed,
     workers=1,
     n_boot=1000,
-    horizon_pad=1.0,
 ):
     """TV between the law of the free chain at t_N(x0)+s and ``pi``.
 
@@ -436,7 +437,7 @@ def cutoff_profile(
     uniq = sorted(set(times.tolist()))
     from .simulate import SimOptions
 
-    opts = SimOptions(N=N, seed=seed, horizon=uniq[-1] + horizon_pad, record=tuple(uniq))
+    opts = SimOptions(N=N, seed=seed, horizon=uniq[-1] + 1.0, record=tuple(uniq))
     X0 = np.round(N * x0).astype(np.int64)
     rec = sample_states(m, opts, X0, tuple(uniq), reps, workers=workers)
     pos = {t: k for k, t in enumerate(uniq)}
@@ -503,8 +504,7 @@ def _flow_at_times(m, y0, times, h):
     for k, T in enumerate(times):
         span = T - t
         n = int(math.floor(span / h))
-        for _ in range(n):
-            y = _rk4_step(F, y, h)
+        y = _rk4_flow(F, y, h, n, every=max(1, n))[1][-1]
         rem = span - n * h
         if rem > 1e-15:
             y = _rk4_step(F, y, rem)

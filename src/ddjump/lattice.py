@@ -48,9 +48,6 @@ class LatticeAnalysis:
     def M(self):
         return np.array(self.norm_matrix, dtype=float)
 
-    def decompose(self, z):
-        return decompose_vector_with(self, z)
-
 
 def hermite_basis(rows):
     """Row-style Hermite form of the integer lattice spanned by ``rows``.
@@ -275,8 +272,3 @@ def decompose_vector_with(analysis, z):
     mass = sum(math.sqrt(np.array(q) @ M @ np.array(q)) for q in out)
     return tuple(out), len(out), mass
 
-
-def decompose_vector(jumps, z, search_radius=8, norm_matrix=None):
-    """Classify-and-decompose convenience wrapper around the analysis object."""
-    analysis = classify_jumps(jumps, search_radius=search_radius, norm_matrix=norm_matrix)
-    return decompose_vector_with(analysis, z)

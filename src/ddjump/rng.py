@@ -34,8 +34,9 @@ def substream(seed, *key):
 class UniformBlocks:
     """Block-buffered uniforms from one stream, consumed strictly in order.
 
-    The scalar and batched engines both pull uniforms through this class, so
-    a replicate's draw sequence is identical no matter which engine runs it.
+    The occupation sampler draws through this class.  The engine reads the
+    same streams in its own blocks (``engine._draw_blocks``); a stream gives
+    the same sequence whatever the block size.
     """
 
     __slots__ = ("gen", "block", "buf", "pos")

@@ -11,7 +11,6 @@ batch, far above the chunks the ensembles use.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -28,12 +27,6 @@ INDEPENDENT = "independent"
 COALESCED = "coalesced"
 
 _PHASE_CODE = {CONTRACTIVE: 0, INDEPENDENT: 1, COALESCED: 2}
-
-
-@dataclass(frozen=True)
-class ChainState:
-    X: tuple
-    t: float
 
 
 @dataclass(frozen=True)
@@ -86,10 +79,6 @@ class Trajectory:
     recorded: np.ndarray  # (n_record, d) int64
     absorbed: bool
 
-    @property
-    def final(self):
-        return ChainState(tuple(int(v) for v in self.states[-1]), float(self.times[-1]))
-
 
 def _check_start(m, opts, X0):
     X0 = np.asarray(X0, dtype=np.int64)
@@ -108,65 +97,22 @@ def _check_start(m, opts, X0):
 def simulate_path(m, opts, X0, replicate=0):
     """Exact Gillespie path, deterministic given (seed, replicate, X0, opts).
 
-    Bit-identical to replicate ``replicate`` of the batched engine: both
-    consume two uniforms per event (waiting time, jump pick) from the stream
-    (seed, replicate, PATH).  A state with zero total rate is held to the
-    horizon and flagged absorbed.
+    Replicate ``replicate`` of the engine's ``events`` mode: two uniforms
+    per event (waiting time, jump pick) from the stream (seed, replicate,
+    PATH).  A state with zero total rate is held to the horizon and flagged
+    absorbed.
     """
     X0 = _check_start(m, opts, X0)
-    N = opts.N
-    rates_fn = engine.compile_rates(m)
-    jumps = m.jump_array
-    restr = opts.engine_restriction()
-    mask = None if restr is None else engine._restriction_mask(restr, jumps)
-    ub = _rng.UniformBlocks(opts.seed, replicate, _rng.PATH)
-
-    rec_times = opts.record
-    n_rec = len(rec_times)
-    recorded = np.zeros((n_rec, m.d), dtype=np.int64)
-    rec_idx = 0
-
-    X = X0.copy()
-    t = 0.0
-    times = [0.0]
-    states = [X.copy()]
-    absorbed = False
-    while t < opts.horizon:
-        y = X.astype(float) / N
-        r = rates_fn(y)
-        engine._validate_rates(r[None, :], X[None, :], N)
-        if mask is not None:
-            r = np.where(mask(X[None, :])[0], r, 0.0)
-        cum = engine._running_sums(r)
-        tot = cum[-1]
-        if tot <= 0.0:
-            absorbed = True
-            break
-        u1 = ub.next()
-        u2 = ub.next()
-        dt = -np.log(u1) / (N * tot)
-        t_next = t + dt
-        while rec_idx < n_rec and rec_times[rec_idx] < t_next:
-            recorded[rec_idx] = X
-            rec_idx += 1
-        if t_next >= opts.horizon:
-            t = opts.horizon
-            break
-        pick = u2 * tot
-        j = sum(int(c < pick) for c in cum[:-1])
-        X = X + jumps[j]
-        t = t_next
-        times.append(t)
-        states.append(X.copy())
-    while rec_idx < n_rec:
-        recorded[rec_idx] = X
-        rec_idx += 1
+    out = engine.simulate_chunk(
+        m, opts.N, X0, opts.seed, rep_lo=replicate, rep_hi=replicate + 1, mode=engine.EVENTS,
+        record_times=opts.record, horizon=opts.horizon, restriction=opts.engine_restriction(),
+    )
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        record_times=rec_times,
-        recorded=recorded,
-        absorbed=absorbed,
+        times=np.concatenate([[0.0], out["event_t"]]),
+        states=np.concatenate([X0[None, :], out["event_X"]]),
+        record_times=opts.record,
+        recorded=out["records"][0],
+        absorbed=bool(out["absorbed"][0]),
     )
 
 
@@ -505,14 +451,12 @@ def simulate_coupled(
     )
 
 
-def _coupled_chunk(args):
-    (m, cert, opts, U0, V0, k2, nu, lo, hi, trace_states) = args
+def _coupled_chunk(shared, lo, hi):
+    m, cert, opts, U0, V0, k2, nu = shared
     H = np.zeros((hi - lo, len(opts.record)))
     coal = np.zeros(hi - lo)
     for i in range(lo, hi):
-        tr = simulate_coupled(
-            m, cert, opts, U0, V0, k2=k2, nu=nu, replicate=i, trace_states=trace_states
-        )
+        tr = simulate_coupled(m, cert, opts, U0, V0, k2=k2, nu=nu, replicate=i)
         H[i - lo] = tr.H
         coal[i - lo] = tr.coalesce_time
     return H, coal
@@ -524,18 +468,9 @@ def coupled_ensemble(m, cert, opts, U0, V0, reps, k2=None, nu=None, workers=1, c
     Pair r is ``simulate_coupled`` at replicate r, so the results do not
     depend on ``chunk`` or ``workers``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     k2, nu = _default_k2_nu(m, cert, opts.N, opts.seed, k2, nu)
-    bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-    tasks = [(m, cert, opts, U0, V0, k2, nu, lo, hi, False) for lo, hi in bounds]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_coupled_chunk, tasks))
-    else:
-        parts = [_coupled_chunk(t) for t in tasks]
+    shared = (m, cert, opts, U0, V0, k2, nu)
+    parts = engine.map_chunks(_coupled_chunk, shared, reps, chunk, workers)
     H = np.concatenate([p[0] for p in parts], axis=0)
     coal = np.concatenate([p[1] for p in parts], axis=0)
     return H, coal

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ddjump as dj
+from ddjump.dynamics import _rk4_flow
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,20 @@ lam = 1.0
 -1 : x1
 """
     )
+
+
+def as_dict(dist):
+    """``{point: mass}`` of a ``LatticeDistribution``."""
+    return {tuple(int(v) for v in s): float(p) for s, p in zip(dist.support, dist.mass)}
+
+
+def batch_flow(m, Y0, T, h, every):
+    """(times, states) of many initial points flowed at once by RK4, every
+    ``every`` steps of h; no domain or rate checks."""
+    rates, J = m.kernel.rates_array, m.kernel.J
+    n_steps = int(round(T / h))
+    times, states, _ = _rk4_flow(lambda Y: rates(Y) @ J, np.asarray(Y0, float), h, n_steps, every)
+    return times, states
 
 
 def identity_certificate(d=2, c=None, rho=1.0):

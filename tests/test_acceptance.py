@@ -13,7 +13,7 @@ import pytest
 
 import ddjump as dj
 from ddjump.cli import main as cli_main
-from ddjump.dynamics import flow_many
+from conftest import batch_flow
 
 WORKERS = min(os.cpu_count() or 1, 4)
 _REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.txt")
@@ -121,8 +121,8 @@ def test_criterion_03_ode_contraction(sir, cert05):
     Y0 = _ball_points(cert05, 50, seed=101)
     Z0 = _ball_points(cert05, 50, seed=202)
     h = 1e-3
-    _, Ys = flow_many(sir, Y0, T=5.0, h=h, record_every=100)
-    _, Zs = flow_many(sir, Z0, T=5.0, h=h, record_every=100)
+    _, Ys = batch_flow(sir, Y0, T=5.0, h=h, every=100)
+    _, Zs = batch_flow(sir, Z0, T=5.0, h=h, every=100)
     ts = np.arange(Ys.shape[0]) * (100 * h)
     Hs = cert05.m_norms(Ys - Zs) * np.exp(cert05.rho * ts)[:, None]
     ratio = Hs[1:] / np.maximum(Hs[:-1], 1e-300)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import ddjump as dj
-from ddjump.dynamics import _ball_passes, _sample_ball, flow_many
+from ddjump.dynamics import _ball_passes, _sample_ball
+from ddjump.equilibrium import _flow_at_times
 from ddjump.errors import CertificateError, ConvergenceError, RateError
 from ddjump.model import rate_gradients
-from conftest import identity_certificate
+from conftest import batch_flow, identity_certificate
+from flow_reference import cutoff_time_reference, flow_at_times_reference, integrate_ode_reference
 
 
 def linear_decay_model():
@@ -132,19 +134,6 @@ def test_construct_M_contraction_property_random_hurwitz():
         assert slack.max() <= 1e-9
 
 
-def test_construct_M_eigen_cross_check(sir):
-    A = dj.eval_jacobian(sir, (0.5, 1.0))
-    M = dj.construct_M_eigen(A)
-    w = np.linalg.eigvalsh(M)
-    assert w[0] > 0
-    # in the eigen metric the decay rate equals the spectral abscissa
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(500, 2))
-    lhs = np.einsum("ni,ij,nj->n", X, M @ A, X)
-    nrm = np.einsum("ni,ij,nj->n", X, M, X)
-    assert np.max(lhs + (1.0 - 1e-9) * nrm) <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -237,12 +226,12 @@ def test_certificate_serialization_roundtrip(cert05, tmp_path):
 
 def test_m_norm_zero():
     cert = identity_certificate()
-    assert dj.m_norm(cert, (0.0, 0.0)) == 0.0
+    assert cert.m_norm((0.0, 0.0)) == 0.0
 
 
 def test_m_norm_euclidean_for_identity():
     cert = identity_certificate()
-    assert dj.m_norm(cert, (3.0, 4.0)) == pytest.approx(5.0)
+    assert cert.m_norm((3.0, 4.0)) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +269,45 @@ def test_cutoff_time_horizon_exceeded(sir, cert05):
 
     with pytest.raises(HorizonError):
         dj.cutoff_time(sir, cert05, (1.0, 1.0), 10_000, horizon=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the shared RK4 driver against the loops it replaced (flow_reference)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cert_name", ["cert025", "cert05", "cert09"])
+def test_cutoff_time_matches_reference_bitwise(request, sir, cert_name):
+    cert = request.getfixturevalue(cert_name)
+    unit = np.array([1.0, 0.0]) / cert.m_norm([1.0, 0.0])
+    for N in (4, 50, 200, 1000):
+        # the last start crosses the target ball within the first step
+        starts = [(1.0, 1.0), (0.3, 2.5), (0.51, 1.0), cert.c + unit * (1.0 + 1e-7) / math.sqrt(N)]
+        for x0 in starts:
+            t = dj.cutoff_time(sir, cert, x0, N)
+            assert type(t) is float
+            assert t.hex() == cutoff_time_reference(sir, cert, x0, N).hex()
+
+
+def test_flow_at_times_matches_reference_bitwise(sir):
+    times = (0.0, 0.3, 1.0, 2.5, 2.5, 7.123)
+    for y0, h in (((0.4, 1.7), 1e-3), ((1.0, 1.0), 0.07)):
+        got = _flow_at_times(sir, np.array(y0), times, h)
+        assert got.tobytes() == flow_at_times_reference(sir, np.array(y0), times, h).tobytes()
+
+
+def test_integrate_ode_matches_reference():
+    sir = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
+    bounded = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n[domain]\nx1 >= 0\nx1 <= 2\n")
+    cases = [(sir, (1.0, 1.0), 5.0), (sir, (0.5, 1.0), 1.0), (sir, (1.0, 1.0), 0.0), (bounded, (1.0,), 5.0)]
+    for m, y0, T in cases:
+        res = dj.integrate_ode(m, y0, T, h=1e-3)
+        times, states, terminated_by = integrate_ode_reference(m, y0, T, h=1e-3)
+        assert res.terminated_by == terminated_by
+        assert res.states.tobytes() == states.tobytes()
+        # times are added up step by step, where the old loop took k h
+        np.testing.assert_allclose(res.times, times, rtol=1e-12, atol=0.0)
+    assert res.terminated_by == "left_domain"
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +362,8 @@ def test_ode_pairwise_contraction(sir, cert05):
     Y0 = _ball_points(cert05, 50, seed=21)
     Z0 = _ball_points(cert05, 50, seed=22)
     h = 1e-3
-    _, Ys = flow_many(sir, Y0, T=5.0, h=h, record_every=100)
-    _, Zs = flow_many(sir, Z0, T=5.0, h=h, record_every=100)
+    _, Ys = batch_flow(sir, Y0, T=5.0, h=h, every=100)
+    _, Zs = batch_flow(sir, Z0, T=5.0, h=h, every=100)
     ts = np.arange(Ys.shape[0]) * (100 * h)
     Hs = cert05.m_norms(Ys - Zs) * np.exp(cert05.rho * ts)[:, None]
     ratio = Hs[1:] / np.maximum(Hs[:-1], 1e-300)
@@ -345,7 +373,7 @@ def test_ode_pairwise_contraction(sir, cert05):
 def test_lyapunov_decay_along_flow(sir, cert05):
     Y0 = _ball_points(cert05, 50, seed=23)
     h = 1e-3
-    ts, Ys = flow_many(sir, Y0, T=5.0, h=h, record_every=100)
+    ts, Ys = batch_flow(sir, Y0, T=5.0, h=h, every=100)
     G = cert05.m_norms(Ys - cert05.c)
     bound = G[0][None, :] * np.exp(-cert05.rho * ts)[:, None]
     assert np.all(G <= bound * (1.0 + 1e-6))

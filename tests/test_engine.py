@@ -1,5 +1,6 @@
 """The compacted batched engine against its per-step gather/scatter
-reference (``engine_reference``) and against the scalar path."""
+reference (``engine_reference``), and its ``events`` mode, which runs
+``simulate_path``, against the scalar Gillespie loop (``path_reference``)."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
+from conftest import identity_certificate
 from engine_reference import simulate_chunk_reference
+from path_reference import simulate_path_reference
 
 SIR = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
 PURE_DEATH = dj.parse_model("[dimension]\n1\n[jumps]\n-1 : x1\n")
@@ -142,8 +145,84 @@ def test_scalar_path_matches_engine_with_nine_jumps():
     X0 = np.array([20, 20])
     rec = dj.sample_states(NINE_JUMPS, opts, X0, opts.record, reps=8)
     for r in range(8):
-        tr = dj.simulate_path(NINE_JUMPS, opts, X0, replicate=r)
+        tr = simulate_path_reference(NINE_JUMPS, opts, X0, replicate=r)
         assert np.array_equal(tr.recorded, rec[r])
+
+
+def assert_same_path(new, ref):
+    for field in ("times", "states", "recorded"):
+        a, b = getattr(new, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert new.record_times == ref.record_times
+    assert type(new.absorbed) is bool and new.absorbed == ref.absorbed
+
+
+@st.composite
+def path_runs(draw):
+    """(model, SimOptions, X0, replicate) of one path."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    m = MODELS[name]
+    N = draw(st.sampled_from([5, 12, 30]))
+    X0 = np.full(m.d, N, dtype=np.int64)
+    # pure death runs on to absorption
+    horizon = draw(st.sampled_from([0.3, 1.0, 2.5] + ([50.0] if name == "pure_death" else [])))
+    inner = draw(st.lists(st.floats(0.0, horizon), min_size=0, max_size=4))
+    ends = draw(st.sampled_from([(), (0.0,), (horizon,), (0.0, horizon)]))
+    restriction = None
+    if draw(st.booleans()):
+        cert = identity_certificate(d=m.d, c=X0 / N)
+        restriction = (cert, draw(st.floats(0.2, 1.0)))
+    opts = dj.SimOptions(
+        N=N,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        horizon=horizon,
+        restriction=restriction,
+        record=tuple(sorted(inner + list(ends))),
+    )
+    return m, opts, X0, draw(st.integers(0, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_runs())
+def test_simulate_path_matches_scalar_reference_bitwise(run):
+    m, opts, X0, replicate = run
+    new = dj.simulate_path(m, opts, X0, replicate=replicate)
+    assert_same_path(new, simulate_path_reference(m, opts, X0, replicate=replicate))
+
+
+def test_path_whose_event_falls_on_the_horizon_matches_reference():
+    # the horizon and a record sit exactly on the third event time, so the
+    # record is not due before that event and takes the state held to it
+    X0 = np.array([12, 12])
+    t3 = dj.simulate_path(SIR, dj.SimOptions(N=12, seed=4, horizon=5.0), X0).times[3]
+    opts = dj.SimOptions(N=12, seed=4, horizon=t3, record=(t3,))
+    new = dj.simulate_path(SIR, opts, X0)
+    ref = simulate_path_reference(SIR, opts, X0)
+    assert_same_path(new, ref)
+    assert len(new.times) == 3 and np.array_equal(new.recorded[0], new.states[-1])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_run_paths_events_give_each_replicate_its_path(name):
+    m = MODELS[name]
+    N, seed, reps = 12, 3, 11
+    X0 = np.full(m.d, N, dtype=np.int64)
+    horizon = 30.0 if name == "pure_death" else 1.0
+    opts = dj.SimOptions(N=N, seed=seed, horizon=horizon, record=(0.0, 0.4, horizon))
+    paths = [dj.simulate_path(m, opts, X0, replicate=r) for r in range(reps)]
+    if name == "pure_death":
+        assert any(p.absorbed for p in paths)
+    kw = dict(mode=engine.EVENTS, record_times=opts.record, horizon=horizon)
+    for workers, chunk in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 3), (2, 7)):
+        out = engine.run_paths(m, N, X0, seed, reps, workers=workers, chunk=chunk, **kw)
+        assert np.array_equal(out["event_rep"], np.repeat(np.arange(reps), [len(p.times) - 1 for p in paths]))
+        for r, path in enumerate(paths):
+            mine = out["event_rep"] == r
+            assert out["event_t"][mine].tobytes() == path.times[1:].tobytes()
+            assert np.array_equal(out["event_X"][mine], path.states[1:])
+            assert np.array_equal(out["records"][r], path.recorded)
+            assert out["absorbed"][r] == path.absorbed
 
 
 def test_records_without_record_times():

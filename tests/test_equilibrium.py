@@ -10,7 +10,7 @@ from scipy.stats import norm
 import ddjump as dj
 from ddjump.equilibrium import build_restricted_generator
 from ddjump.errors import CapExceededError, ConvergenceError
-from conftest import identity_certificate
+from conftest import as_dict, identity_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_stationary_irreducibility_guard(cert05):
     )
     cert = identity_certificate(d=2, c=(0.0, 0.0))
     with pytest.raises(ConvergenceError):
-        dj.stationary_exact(m, 10, cert, 0.8, warm_start=False)
+        dj.stationary_exact(m, 10, cert, 0.8)
 
 
 def test_stationary_counts_closed_classes():
@@ -153,7 +153,7 @@ def test_stationary_counts_closed_classes():
     )
     cert = identity_certificate(d=2, c=(0.0, 0.0))
     with pytest.raises(ConvergenceError, match=r"\b4 closed communicating classes"):
-        dj.stationary_exact(m, 10, cert, 0.8, warm_start=False)
+        dj.stationary_exact(m, 10, cert, 0.8)
 
 
 def test_stationary_solves_with_a_transient_state():
@@ -226,13 +226,13 @@ def test_lyapunov_sigma_rejects_non_hurwitz():
 
 def test_discrete_normal_weight_ratio():
     dn = dj.discrete_normal(1, np.array([0.0]), np.array([[1.0]]))
-    d = dn.as_dict()
+    d = as_dict(dn)
     assert d[(0,)] / d[(1,)] == pytest.approx(math.exp(0.5))
 
 
 def test_discrete_normal_symmetry():
     dn = dj.discrete_normal(4, np.array([1.0]), np.array([[0.5]]))
-    d = dn.as_dict()
+    d = as_dict(dn)
     for k in range(1, 8):
         assert d[(4 + k,)] == pytest.approx(d[(4 - k,)])
 
@@ -300,7 +300,7 @@ def test_tail_mass_zero_beyond_delta(sir, cert05):
 def test_tail_mass_at_zero_radius(sir, cert05):
     N, delta = 30, 0.6
     pi = dj.stationary_exact(sir, N, cert05, delta)
-    d = pi.as_dict()
+    d = as_dict(pi)
     center_mass = d.get(tuple(np.round(N * cert05.c).astype(int)), 0.0)
     got = dj.tail_mass(pi, cert05, N, 0.0)
     # only an exact lattice hit of N c would escape the strict inequality

@@ -4,6 +4,8 @@ The dict-keyed implementations that the codec replaced are kept here as
 references: the empirical TV with its bootstrap CI, the restricted
 generator and point aggregation must agree with them bit for bit, and the
 bootstrap must leave the random generator where the reference leaves it.
+``tv_distance`` adds its terms in key order where the dict sum added them
+in set order, so the two agree to rounding only.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from ddjump import engine
 from ddjump.dist import LatticeKeys, canonical_order
 from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator, enumerate_ball
 from ddjump.errors import DomainError, KeyRangeError
+from conftest import as_dict
 
 # ---------------------------------------------------------------------------
 # references: the dict-keyed implementations
@@ -37,8 +40,8 @@ def from_points_ref(points, weights=None):
 
 def empirical_tv_with_ci_ref(points, pi, reps, rng, n_boot=1000):
     emp = from_points_ref(points)
-    d_emp = emp.as_dict()
-    d_pi = pi.as_dict()
+    d_emp = as_dict(emp)
+    d_pi = as_dict(pi)
     keys = sorted(d_emp.keys() | d_pi.keys())
     p_hat = np.array([d_emp.get(k, 0.0) for k in keys])
     p_ref = np.array([d_pi.get(k, 0.0) for k in keys])
@@ -55,6 +58,13 @@ def empirical_tv_with_ci_ref(points, pi, reps, rng, n_boot=1000):
         done += b
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return tv, (float(lo), float(hi))
+
+
+def tv_distance_ref(p, q):
+    dp = as_dict(p)
+    dq = as_dict(q)
+    keys = dp.keys() | dq.keys()
+    return 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys)
 
 
 def build_restricted_generator_ref(m, N, cert, delta):
@@ -254,6 +264,31 @@ def test_empirical_tv_on_a_sir_sample_matches_reference(sir, cert09):
     rec = dj.sample_states(sir, opts, np.array([N, N]), (0.5, 1.5), reps)
     for k in range(2):
         _assert_tv_matches_reference(rec[:, k, :], pi, reps, 300, 9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=50),
+            st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=50),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_tv_distance_matches_reference(supports, seed):
+    p, q = _pi_on(supports[0], seed), _pi_on(supports[1], seed + 1)
+    tv = dj.tv_distance(p, q)
+    assert type(tv) is float
+    assert tv == pytest.approx(tv_distance_ref(p, q), rel=1e-13, abs=1e-15)
+
+
+def test_tv_distance_against_the_discrete_normal_matches_reference(sir, cert05):
+    Sigma = dj.solve_lyapunov_sigma(cert05.A, dj.equilibrium_sigma2(sir, cert05.c))
+    for N in (30, 100):
+        pi = dj.stationary_exact(sir, N, cert05, 0.7)
+        dn = dj.discrete_normal(N, cert05.c, Sigma)
+        assert dj.tv_distance(pi, dn) == pytest.approx(tv_distance_ref(pi, dn), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

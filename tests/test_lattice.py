@@ -96,8 +96,8 @@ def test_decompose_requires_spanning():
         decompose_vector_with(an, (1, 1))
 
 
-def test_decompose_vector_convenience_wrapper():
-    parts, n, mass = dj.decompose_vector(SIR_JUMPS, (0, 1))
+def test_decompose_with_a_fresh_classification():
+    parts, n, mass = decompose_vector_with(dj.classify_jumps(SIR_JUMPS), (0, 1))
     assert tuple(np.sum(parts, axis=0)) == (0, 1)
 
 
