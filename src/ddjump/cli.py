@@ -103,7 +103,7 @@ def _guess(m, args):
 
 
 def _certificate(m, args):
-    if getattr(args, "cert", None):
+    if args.cert:
         return StabilityCertificate.load(args.cert)
     return certify(m, _guess(m, args), rho_fraction=args.rho_fraction)
 
@@ -309,8 +309,9 @@ def cmd_couple(args):
     record = _floats(args.record) if args.record else tuple(np.linspace(0.0, args.horizon, 21))
     opts = SimOptions(N=N, seed=args.seed, horizon=args.horizon, record=record)
     k2 = args.k2 if args.k2 is not None else estimate_K2(m, cert, N, seed=args.seed)
+    nu = classify_jumps(m.jumps, search_radius=args.search_radius, norm_matrix=cert.M).nu
 
-    trace = simulate_coupled(m, cert, opts, U0, V0, k2=k2, trace_states=True)
+    trace = simulate_coupled(m, cert, opts, U0, V0, k2=k2, nu=nu, trace_states=True)
     meta = _provenance(args, text, seed=args.seed, N=N, K3=repr(trace.K3), nuK3=repr(trace.nuK3))
     header = (
         ["t"]
@@ -327,7 +328,7 @@ def cmd_couple(args):
     summary = {"provenance": _provenance(args, text, seed=args.seed), "N": N, "K3": trace.K3}
     if args.reps != 1:  # coupled_ensemble rejects reps < 1
         H, coal = coupled_ensemble(
-            m, cert, opts, U0, V0, args.reps, k2=k2, workers=args.workers
+            m, cert, opts, U0, V0, args.reps, k2=k2, nu=nu, workers=args.workers
         )
         mean_h = H.mean(axis=0)
         ts = np.asarray(record)
@@ -394,17 +395,23 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def _add_common(p, model=True):
-    if model:
-        p.add_argument("--model", required=True, help="model config path")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--rho-fraction", dest="rho_fraction", type=float, default=0.5)
-    p.add_argument("--cert", default=None, help="reuse a saved certificate JSON")
-    p.add_argument("--guess", default=None, help="fixed-point guess, comma floats (default: all ones)")
-    p.add_argument("--search-radius", dest="search_radius", type=int, default=8)
-    p.add_argument("--state-cap", dest="state_cap", type=int, default=200_000)
+# Options several subcommands read, by dest; each subcommand adds only those it reads.
+_SHARED = {
+    "model": dict(required=True, help="model config path"),
+    "out": dict(default=None, help="output directory"),
+    "seed": dict(type=int, default=0),
+    "workers": dict(type=int, default=os.cpu_count() or 1),
+    "rho_fraction": dict(type=float, default=0.5),
+    "cert": dict(default=None, help="reuse a saved certificate JSON"),
+    "guess": dict(default=None, help="fixed-point guess, comma floats (default: all ones)"),
+    "search_radius": dict(type=int, default=8),
+    "state_cap": dict(type=int, default=200_000),
+}
+
+
+def _add_shared(p, *names):
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), **_SHARED[name])
 
 
 def build_parser():
@@ -413,15 +420,15 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check model assumptions and report witnesses")
-    _add_common(p)
+    _add_shared(p, "model", "out", "rho_fraction", "guess", "search_radius")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="build and save the stability certificate")
-    _add_common(p)
+    _add_shared(p, "model", "out", "rho_fraction", "guess", "search_radius")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="dump one exact trajectory as CSV")
-    _add_common(p)
+    _add_shared(p, "model", "out", "seed", "rho_fraction", "cert", "guess")
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--x0", required=True, help="scaled start, comma floats")
     p.add_argument("--horizon", type=float, default=10.0)
@@ -430,14 +437,14 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="quasi-equilibrium distribution and checks")
-    _add_common(p)
+    _add_shared(p, "model", "out", "seed", "rho_fraction", "cert", "guess", "state_cap")
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("cutoff", help="TV-to-equilibrium profile around t_N")
-    _add_common(p)
+    _add_shared(p, "model", "out", "seed", "workers", "rho_fraction", "cert", "guess", "state_cap")
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--s-grid", dest="s_grid", required=True)
@@ -447,7 +454,9 @@ def build_parser():
     p.set_defaults(func=cmd_cutoff)
 
     p = sub.add_parser("couple", help="two-phase coupling traces and decay fit")
-    _add_common(p)
+    _add_shared(
+        p, "model", "out", "seed", "workers", "rho_fraction", "cert", "guess", "search_radius"
+    )
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--horizon", type=float, default=20.0)
@@ -458,7 +467,7 @@ def build_parser():
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("report", help="index prior outputs, emit gnuplot .dat files")
-    _add_common(p, model=False)
+    _add_shared(p, "out")
     p.add_argument("--expect", default=None, help="comma list of required artifacts")
     p.set_defaults(func=cmd_report)
     return ap

@@ -66,7 +66,7 @@ class LatticeDistribution:
         object.__setattr__(self, "mass", mass)
 
     @staticmethod
-    def from_points(points, weights=None, normalize=True):
+    def from_points(points, weights=None):
         """Aggregate possibly repeated lattice points into a pmf."""
         codec = LatticeKeys(points)
         uniq, inverse = np.unique(codec.encode(points), return_inverse=True)
@@ -74,9 +74,7 @@ class LatticeDistribution:
             m = np.bincount(inverse, minlength=len(uniq)).astype(float)
         else:
             m = np.bincount(inverse, weights=np.asarray(weights, dtype=float), minlength=len(uniq))
-        if normalize:
-            m = m / m.sum()
-        return LatticeDistribution(codec.decode(uniq), m)
+        return LatticeDistribution(codec.decode(uniq), m / m.sum())
 
     @staticmethod
     def point_mass(x):

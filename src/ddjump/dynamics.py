@@ -28,6 +28,16 @@ HORIZON = "horizon"
 CROSSING = "crossing"
 LEFT_DOMAIN = "left_domain"
 
+NEWTON_TOL = 1e-12  # max |F| accepted at the fixed point
+NEWTON_MAX_ITER = 100
+# delta0 search: up to 140 radii, each 0.9 times the last, every one checked
+# on 256 sampled points of its ball, drawn from seed 0
+DELTA0_STEPS = 140
+DELTA0_FACTOR = 0.9
+DELTA0_SAMPLES = 256
+DELTA0_SEED = 0
+CUTOFF_TIME_TOL = 1e-10  # bisection width of the crossing time
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -102,14 +112,14 @@ def integrate_ode(m, y0, T, h=1e-3):
     return FlowResult(times, states, LEFT_DOMAIN if stopped else HORIZON)
 
 
-def find_fixed_point(m, guess, tol=1e-12, max_iter=100):
+def find_fixed_point(m, guess):
     """Newton iteration for F(c) = 0 using the expression-tree Jacobian."""
     y = np.asarray(guess, dtype=float)
     if not m.domain.contains(y):
         raise DomainError(f"guess {y.tolist()} outside domain")
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         F = eval_drift(m, y, check_domain=False)
-        if np.max(np.abs(F)) <= tol:
+        if np.max(np.abs(F)) <= NEWTON_TOL:
             return y
         A = eval_jacobian(m, y, check_domain=False)
         try:
@@ -120,7 +130,7 @@ def find_fixed_point(m, guess, tol=1e-12, max_iter=100):
         if not np.all(np.isfinite(y)):
             raise ConvergenceError("Newton iterate diverged")
     F = eval_drift(m, y, check_domain=False)
-    if np.max(np.abs(F)) <= tol:
+    if np.max(np.abs(F)) <= NEWTON_TOL:
         return y
     raise ConvergenceError(f"Newton did not converge; |F| = {np.max(np.abs(F)):.3g}")
 
@@ -247,17 +257,6 @@ class StabilityCertificate:
             return StabilityCertificate.from_json_dict(json.load(f))
 
 
-@dataclass(frozen=True)
-class CertGrid:
-    """Sampling spec for the delta0 search."""
-
-    delta_max: float = None  # default: distance from c to the domain boundary, capped at 8
-    n_deltas: int = 140
-    factor: float = 0.9
-    samples: int = 256
-    seed: int = 0
-
-
 def _sample_ball(c, M, delta, n, rng):
     """Points of B_M(c, delta): half on the boundary sphere, half interior."""
     d = len(c)
@@ -289,18 +288,19 @@ def _ball_passes(m, pts, grad_c, tol):
     return bool((np.linalg.norm(G - grad_c, axis=-1) < tol).all())
 
 
-def certify(m, guess, rho_fraction=0.9, grid=None):
+def certify(m, guess, rho_fraction=0.9):
     """Build the full stability certificate.
 
     rho = rho_fraction * rho_hat; rho' is the midpoint of (rho, rho_hat); M
     solves the shifted Lyapunov equation at rho'; eps satisfies
     eps * sum_J ||J||_M = (rho' - rho)/2; delta0 is the largest radius on a
-    geometric grid such that, on sampled points of B_M(c, delta0), every rate
-    is strictly positive and max_J |grad r_J(y) - grad r_J(c)| < eps/c0.
+    geometric grid (``DELTA0_*``, down from the distance to the domain
+    boundary capped at 8) such that, on sampled points of B_M(c, delta0),
+    every rate is strictly positive and max_J |grad r_J(y) - grad r_J(c)| <
+    eps/c0.
     """
     if not (0 < rho_fraction < 1):
         raise ValueError("rho_fraction must lie in (0,1)")
-    grid = grid or CertGrid()
     c = find_fixed_point(m, guess)
     if not m.domain.contains(c):
         raise CertificateError(f"fixed point {c.tolist()} outside domain")
@@ -329,23 +329,19 @@ def certify(m, guess, rho_fraction=0.9, grid=None):
 
     grad_c = rate_gradients(m, c)
     delta_cap = m.domain.m_distance_to_boundary(c, M)
-    delta_max = grid.delta_max
-    if delta_max is None:
-        delta_max = min(delta_cap * (1 - 1e-9), 8.0) if math.isfinite(delta_cap) else 8.0
-    else:
-        delta_max = min(delta_max, delta_cap * (1 - 1e-9))
+    delta_max = min(delta_cap * (1 - 1e-9), 8.0) if math.isfinite(delta_cap) else 8.0
     if delta_max <= 0:
         raise CertificateError("fixed point sits on the domain boundary")
 
-    rng = np.random.default_rng(grid.seed)
+    rng = np.random.default_rng(DELTA0_SEED)
     delta0 = None
     delta = delta_max
-    for _ in range(grid.n_deltas):
-        pts = _sample_ball(c, M, delta, grid.samples, rng)
+    for _ in range(DELTA0_STEPS):
+        pts = _sample_ball(c, M, delta, DELTA0_SAMPLES, rng)
         if _ball_passes(m, pts, grad_c, eps / c0):
             delta0 = delta
             break
-        delta *= grid.factor
+        delta *= DELTA0_FACTOR
     if delta0 is None:
         raise CertificateError(
             f"no radius in [{delta:.3g}, {delta_max:.3g}] passes the perturbation "
@@ -369,21 +365,20 @@ def certify(m, guess, rho_fraction=0.9, grid=None):
     )
 
 
-def cutoff_time(m, cert, x0, N, horizon=None, h=None, time_tol=1e-10):
+def cutoff_time(m, cert, x0, N, horizon=None):
     """First time the ODE flow from x0 satisfies ||y(t) - c||_M = N^(-1/2).
 
     Returns 0 when x0 is already inside the target ball.  Integration uses
-    fixed-step RK4; the bracketing step is refined by bisection to
-    ``time_tol``.  Raises HorizonError when no crossing occurs by the
-    horizon (x0 outside the basin, or N too large for the horizon).
+    fixed-step RK4 at ``default_step``; the bracketing step is refined by
+    bisection to ``CUTOFF_TIME_TOL``.  Raises HorizonError when no crossing
+    occurs by the horizon (x0 outside the basin, or N too large for it).
     """
     x0 = np.asarray(x0, dtype=float)
     target = 1.0 / math.sqrt(N)
     g = cert.m_norm(x0 - cert.c)
     if g <= target:
         return 0.0
-    if h is None:
-        h = default_step(cert.rho_hat)
+    h = default_step(cert.rho_hat)
     if horizon is None:
         # distance decays like e^{-rho t} once near c; generous default
         horizon = 10.0 + 3.0 * (math.log(max(N, 2.0)) / (2 * cert.rho) + math.log(1 + g) / cert.rho)
@@ -398,7 +393,7 @@ def cutoff_time(m, cert, x0, N, horizon=None, h=None, time_tol=1e-10):
         raise HorizonError(f"no crossing of radius {target:.3g} within horizon {horizon:.3g}")
     t, y = float(times[-1]), states[-1]
     lo, hi = 0.0, h
-    while hi - lo > time_tol:
+    while hi - lo > CUTOFF_TIME_TOL:
         mid = 0.5 * (lo + hi)
         if cert.m_norm(_rk4_step(F, y, mid) - cert.c) <= target:
             hi = mid
@@ -419,6 +414,17 @@ class DriftConditionReport:
     failed_everywhere: bool
     g_min: float
     g_max: float
+
+
+def _slack_threshold(rows):
+    """Sort the (level, slack) samples ``rows``; return their levels and
+    slacks as arrays, and the index of the first sample from which on no
+    slack is positive (``len(rows)`` when the last one is)."""
+    rows = sorted(rows)
+    levels = np.array([r[0] for r in rows])
+    slack = np.array([r[1] for r in rows])
+    bad = np.flatnonzero(slack > 0)
+    return levels, slack, int(bad[-1]) + 1 if len(bad) else 0
 
 
 def generator_apply_G(m, cert, X, N):
@@ -461,15 +467,7 @@ def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
     for X in seen:
         q, g = generator_apply_G(m, cert, np.array(X), N)
         rows.append((g, q + cert.rho * g))
-    rows.sort()
-    gs = np.array([r[0] for r in rows])
-    slack = np.array([r[1] for r in rows])
-    # smallest threshold g* with slack <= 0 for every sample at g >= g*
-    bad = slack > 0
-    if bad.any():
-        g_star_idx = int(np.flatnonzero(bad)[-1]) + 1
-    else:
-        g_star_idx = 0
+    gs, slack, g_star_idx = _slack_threshold(rows)
     if g_star_idx >= len(rows):
         return DriftConditionReport(
             N=N,

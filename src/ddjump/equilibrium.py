@@ -18,6 +18,7 @@ from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
 from .simulate import sample_states
 
 STATE_CAP = 200_000
+POWER_MAX_ITERS = 2_000_000
 
 
 def enumerate_ball(N, cert, delta, cap=STATE_CAP):
@@ -109,7 +110,7 @@ def _closed_classes(Q):
     return n_scc - len(np.unique(label[G.row[leaving]]))
 
 
-def _pi_power(Q, tol, max_iters, pi0=None):
+def _pi_power(Q, pi0=None):
     n = Q.shape[0]
     closed = _closed_classes(Q)
     if closed > 1:
@@ -127,12 +128,12 @@ def _pi_power(Q, tol, max_iters, pi0=None):
     # the kernel P = I + Q/lam, transposed once: each step is pi P = P^T pi
     PT = (sp.eye(n, format="csr") + Q / lam).T.tocsr()
     pi = np.full(n, 1.0 / n) if pi0 is None else pi0 / pi0.sum()
-    # aim well below the requested tolerance; the stall branch accepts the
-    # floating-point floor when the target is unreachable
-    target = min(tol, 0.05e-9 / lam, 1e-12)
+    # aim at a step residual far below what the callers need; the stall
+    # branch accepts the floating-point floor when the target is unreachable
+    target = min(0.05e-9 / lam, 1e-12)
     best = math.inf
     stall = 0
-    for it in range(max_iters):
+    for it in range(POWER_MAX_ITERS):
         new = PT @ pi
         s = new.sum()
         new /= s
@@ -154,19 +155,10 @@ def _pi_power(Q, tol, max_iters, pi0=None):
                 stall = 0
             best = min(best, resid)
         pi = new
-    raise ConvergenceError(f"power iteration hit max_iters={max_iters}")
+    raise ConvergenceError(f"power iteration hit max_iters={POWER_MAX_ITERS}")
 
 
-def stationary_exact(
-    m,
-    N,
-    cert,
-    delta,
-    cap=STATE_CAP,
-    tol=1e-10,
-    max_iters=2_000_000,
-    method="power",
-):
+def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     """Stationary law of the restricted chain, solved on the enumerated ball.
 
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
@@ -185,7 +177,7 @@ def stationary_exact(
             pi0 = np.exp(-0.5 * np.minimum(qf, 700.0))
         except (DdjumpError, np.linalg.LinAlgError):
             pi0 = None
-        pi = _pi_power(Q, tol, max_iters, pi0=pi0)
+        pi = _pi_power(Q, pi0=pi0)
         if Q.shape[0] <= 5000:
             ref = _pi_direct(Q)
             tv = 0.5 * float(np.abs(pi - ref).sum())
@@ -243,7 +235,7 @@ def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
             cache[x] = entry
         return entry
 
-    ub = _rng.UniformBlocks(seed, 0, _rng.OCCUPATION)
+    draw = _rng.uniforms(seed, 0, _rng.OCCUPATION)
     occ = {}
     for step in range(burnin + samples):
         targets, cum, total = row(X)
@@ -253,7 +245,7 @@ def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
             break
         if step >= burnin:
             occ[X] = occ.get(X, 0.0) + 1.0 / total
-        u = ub.next()
+        u = draw()
         j = int(np.searchsorted(cum, u * total))
         X = targets[min(j, len(targets) - 1)]
     pts = np.array(sorted(occ), dtype=np.int64)
@@ -289,10 +281,10 @@ def solve_lyapunov_sigma(A, sigma2):
     return Sigma
 
 
-def discrete_normal(N, c, Sigma, support_box=None):
+def discrete_normal(N, c, Sigma):
     """Lattice Gaussian: mass(X) proportional to the N(Nc, N Sigma) density.
 
-    The default box spans 8 standard deviations per axis, which contains the
+    The support box spans 8 standard deviations per axis, which contains the
     8-sigma principal ellipsoid.
     """
     c = np.asarray(c, dtype=float)
@@ -303,13 +295,9 @@ def discrete_normal(N, c, Sigma, support_box=None):
         raise np.linalg.LinAlgError("Sigma must be positive definite")
     mean = N * c
     cov = N * Sigma
-    if support_box is None:
-        half = np.ceil(8.0 * np.sqrt(np.diag(cov))).astype(int)
-        lo = np.floor(mean).astype(int) - half
-        hi = np.ceil(mean).astype(int) + half
-    else:
-        lo = np.asarray(support_box[0], dtype=int)
-        hi = np.asarray(support_box[1], dtype=int)
+    half = np.ceil(8.0 * np.sqrt(np.diag(cov))).astype(int)
+    lo = np.floor(mean).astype(int) - half
+    hi = np.ceil(mean).astype(int) + half
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(d)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     W = grid.astype(float) - mean
@@ -380,8 +368,8 @@ def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
     and leaves the running probability total unchanged.  So the dropped
     zero-mass categories cost no random numbers, and the counts and the
     generator state after the call are those of a draw over the whole union.
-    Each draw is still scored over the whole union, so that every TV sum
-    runs over the same terms in the same order.
+    A draw is scored on its categories, plus the mass of ``pi`` on the
+    points no draw can reach.
     """
     codec = LatticeKeys(points, pi.support)
     sample_keys, counts = np.unique(codec.encode(points), return_counts=True)
@@ -397,16 +385,17 @@ def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
         return tv, (tv, tv)
     cats = hit if hit[-1] == len(keys) - 1 else np.append(hit, len(keys) - 1)
     p_cat, ref_cat = p_hat[cats], p_ref[cats]
-    absent = np.abs(0.0 - p_ref)  # the score terms of categories a draw leaves empty
-    chunk = max(1, min(n_boot, 2**20 // len(keys)))
-    block = np.empty((chunk, len(keys)))
+    off = np.delete(p_ref, cats).sum()
+    # at most 2**19 cells (4 MiB of float64) per chunk, scored in place, so
+    # the bootstrap stays below the peak memory of the stationary solve
+    chunk = max(1, min(n_boot, 2**19 // len(cats)))
     tvs = np.empty(n_boot)
     for done in range(0, n_boot, chunk):
         b = min(chunk, n_boot - done)
-        rows = block[:b]
-        rows[:] = absent
-        rows[:, cats] = np.abs(rng.multinomial(reps, p_cat, size=b) / reps - ref_cat)
-        tvs[done : done + b] = 0.5 * rows.sum(axis=1)
+        score = rng.multinomial(reps, p_cat, size=b) / reps
+        score -= ref_cat
+        np.abs(score, out=score)
+        tvs[done : done + b] = 0.5 * (score.sum(axis=1) + off)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return tv, (float(lo), float(hi))
 

@@ -21,6 +21,8 @@ SPANNING = "spanning"
 SUBLATTICE = "sublattice"
 SEPARATED = "separated"
 
+BFS_VISIT_CAP = 200_000  # lattice points the unit-vector search may visit
+
 
 @dataclass(frozen=True)
 class LatticeAnalysis:
@@ -98,8 +100,9 @@ def _is_strict_sublattice(basis, d):
     return abs(det) != 1
 
 
-def _bfs_unit_decompositions(jumps, search_radius, visit_cap):
-    """Breadth-first search for nonnegative-integer jump sums hitting +/-e_i."""
+def _bfs_unit_decompositions(jumps, search_radius):
+    """Breadth-first search for nonnegative-integer jump sums hitting +/-e_i,
+    up to ``search_radius`` jumps deep and ``BFS_VISIT_CAP`` points visited."""
     d = len(jumps[0])
     targets = set()
     for i in range(d):
@@ -122,8 +125,8 @@ def _bfs_unit_decompositions(jumps, search_radius, visit_cap):
                 if nxt in parent:
                     continue
                 parent[nxt] = (state, J)
-                if len(parent) > visit_cap:
-                    return found, False
+                if len(parent) > BFS_VISIT_CAP:
+                    return found
                 if nxt in targets and nxt not in found:
                     path = []
                     cur = nxt
@@ -133,7 +136,7 @@ def _bfs_unit_decompositions(jumps, search_radius, visit_cap):
                         cur = prev
                     found[nxt] = tuple(reversed(path))
                 frontier.append(nxt)
-    return found, True
+    return found
 
 
 def _separating_vector(jumps, d):
@@ -180,7 +183,7 @@ def _rationalize_separator(v, jumps):
     return None
 
 
-def classify_jumps(jumps, search_radius=8, norm_matrix=None, visit_cap=200_000):
+def classify_jumps(jumps, search_radius=8, norm_matrix=None):
     """Classify a jump set as Spanning, Sublattice, or Separated.
 
     Spanning verdicts carry explicit BFS decompositions of every signed unit
@@ -210,7 +213,7 @@ def classify_jumps(jumps, search_radius=8, norm_matrix=None, visit_cap=200_000):
             norm_matrix=tuple(map(tuple, M.tolist())),
         )
 
-    found, completed = _bfs_unit_decompositions(jumps, search_radius, visit_cap)
+    found = _bfs_unit_decompositions(jumps, search_radius)
     if len(found) == 2 * d:
         lengths = {t: len(p) for t, p in found.items()}
         masses = {

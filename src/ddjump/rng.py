@@ -14,6 +14,8 @@ chunking or worker count.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 PATH = 0
@@ -31,26 +33,13 @@ def substream(seed, *key):
     return np.random.Generator(np.random.Philox(ss))
 
 
-class UniformBlocks:
-    """Block-buffered uniforms from one stream, consumed strictly in order.
+def uniforms(seed, *key):
+    """A function returning the next uniform of the (seed, *key) stream as a
+    Python float on each call, read from the stream in blocks of 1024.
 
-    The occupation sampler draws through this class.  The engine reads the
-    same streams in its own blocks (``engine._draw_blocks``); a stream gives
-    the same sequence whatever the block size.
+    The occupation sampler and the coupled pairs draw through it.  The
+    engine reads the same streams in its own blocks (``engine._draw_blocks``);
+    a stream gives the same sequence whatever the block size.
     """
-
-    __slots__ = ("gen", "block", "buf", "pos")
-
-    def __init__(self, seed, *key, block=1024):
-        self.gen = substream(seed, *key)
-        self.block = block
-        self.buf = self.gen.random(block)
-        self.pos = 0
-
-    def next(self):
-        if self.pos >= self.block:
-            self.buf = self.gen.random(self.block)
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+    gen = substream(seed, *key)
+    return chain.from_iterable(iter(lambda: gen.random(1024).tolist(), None)).__next__

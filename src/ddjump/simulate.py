@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution
-from .dynamics import integrate_ode
+from .dynamics import _slack_threshold, integrate_ode
 from .errors import DomainError, SimulationError
 from .model import eval_rates
 
@@ -27,6 +26,8 @@ INDEPENDENT = "independent"
 COALESCED = "coalesced"
 
 _PHASE_CODE = {CONTRACTIVE: 0, INDEPENDENT: 1, COALESCED: 2}
+
+K2_CAP_FACTOR = 16.0  # estimate_K2 is at most this many JstarM
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,14 @@ class CoupledTrace:
     V: np.ndarray = None
 
 
-def estimate_K2(m, cert, N, samples=4000, seed=0, cap_factor=16.0):
+def estimate_K2(m, cert, N, samples=4000, seed=0):
     """Empirical contractive-phase threshold.
 
     Scans lattice pairs inside B_M(N c, N delta0) and returns the smallest H
     above which the exact coupling generator satisfies A H <= -rho H on all
-    samples; falls back to cap_factor * JstarM when no threshold works.
+    samples, capped at K2_CAP_FACTOR * JstarM; the cap is also the fallback
+    when no threshold works.  A threshold at the smallest sampled H is
+    returned uncapped.
     """
     rng = np.random.default_rng(seed)
     d = m.d
@@ -212,31 +215,23 @@ def estimate_K2(m, cert, N, samples=4000, seed=0, cap_factor=16.0):
             else:
                 AH += (cert.m_norm(w - J) - H) * N * (b - a)
         rows.append((H, AH + cert.rho * H))
-    rows.sort()
-    cap = cap_factor * cert.JstarM
-    if not rows:
+    hs, _, k = _slack_threshold(rows)
+    cap = K2_CAP_FACTOR * cert.JstarM
+    if k >= len(rows):
         return cap
-    slack = np.array([s for _, s in rows])
-    hs = np.array([h for h, _ in rows])
-    bad = slack > 0
-    if not bad.any():
-        return float(hs[0])
-    last_bad = int(np.flatnonzero(bad)[-1])
-    if last_bad + 1 >= len(rows):
-        return cap
-    return float(min(hs[last_bad + 1], cap))
+    return float(hs[0]) if k == 0 else float(min(hs[k], cap))
 
 
 def _default_k2_nu(m, cert, N, seed, k2, nu):
     """``k2`` and ``nu``, where None stands for ``estimate_K2`` at ``seed``
-    and for the jump analysis's nu (kept above 1)."""
+    and for the jump analysis's nu; nu is kept above 1."""
     from .lattice import classify_jumps
 
     if k2 is None:
         k2 = estimate_K2(m, cert, N, seed=seed)
     if nu is None:
-        nu = max(classify_jumps(m.jumps, norm_matrix=cert.M).nu, 1.0 + 1e-9)
-    return k2, nu
+        nu = classify_jumps(m.jumps, norm_matrix=cert.M).nu
+    return k2, max(nu, 1.0 + 1e-9)
 
 
 def _bad_rate(name, rates, Z):
@@ -432,8 +427,7 @@ def simulate_coupled(
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
 
-    gen = _rng.substream(opts.seed, replicate, _rng.COUPLED)
-    draw = chain.from_iterable(iter(lambda: gen.random(1024).tolist(), None)).__next__
+    draw = _rng.uniforms(opts.seed, replicate, _rng.COUPLED)
     H, phases, coal, Us, Vs = _pair_loop(m)(
         draw, N, U.tolist(), V.tolist(), cert.m_norm(U - V), K3, nuK3, opts.horizon,
         opts.record, trace_states, run_past_coalescence, cert.M.ravel().tolist(), ball,
@@ -501,7 +495,7 @@ def _sup_total_rate(m, box, mesh=9):
     return float(rates_fn(grid).sum(axis=1).max())
 
 
-def _default_box(m, N, X0, T, margin=0.25):
+def _drift_box(m, N, X0, T, margin=0.25):
     """Compact box K around the drift path from X0/N, clipped to the domain."""
     y0 = np.asarray(X0, dtype=float) / N
     flow = integrate_ode(m, y0, T, h=min(1e-2, T / 10) if T > 0 else 1e-2)
@@ -530,14 +524,14 @@ class MartingaleReport:
     exited: int
 
 
-def martingale_deviation(m, opts, X0, T, reps, z_grid, box=None, workers=1):
+def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
-    bound, plus the componentwise mean of m(T) (zero for a martingale)."""
+    bound, plus the componentwise mean of m(T) (zero for a martingale).
+    K is the box ``_drift_box`` draws around the drift path from X0/N."""
     X0 = _check_start(m, opts, X0)
     if T > opts.horizon:
         raise ValueError("T must not exceed the horizon")
-    if box is None:
-        box = _default_box(m, opts.N, X0, T)
+    box = _drift_box(m, opts.N, X0, T)
     Rstar = _sup_total_rate(m, box)
     Jstar = float(np.max(np.linalg.norm(m.jump_array.astype(float), axis=1)))
     out = engine.run_paths(

@@ -2,7 +2,7 @@
 test oracle for ``ddjump.simulate.simulate_coupled``.
 
 It steps numpy state vectors, evaluates the rates through the model's scalar
-kernel and draws its uniforms through ``rng.UniformBlocks``.  Three things
+kernel and draws its uniforms through ``rng.uniforms``.  Three things
 changed from that version, to the generated loop's definitions:
 
 * H and the restriction ball check use the explicit quadratic form ``_mq``,
@@ -88,7 +88,7 @@ def simulate_coupled_reference(
     def Hnorm(w):
         return math.sqrt(max(0.0, _mq(w.tolist(), M)))
 
-    ub = _rng.UniformBlocks(opts.seed, replicate, _rng.COUPLED)
+    draw = _rng.uniforms(opts.seed, replicate, _rng.COUPLED)
     rec_times = opts.record
     n_rec = len(rec_times)
     H_rec = np.zeros(n_rec)
@@ -130,7 +130,7 @@ def simulate_coupled_reference(
             tot = _total(ru)
             if tot <= 0.0:
                 break
-            u1, u2 = ub.next(), ub.next()
+            u1, u2 = draw(), draw()
             dt = -math.log(u1) / (N * tot)
             t_next = t + dt
             flush_records(t_next)
@@ -150,7 +150,7 @@ def simulate_coupled_reference(
             if tot <= 0.0:
                 flush_records(math.inf)
                 break
-            u1, u2, u3 = ub.next(), ub.next(), ub.next()
+            u1, u2, u3 = draw(), draw(), draw()
             dt = -math.log(u1) / (N * tot)
             t_next = t + dt
             flush_records(t_next)
@@ -183,7 +183,7 @@ def simulate_coupled_reference(
         if tot <= 0.0:
             flush_records(math.inf)
             break
-        u1, u2 = ub.next(), ub.next()
+        u1, u2 = draw(), draw()
         dt = -math.log(u1) / (N * tot)
         t_next = t + dt
         flush_records(t_next)

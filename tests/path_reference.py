@@ -4,7 +4,7 @@ became the engine's ``events`` mode over one replicate: the test oracle for
 
 It steps one numpy state vector, evaluates the rates through the model's
 array kernel on a single point, and draws its uniforms through
-``rng.UniformBlocks`` from the stream (seed, replicate, PATH).
+``rng.uniforms`` from the stream (seed, replicate, PATH).
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ def simulate_path_reference(m, opts, X0, replicate=0):
     jumps = m.jump_array
     restr = opts.engine_restriction()
     mask = None if restr is None else engine._restriction_mask(restr, jumps)
-    ub = _rng.UniformBlocks(opts.seed, replicate, _rng.PATH)
+    draw = _rng.uniforms(opts.seed, replicate, _rng.PATH)
 
     rec_times = opts.record
     n_rec = len(rec_times)
@@ -45,8 +45,8 @@ def simulate_path_reference(m, opts, X0, replicate=0):
         if tot <= 0.0:
             absorbed = True
             break
-        u1 = ub.next()
-        u2 = ub.next()
+        u1 = draw()
+        u2 = draw()
         dt = -np.log(u1) / (N * tot)
         t_next = t + dt
         while rec_idx < n_rec and rec_times[rec_idx] < t_next:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import ddjump as dj
-from ddjump.cli import main
+from ddjump.cli import build_parser, main
 
 SIR = """
 [dimension]
@@ -29,6 +30,20 @@ SEPARATED = """
 [jumps]
 1 0 : 1
 0 1 : x1
+"""
+
+# -e1 = 5 (11, 0) + 8 (-7, 0) takes 13 jumps, past the default search radius 8
+WIDE_JUMPS = """
+[dimension]
+2
+[jumps]
+11  0 : 7
+-7  0 : 11 * x1
+ 0  1 : 1
+ 0 -1 : x2
+[domain]
+x1 >= 0
+x2 >= 0
 """
 
 BAD_RATE_AT_C = """
@@ -384,3 +399,85 @@ def test_restriction_above_delta0_is_validation_error(sir_cfg, tmp_path, capsys)
         ]
     )
     assert code == 2
+
+
+# the options each subcommand reads
+SUBCOMMAND_OPTIONS = {
+    "validate": {"--model", "--out", "--rho-fraction", "--guess", "--search-radius"},
+    "analyze": {"--model", "--out", "--rho-fraction", "--guess", "--search-radius"},
+    "simulate": {
+        "--model", "--out", "--seed", "--rho-fraction", "--cert", "--guess",
+        "--N", "--x0", "--horizon", "--delta", "--record",
+    },
+    "equilibrium": {
+        "--model", "--out", "--seed", "--rho-fraction", "--cert", "--guess", "--state-cap",
+        "--N", "--delta", "--samples",
+    },
+    "cutoff": {
+        "--model", "--out", "--seed", "--workers", "--rho-fraction", "--cert", "--guess",
+        "--state-cap", "--N", "--x0", "--s-grid", "--reps", "--delta", "--samples",
+    },
+    "couple": {
+        "--model", "--out", "--seed", "--workers", "--rho-fraction", "--cert", "--guess",
+        "--search-radius", "--N", "--reps", "--horizon", "--h0", "--k2", "--record",
+        "--fit-horizon",
+    },
+    "report": {"--out", "--expect"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert declared == SUBCOMMAND_OPTIONS
+    assert sum(map(len, declared.values())) == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--workers", "2"],
+        ["simulate", "--model", "m.cfg", "--N", "50", "--x0", "1,1", "--state-cap", "5"],
+        ["validate", "--model", "m.cfg", "--cert", "x"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_couple_search_radius_reaches_the_jump_analysis(tmp_path, capsys):
+    p = tmp_path / "wide.cfg"
+    p.write_text(WIDE_JUMPS)
+    args = ["couple", "--model", str(p), "--N", "200", "--horizon", "0.5", "--k2", "5.0"]
+    args += ["--reps", "2", "--workers", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "raise search_radius" in capsys.readouterr().err
+    assert main(args + ["--search-radius", "16"]) == 0
+    summary = json.load(open(tmp_path / "out" / "couple.json"))
+    assert summary["reps"] == 2
+
+
+def test_couple_search_radius_past_the_decompositions_keeps_the_outputs(sir_cfg, tmp_path):
+    # SIR's unit decompositions all lie within the default radius, so a
+    # wider search finds the same nu and the same rows
+    args = ["couple", "--model", sir_cfg, "--N", "100", "--horizon", "2.0", "--k2", "5.0"]
+    args += ["--reps", "4", "--workers", "1", "--seed", "3"]
+    lines = {}
+    for radius in ("8", "16"):
+        out = tmp_path / radius
+        assert main(args + ["--search-radius", radius, "--out", str(out)]) == 0
+        lines[radius] = [
+            ln
+            for name in ("couple_trace.csv", "couple_ensemble.csv")
+            for ln in read(out / name).decode().splitlines()
+            if not ln.startswith("# config_hash=")
+        ]
+    assert any(ln.startswith("# nuK3=") for ln in lines["8"])
+    assert lines["8"] == lines["16"]

@@ -1,11 +1,14 @@
 """The int64 lattice-key codec and the code that indexes lattice points with it.
 
 The dict-keyed implementations that the codec replaced are kept here as
-references: the empirical TV with its bootstrap CI, the restricted
-generator and point aggregation must agree with them bit for bit, and the
-bootstrap must leave the random generator where the reference leaves it.
-``tv_distance`` adds its terms in key order where the dict sum added them
-in set order, so the two agree to rounding only.
+references: the empirical TV, the restricted generator and point
+aggregation must agree with them bit for bit, and the bootstrap must leave
+the random generator where the reference leaves it.  The reference scores
+each bootstrap draw over the whole union support, where the library scores
+it on the drawn categories plus the constant mass of ``pi`` off them, so
+the CI bounds agree to rounding only (1e-15).  ``tv_distance`` adds its
+terms in key order where the dict sum added them in set order, so the two
+agree to rounding only as well.
 """
 
 import numpy as np
@@ -201,7 +204,8 @@ def _assert_tv_matches_reference(points, pi, reps, n_boot, seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     tv, (lo, hi) = _empirical_tv_with_ci(points, pi, reps, rng, n_boot=n_boot)
     tv_ref, (lo_ref, hi_ref) = empirical_tv_with_ci_ref(points, pi, reps, rng_ref, n_boot=n_boot)
-    assert list(map(_bits, (tv, lo, hi))) == list(map(_bits, (tv_ref, lo_ref, hi_ref)))
+    assert _bits(tv) == _bits(tv_ref)
+    assert abs(lo - lo_ref) <= 1e-15 and abs(hi - hi_ref) <= 1e-15
     # the same number of random draws was consumed
     assert _bits(rng.random()) == _bits(rng_ref.random())
 
@@ -255,6 +259,15 @@ def test_empirical_tv_edge_cases_match_reference(case, n_boot):
     else:
         points = np.array([[9, 9]])
     _assert_tv_matches_reference(points, pi, len(points), n_boot, 5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bootstrap_off_sample_mass_matches_whole_union_scoring(seed):
+    # nearly all of pi's 3721 points lie off the 60-point sample, so nearly
+    # all of each draw's score is the constant off-sample mass
+    pi = _pi_on([[x, y] for x in range(-30, 31) for y in range(-30, 31)], seed)
+    points = np.random.default_rng(seed).integers(-3, 4, size=(60, 2))
+    _assert_tv_matches_reference(points, pi, len(points), 200, seed)
 
 
 def test_empirical_tv_on_a_sir_sample_matches_reference(sir, cert09):
