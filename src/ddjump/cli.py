@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, io as _io
-from .dynamics import StabilityCertificate, certify, cutoff_time
+from .dynamics import StabilityCertificate, certify, cutoff_time, m_sphere_map
 from .equilibrium import (
     cutoff_profile,
     discrete_normal,
@@ -301,8 +301,7 @@ def cmd_couple(args):
     N = args.N[0]
     Nc = N * cert.c
     h0 = args.h0 if args.h0 is not None else 0.1 * N
-    L = np.linalg.cholesky(cert.M)
-    u = np.linalg.inv(L).T @ np.ones(m.d)
+    u = m_sphere_map(cert.M) @ np.ones(m.d)
     u /= cert.m_norm(u)
     U0 = np.round(Nc + 0.5 * h0 * u).astype(np.int64)
     V0 = np.round(Nc - 0.5 * h0 * u).astype(np.int64)
@@ -398,7 +397,7 @@ def cmd_report(args):
 # Options several subcommands read, by dest; each subcommand adds only those it reads.
 _SHARED = {
     "model": dict(required=True, help="model config path"),
-    "out": dict(default=None, help="output directory"),
+    "out": dict(required=True, help="output directory"),
     "seed": dict(type=int, default=0),
     "workers": dict(type=int, default=os.cpu_count() or 1),
     "rho_fraction": dict(type=float, default=0.5),
@@ -420,7 +419,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check model assumptions and report witnesses")
-    _add_shared(p, "model", "out", "rho_fraction", "guess", "search_radius")
+    _add_shared(p, "model", "rho_fraction", "guess", "search_radius")
+    p.add_argument("--out", default=None, help="output directory (optional)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", help="build and save the stability certificate")

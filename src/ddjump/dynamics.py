@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from .engine import Restriction
 from .errors import (
     CertificateError,
     ConvergenceError,
@@ -25,7 +26,6 @@ from .errors import (
 from .model import eval_drift, eval_jacobian, eval_rates, rate_gradients
 
 HORIZON = "horizon"
-CROSSING = "crossing"
 LEFT_DOMAIN = "left_domain"
 
 NEWTON_TOL = 1e-12  # max |F| accepted at the fixed point
@@ -44,7 +44,6 @@ class FlowResult:
     times: np.ndarray
     states: np.ndarray
     terminated_by: str
-    crossing_level: float = math.nan
 
 
 def default_step(rho_hat):
@@ -135,6 +134,21 @@ def find_fixed_point(m, guess):
     raise ConvergenceError(f"Newton did not converge; |F| = {np.max(np.abs(F)):.3g}")
 
 
+def _lyapunov_lift(B, rhs):
+    """The symmetrized X with B X + X B^T = rhs, solved as a dense d^2 x d^2
+    linear system on the column-major vector of X (Kronecker lifting)."""
+    eye = np.eye(len(B))
+    vec = np.linalg.solve(np.kron(eye, B) + np.kron(B, eye), rhs.flatten(order="F"))
+    X = vec.reshape(rhs.shape, order="F")
+    return 0.5 * (X + X.T)
+
+
+def m_sphere_map(M):
+    """``inv(cholesky(M)).T``, which maps the Euclidean unit sphere onto the
+    M-unit sphere: ||m_sphere_map(M) u||_M = |u|."""
+    return np.linalg.inv(np.linalg.cholesky(M)).T
+
+
 def construct_M(A, rho):
     """SPD matrix M with <x, Ax>_M <= -rho ||x||_M^2 for all real x.
 
@@ -152,15 +166,10 @@ def construct_M(A, rho):
         raise CertificateError(
             f"spectral precondition fails: max Re(eig) = {np.max(evals.real):.6g} >= -rho = {-rho}"
         )
-    B = A + rho * np.eye(d)
-    eye = np.eye(d)
-    lifted = np.kron(eye, B.T) + np.kron(B.T, eye)
     try:
-        vecM = np.linalg.solve(lifted, (-eye).flatten(order="F"))
+        M = _lyapunov_lift((A + rho * np.eye(d)).T, -np.eye(d))
     except np.linalg.LinAlgError:
         raise CertificateError("singular lifted Lyapunov system") from None
-    M = vecM.reshape((d, d), order="F")
-    M = 0.5 * (M + M.T)
     if np.min(np.linalg.eigvalsh(M)) <= 0:
         raise CertificateError("Lyapunov solution is not positive definite")
     X = np.random.default_rng(0).normal(size=(1000, d))
@@ -204,12 +213,15 @@ class StabilityCertificate:
             raise CertificateError("eigenvalue real parts not below -rho")
 
     def m_norm(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.sqrt(np.einsum("...i,ij,...j->...", x, self.M, x)))
+        return float(self.m_norms(x))
 
     def m_norms(self, X):
         X = np.asarray(X, dtype=float)
         return np.sqrt(np.einsum("...i,ij,...j->...", X, self.M, X))
+
+    def ball(self, N, delta):
+        """The lattice ball B_M(N c, N delta)."""
+        return Restriction(M=self.M, center=N * self.c, radius=N * delta)
 
     def to_json_dict(self):
         return {
@@ -260,14 +272,12 @@ class StabilityCertificate:
 def _sample_ball(c, M, delta, n, rng):
     """Points of B_M(c, delta): half on the boundary sphere, half interior."""
     d = len(c)
-    L = np.linalg.cholesky(M)
-    Linv_T = np.linalg.inv(L).T  # ||Linv_T u||_M = |u|
     U = rng.normal(size=(n, d))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     radii = np.ones(n)
     half = n // 2
     radii[:half] = rng.random(half) ** (1.0 / d)
-    return c + delta * radii[:, None] * (U @ Linv_T.T)
+    return c + delta * radii[:, None] * (U @ m_sphere_map(M).T)
 
 
 def _ball_passes(m, pts, grad_c, tol):
@@ -444,8 +454,7 @@ def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
     """
     rng = np.random.default_rng(seed)
     d = m.d
-    L = np.linalg.cholesky(cert.M)
-    Linv_T = np.linalg.inv(L).T
+    Linv_T = m_sphere_map(cert.M)
     g_lo = k1_floor / math.sqrt(N)
     g_hi = cert.delta0
     if g_lo >= g_hi:

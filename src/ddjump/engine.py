@@ -40,11 +40,47 @@ def compile_rates(model):
 
 @dataclass(frozen=True)
 class Restriction:
-    """Ball restriction: jumps leaving B_M(center, radius) are switched off."""
+    """The ball B_M(center, radius) of lattice points; a restricted chain
+    switches off every jump that leaves it.
+
+    Every lattice ball test goes through ``contains`` and ``keeps``, so the
+    stationary solve and every restricted simulator drop the same jumps.
+    """
 
     M: np.ndarray
     center: np.ndarray  # in lattice units (N c)
     radius: float  # in lattice units (N delta)
+
+    def form(self, W):
+        """``sum_i (sum_k (w_i M_ik) w_k)`` over the first axis of ``W``, each
+        sum added left to right: the coupled-pair loop's form, term for term."""
+        if W.ndim == 1:  # one point: Python floats cost far less than numpy calls
+            w = W.tolist()
+            rows = [[wi * m * wk for m, wk in zip(Mi, w)] for wi, Mi in zip(w, self.M.tolist())]
+            rows = [sum(r[1:], r[0]) for r in rows]
+            return sum(rows[1:], rows[0])
+        W2 = W.reshape(len(W), -1)
+        T = W2[:, None] * self.M[:, :, None]
+        T *= W2  # T[i, k] = (w_i M_ik) w_k
+        S = T[:, 0]
+        for k in range(1, len(T)):
+            S = S + T[:, k]
+        q = S[0]
+        for i in range(1, len(S)):
+            q = q + S[i]
+        return q.reshape(W.shape[1:])
+
+    def contains(self, X):
+        """Whether the lattice point ``X`` (shape (d,)), or each row of ``X``
+        (shape (n, d)), lies in the ball."""
+        return self.form((np.asarray(X) - self.center).T) <= self.radius**2
+
+    def keeps(self, X, jumps):
+        """``keeps(X, jumps)[n, k]``: jump k from the lattice point ``X[n]`` lands in the ball."""
+        # the targets (X + J) - center, integer add first, laid out (coordinate,
+        # jump, row) so that every product runs over all jumps and rows at once
+        W = np.add(X.T[:, None, :], jumps.T[:, :, None], order="C") - self.center[:, None, None]
+        return (self.form(W) <= self.radius**2).T
 
 
 def _validate_rates(r, X, N):
@@ -57,24 +93,6 @@ def _validate_rates(r, X, N):
     if np.any(r < 0):
         i = int(np.argwhere(r < 0)[0][0])
         raise SimulationError(f"negative rate at state {X[i].tolist()} (N={N})")
-
-
-def _restriction_mask(restr, jumps):
-    """``mask(X)[n, k]``: jump k from state ``X[n]`` stays in the ball.
-
-    The terms that depend only on the jumps are computed here, once.
-    """
-    MJt = restr.M @ jumps.T.astype(float)
-    JMJ = np.einsum("ji,ij->j", jumps.astype(float), MJt)
-    r2 = restr.radius**2
-
-    def mask(X):
-        W = X.astype(float) - restr.center
-        base = np.einsum("ni,ij,nj->n", W, restr.M, W)
-        q = base[:, None] + 2.0 * (W @ MJt) + JMJ[None, :]
-        return q <= r2
-
-    return mask
 
 
 def _running_sums(r):
@@ -157,7 +175,6 @@ def simulate_chunk(
     jumps = model.jump_array
     J = model.kernel.J
     rates_fn = compile_rates(model)
-    mask = None if restriction is None else _restriction_mask(restriction, jumps)
 
     X0 = np.asarray(X0, dtype=np.int64)
     X = np.tile(X0, (n, 1)) if X0.ndim == 1 else X0[rep_lo:rep_hi].copy()
@@ -204,8 +221,8 @@ def simulate_chunk(
         X = live["X"]
         r = rates_fn(X / N)
         _validate_rates(r, X, N)
-        if mask is not None:
-            r = np.where(mask(X), r, 0.0)
+        if restriction is not None:
+            r = np.where(restriction.keeps(X, jumps), r, 0.0)
         cum = _running_sums(r)
 
         dead = cum[-1] <= 0.0
@@ -244,8 +261,9 @@ def simulate_chunk(
         gone = None
         if mode in (RECORDS, EVENTS):
             k, due_t = live["k"], live["due_t"]
-            due = np.flatnonzero(due_t < t_next)
-            if due.size:
+            due = due_t < t_next
+            if due.any():  # most steps take no record, and one reduction clears them
+                due = np.flatnonzero(due)
                 while due.size:
                     records[row[due], k[due]] = X[due]
                     k[due] += 1
@@ -255,8 +273,9 @@ def simulate_chunk(
                     gone = due_t == math.inf
         if mode == EVENTS:
             gone = t_next >= horizon
-            for i in np.flatnonzero(gone):
-                records[row[i], k[i] :] = X[i]
+            if gone.any():
+                for i in np.flatnonzero(gone):
+                    records[row[i], k[i] :] = X[i]
 
         if mode == MARTINGALE:
             F = _drift(r, J)
@@ -299,8 +318,7 @@ def simulate_chunk(
                 sup_m[rows] = live["sup"][gone]
 
         if mode == EXIT:
-            W = X.astype(float) - exit_ball.center
-            out = np.einsum("ni,ij,nj->n", W, exit_ball.M, W) > exit_ball.radius**2
+            out = ~exit_ball.contains(X)
             exited[row[out]] = True
             exit_time[row[out]] = t_next[out]
             gone = out | (t_next >= horizon)

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution, LatticeKeys, canonical_order
-from .dynamics import _drift, _rk4_flow, _rk4_step, cutoff_time, default_step
+from .dynamics import _drift, _lyapunov_lift, _rk4_flow, _rk4_step, cutoff_time, default_step
 from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
 from .simulate import sample_states
 
@@ -29,25 +29,19 @@ def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     (ellipsoid volume) exceeds ``cap``.
     """
     d = len(cert.c)
-    radius = N * delta
+    ball = cert.ball(N, delta)
     expected = (
         math.pi ** (d / 2.0)
         / math.gamma(d / 2.0 + 1.0)
-        * radius**d
+        * ball.radius**d
         / math.sqrt(np.linalg.det(cert.M))
     )
     if expected > cap:
         raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
-    center = N * cert.c
-    hw = int(math.ceil(radius / cert.c0))
-    axes = [
-        np.arange(int(math.floor(center[i])) - hw, int(math.ceil(center[i])) + hw + 1)
-        for i in range(d)
-    ]
+    hw = int(math.ceil(ball.radius / cert.c0))
+    axes = [np.arange(int(math.floor(c)) - hw, int(math.ceil(c)) + hw + 1) for c in ball.center]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    W = grid.astype(float) - center
-    q = np.einsum("ni,ij,nj->n", W, cert.M, W)
-    states = grid[q <= radius**2]
+    states = grid[ball.contains(grid)]
     if len(states) > cap:
         raise CapExceededError(f"{len(states)} states exceeds cap {cap}")
     return states[canonical_order(states)].astype(np.int64)
@@ -67,11 +61,10 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     rates_fn = engine.compile_rates(m)
     r = rates_fn(states.astype(float) / N)
     engine._validate_rates(r, states, N)
+    keeps = cert.ball(N, delta).keeps(states, m.jump_array)
     rows, targets, vals = [], [], []
     for k, J in enumerate(m.jump_array):
-        W = (states + J).astype(float) - N * cert.c
-        q = np.einsum("ni,ij,nj->n", W, cert.M, W)
-        ok = np.flatnonzero(q <= (N * delta) ** 2)
+        ok = np.flatnonzero(keeps[:, k])
         rows.append(ok)
         targets.append(states[ok] + J)
         vals.append(N * r[ok, k])
@@ -198,14 +191,12 @@ def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
     """
     if burnin < 0 or samples < 1:
         raise ValueError("need burnin >= 0 and samples >= 1")
-    center = N * cert.c
-    radius = N * delta
-    X = tuple(int(v) for v in np.round(center))
-    if cert.m_norm(np.array(X) - center) > radius:
+    ball = cert.ball(N, delta)
+    X = tuple(int(v) for v in np.round(ball.center))
+    if not ball.contains(X):
         raise DomainError("no lattice state inside the restriction ball")
     rates_fn = engine.compile_rates(m)
     jumps = [tuple(int(v) for v in J) for J in m.jumps]
-    M = cert.M
 
     cache = {}
 
@@ -219,13 +210,10 @@ def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
             engine._validate_rates(r[None, :], np.array([x]), N)
             targets = []
             vals = []
-            for J, rj in zip(jumps, r):
-                if rj <= 0:
-                    continue
-                tgt = tuple(a + b for a, b in zip(x, J))
-                w = np.array(tgt, dtype=float) - center
-                if w @ M @ w <= radius**2:
-                    targets.append(tgt)
+            keeps = ball.keeps(np.array([x]), m.jump_array)[0]
+            for J, rj, ok in zip(jumps, r, keeps):
+                if rj > 0 and ok:
+                    targets.append(tuple(a + b for a, b in zip(x, J)))
                     vals.append(N * rj)
             if targets:
                 cum = np.cumsum(vals)
@@ -266,15 +254,10 @@ def solve_lyapunov_sigma(A, sigma2):
     """Solve A Sigma + Sigma A^T + sigma2 = 0 by dense Kronecker lifting."""
     A = np.asarray(A, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
-    d = A.shape[0]
     evals = np.linalg.eigvals(A)
     if np.max(evals.real) >= 0:
         raise ConvergenceError("A is not Hurwitz")
-    eye = np.eye(d)
-    lifted = np.kron(eye, A) + np.kron(A, eye)
-    vec = np.linalg.solve(lifted, (-sigma2).flatten(order="F"))
-    Sigma = vec.reshape((d, d), order="F")
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    Sigma = _lyapunov_lift(A, -sigma2)
     resid = np.max(np.abs(A @ Sigma + Sigma @ A.T + sigma2))
     if resid > 1e-10:
         raise ConvergenceError(f"Lyapunov residual {resid:.3g} exceeds 1e-10")
@@ -325,9 +308,7 @@ def tv_distance(p, q):
 
 def tail_mass(pi, cert, N, z):
     """Mass of ``pi`` outside the closed ball B_M(N c, N z)."""
-    W = pi.support.astype(float) - N * cert.c
-    g = np.sqrt(np.einsum("ni,ij,nj->n", W, cert.M, W))
-    return float(pi.mass[g > N * z].sum())
+    return float(pi.mass[~cert.ball(N, z).contains(pi.support)].sum())
 
 
 @dataclass(frozen=True)
@@ -428,7 +409,7 @@ def cutoff_profile(
 
     opts = SimOptions(N=N, seed=seed, horizon=uniq[-1] + 1.0, record=tuple(uniq))
     X0 = np.round(N * x0).astype(np.int64)
-    rec = sample_states(m, opts, X0, tuple(uniq), reps, workers=workers)
+    rec = sample_states(m, opts, X0, reps, workers=workers)
     pos = {t: k for k, t in enumerate(uniq)}
     rng = _rng.substream(seed, 0, _rng.BOOTSTRAP)
     tvs = np.empty(len(s_grid))
@@ -523,7 +504,7 @@ def mean_drift_check(m, cert, N, y0, times, reps, seed, workers=1, delta=None):
     opts = SimOptions(
         N=N, seed=seed, horizon=max(times) + 1.0, record=times, restriction=restriction
     )
-    rec = sample_states(m, opts, X0, times, reps, workers=workers)
+    rec = sample_states(m, opts, X0, reps, workers=workers)
     flow = _flow_at_times(m, X0.astype(float) / N, times, default_step(cert.rho_hat))
     stat = np.empty(len(times))
     se = np.empty(len(times))
@@ -560,7 +541,7 @@ def variance_check(m, cert, N, X0, t, reps, direction, seed, workers=1, delta=No
     direction = np.asarray(direction, dtype=float)
     restriction = None if delta is None else (cert, delta)
     opts = SimOptions(N=N, seed=seed, horizon=t + 1.0, record=(t,), restriction=restriction)
-    rec = sample_states(m, opts, np.asarray(X0, dtype=np.int64), (t,), reps, workers=workers)
+    rec = sample_states(m, opts, np.asarray(X0, dtype=np.int64), reps, workers=workers)
     v = rec[:, 0, :].astype(float) @ direction
     var = float(v.var(ddof=1))
     L = float(np.linalg.norm(direction)) / cert.c0

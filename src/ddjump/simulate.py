@@ -11,13 +11,13 @@ batch, far above the chunks the ensembles use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution
-from .dynamics import _slack_threshold, integrate_ode
+from .dynamics import _slack_threshold, integrate_ode, m_sphere_map
 from .errors import DomainError, SimulationError
 from .model import eval_rates
 
@@ -67,7 +67,7 @@ class SimOptions:
         if self.restriction is None:
             return None
         cert, delta = self.restriction
-        return engine.Restriction(M=cert.M, center=self.N * cert.c, radius=self.N * delta)
+        return cert.ball(self.N, delta)
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,8 @@ def _check_start(m, opts, X0):
     if not m.domain.contains(X0 / opts.N):
         raise DomainError(f"start {X0.tolist()} outside domain at N={opts.N}")
     restr = opts.engine_restriction()
-    if restr is not None:
-        w = X0 - restr.center
-        if w @ restr.M @ w > restr.radius**2:
-            raise DomainError(f"start {X0.tolist()} outside the restriction ball")
+    if restr is not None and not restr.contains(X0):
+        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
     return X0
 
 
@@ -117,18 +115,14 @@ def simulate_path(m, opts, X0, replicate=0):
     )
 
 
-def sample_states(m, opts, X0, times, reps, workers=1):
-    """States of ``reps`` independent replicates at each time, (reps, n_t, d).
+def sample_states(m, opts, X0, reps, workers=1):
+    """States of ``reps`` independent replicates at each of the record times
+    ``opts.record``, (reps, n_t, d).
 
     Replicate r uses the stream (seed, r, PATH); outputs are independent of
     worker count and chunking.
     """
     X0 = _check_start(m, opts, X0)
-    times = tuple(float(t) for t in times)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be sorted")
-    if times and times[-1] > opts.horizon:
-        raise ValueError("times must not exceed the horizon")
     out = engine.run_paths(
         m,
         opts.N,
@@ -137,7 +131,7 @@ def sample_states(m, opts, X0, times, reps, workers=1):
         reps,
         workers=workers,
         mode=engine.RECORDS,
-        record_times=times,
+        record_times=opts.record,
         restriction=opts.engine_restriction(),
     )
     return out["records"]
@@ -147,7 +141,7 @@ def sample_at(m, opts, X0, t, reps, workers=1):
     """Empirical law of X(t) from ``reps`` replicates."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    rec = sample_states(m, opts, X0, (t,), reps, workers=workers)
+    rec = sample_states(m, replace(opts, record=(t,)), X0, reps, workers=workers)
     return LatticeDistribution.from_points(rec[:, 0, :])
 
 
@@ -181,10 +175,8 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
     """
     rng = np.random.default_rng(seed)
     d = m.d
-    L = np.linalg.cholesky(cert.M)
-    Linv_T = np.linalg.inv(L).T
-    Nc = N * cert.c
-    rad = N * cert.delta0
+    Linv_T = m_sphere_map(cert.M)
+    ball = cert.ball(N, cert.delta0)
     jumps = m.jump_array
     rows = []
     for _ in range(samples):
@@ -195,7 +187,7 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
             u /= np.linalg.norm(u)
             x = cert.c + r * (Linv_T @ u)
             X = np.round(N * x).astype(np.int64)
-            if cert.m_norm(X - Nc) > rad or not m.domain.contains(X / N):
+            if not ball.contains(X) or not m.domain.contains(X / N):
                 pts = None
                 break
             pts.append(X)
@@ -246,7 +238,9 @@ def _pair_loop(m):
 
     The loop runs on Python ints and floats, with the coordinates and jumps
     unrolled and the kernel's rate expressions inlined.  H and the ball
-    check both take ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right.
+    check both take ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right:
+    the scalar twin of ``engine.Restriction.form``, on the targets
+    ``(z + J) - center`` that ``Restriction.keeps`` forms.
     Rates that divide by zero on floats are evaluated again on numpy
     scalars; the ball then zeroes the jumps leaving it, and any inf, nan or
     negative rate left raises.  Phases are coded as in ``_PHASE_CODE``.
@@ -419,8 +413,7 @@ def simulate_coupled(
     ball = None
     if restr is not None:
         for name, Z in (("U0", U), ("V0", V)):
-            w = Z - restr.center
-            if w @ restr.M @ w > restr.radius**2:
+            if not restr.contains(Z):
                 raise DomainError(f"{name} outside the restriction ball")
         ball = (*restr.center.tolist(), restr.radius**2, *restr.M.ravel().tolist())
     k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
@@ -612,10 +605,9 @@ def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
     d = m.d
-    L = np.linalg.cholesky(cert.M)
-    Linv_T = np.linalg.inv(L).T
-    Nc = N * cert.c
-    rad_p = N * delta_prime
+    Linv_T = m_sphere_map(cert.M)
+    start_ball = cert.ball(N, delta_prime)
+    Nc, rad_p = start_ball.center, start_ball.radius
     rng = _rng.substream(seed, 0, _rng.EXIT_START)
     starts = np.zeros((reps, d), dtype=np.int64)
     for i in range(reps):
@@ -624,11 +616,10 @@ def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
         x = Nc + rad_p * (Linv_T @ u)
         X = np.round(x).astype(np.int64)
         scale = 1.0
-        while cert.m_norm(X - Nc) > rad_p and scale > 0.0:
+        while not start_ball.contains(X) and scale > 0.0:
             scale -= 0.05
             X = np.round(Nc + scale * rad_p * (Linv_T @ u)).astype(np.int64)
         starts[i] = X
-    ball = engine.Restriction(M=cert.M, center=Nc, radius=N * delta)
     if T > 0:
         out = engine.run_paths(
             m,
@@ -639,7 +630,7 @@ def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
             workers=workers,
             mode=engine.EXIT,
             horizon=T,
-            exit_ball=ball,
+            exit_ball=cert.ball(N, delta),
         )
         hits = (out["exited"]) & (out["exit_time"] <= T)
         p = float(hits.mean())

@@ -8,7 +8,12 @@ left-to-right order: the row total (numpy's ``sum`` adds 8 or more terms
 pairwise; below 8 the two agree bit for bit) and the martingale drift
 ``F = r @ J`` (a matrix product's order can depend on the row count; with at
 most two nonzero jump entries per coordinate, as in every shipped model,
-every order gives the same sums).
+every order gives the same sums).  The restriction and exit tests changed
+too, to the definition that the engine's ball and the coupled-pair loop
+share: the quadratic form added left to right, term by term, of X - center
+or of the target (X + J) - center.  The expanded form ``q(X) + 2 (X - c)^T M
+J + J^T M J`` and an ``einsum`` round differently, and can put a target
+that lies on the sphere outside it.
 """
 
 import math
@@ -19,14 +24,22 @@ from ddjump import engine, rng as _rng
 from ddjump.engine import EXIT, MARTINGALE, RECORDS, _drift, _running_sums
 
 
+def _in_ball(W, ball):
+    """Whether each ``w = W[..., :]`` lies in ``ball``: ``sum_i (sum_j (w_i
+    M_ij) w_j)``, term by term and added left to right, against radius**2."""
+    d = W.shape[-1]
+    q = None
+    for i in range(d):
+        s = W[..., i] * ball.M[i, 0] * W[..., 0]
+        for j in range(1, d):
+            s = s + W[..., i] * ball.M[i, j] * W[..., j]
+        q = s if q is None else q + s
+    return q <= ball.radius**2
+
+
 def _restriction_mask(X, jumps, restr):
-    W = X.astype(float) - restr.center
-    MJt = restr.M @ jumps.T.astype(float)
-    base = np.einsum("ni,ij,nj->n", W, restr.M, W)
-    cross = W @ MJt
-    JMJ = np.einsum("ji,ij->j", jumps.astype(float), MJt)
-    q = base[:, None] + 2.0 * cross + JMJ[None, :]
-    return q <= restr.radius**2
+    """``mask[n, k]``: the target (X[n] + J_k) - center lies in the ball."""
+    return _in_ball((X[:, None, :] + jumps) - restr.center, restr)
 
 
 def simulate_chunk_reference(
@@ -203,9 +216,7 @@ def simulate_chunk_reference(
                 active[rows] = False
 
         if mode == EXIT:
-            W = X[idx].astype(float) - exit_ball.center
-            q = np.einsum("ni,ij,nj->n", W, exit_ball.M, W)
-            out = q > exit_ball.radius**2
+            out = ~_in_ball(X[idx] - exit_ball.center, exit_ball)
             if out.any():
                 rows = idx[out]
                 exited[rows] = True

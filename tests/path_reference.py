@@ -3,8 +3,9 @@ became the engine's ``events`` mode over one replicate: the test oracle for
 ``ddjump.simulate.simulate_path``.
 
 It steps one numpy state vector, evaluates the rates through the model's
-array kernel on a single point, and draws its uniforms through
-``rng.uniforms`` from the stream (seed, replicate, PATH).
+array kernel on a single point, restricts them through the ball's
+``keeps``, and draws its uniforms through ``rng.uniforms`` from the stream
+(seed, replicate, PATH).
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ def simulate_path_reference(m, opts, X0, replicate=0):
     rates_fn = engine.compile_rates(m)
     jumps = m.jump_array
     restr = opts.engine_restriction()
-    mask = None if restr is None else engine._restriction_mask(restr, jumps)
     draw = _rng.uniforms(opts.seed, replicate, _rng.PATH)
 
     rec_times = opts.record
@@ -38,8 +38,8 @@ def simulate_path_reference(m, opts, X0, replicate=0):
         y = X.astype(float) / N
         r = rates_fn(y)
         engine._validate_rates(r[None, :], X[None, :], N)
-        if mask is not None:
-            r = np.where(mask(X[None, :])[0], r, 0.0)
+        if restr is not None:
+            r = np.where(restr.keeps(X[None, :], jumps)[0], r, 0.0)
         cum = engine._running_sums(r)
         tot = cum[-1]
         if tot <= 0.0:

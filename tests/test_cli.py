@@ -452,6 +452,24 @@ def test_options_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, argv)
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--model", "m.cfg"],
+        ["simulate", "--model", "m.cfg", "--N", "50", "--x0", "1,1"],
+        ["equilibrium", "--model", "m.cfg", "--N", "30"],
+        ["cutoff", "--model", "m.cfg", "--N", "50", "--x0", "1,1", "--s-grid", "0"],
+        ["couple", "--model", "m.cfg", "--N", "50"],
+        ["report"],
+    ],
+)
+def test_subcommands_that_write_require_out(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def test_couple_search_radius_reaches_the_jump_analysis(tmp_path, capsys):
     p = tmp_path / "wide.cfg"
     p.write_text(WIDE_JUMPS)

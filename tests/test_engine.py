@@ -4,13 +4,14 @@ reference (``engine_reference``), and its ``events`` mode, which runs
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
 from conftest import identity_certificate
-from engine_reference import simulate_chunk_reference
+from coupling_reference import _mq
+from engine_reference import _restriction_mask, simulate_chunk_reference
 from path_reference import simulate_path_reference
 
 SIR = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
@@ -82,8 +83,17 @@ def chunk_runs(draw):
     return m, N, X0, seed, rep_lo, rep_hi, kw
 
 
+# a target on the sphere: the ball keeps it, where an expanded or einsum form
+# of the quadratic can round it out
+ON_SPHERE = engine.Restriction(M=M_OF_DIM[2], center=np.array([12.0, 12.0]), radius=6.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(chunk_runs())
+@example(
+    (NINE_JUMPS, 12, np.array([12, 12]), 0, 0, 4,
+     {"block": 2, "mode": engine.RECORDS, "record_times": (0.625,), "restriction": ON_SPHERE})
+)
 def test_chunk_matches_reference_bitwise(run):
     m, N, X0, seed, rep_lo, rep_hi, kw = run
     new = engine.simulate_chunk(m, N, X0, seed, rep_lo, rep_hi, **kw)
@@ -143,7 +153,7 @@ def test_drift_is_the_matrix_product_for_sir_jumps(n, values):
 def test_scalar_path_matches_engine_with_nine_jumps():
     opts = dj.SimOptions(N=20, seed=5, horizon=3.0, record=(0.0, 0.5, 1.7, 3.0))
     X0 = np.array([20, 20])
-    rec = dj.sample_states(NINE_JUMPS, opts, X0, opts.record, reps=8)
+    rec = dj.sample_states(NINE_JUMPS, opts, X0, reps=8)
     for r in range(8):
         tr = simulate_path_reference(NINE_JUMPS, opts, X0, replicate=r)
         assert np.array_equal(tr.recorded, rec[r])
@@ -239,3 +249,66 @@ def test_unknown_mode_is_rejected():
 def test_run_paths_rejects_empty_splits(reps, chunk, message):
     with pytest.raises(ValueError, match=message):
         engine.run_paths(SIR, 10, np.array([10, 10]), 0, reps, chunk=chunk, record_times=(1.0,))
+
+
+@st.composite
+def balls(draw):
+    """(ball, points, jumps): an SPD M of dimension 1-3, a non-integer centre,
+    integer points and integer jumps."""
+    d = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d)))
+    M = A.reshape(d, d) @ A.reshape(d, d).T + 0.1 * np.eye(d)
+    fractional = st.floats(-1e3, 1e3).filter(lambda v: not v.is_integer())
+    centre = np.array(draw(st.lists(fractional, min_size=d, max_size=d)))
+    n, n_jumps = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    X = draw(st.lists(st.integers(-2000, 2000), min_size=n * d, max_size=n * d))
+    J = draw(st.lists(st.integers(-3, 3), min_size=n_jumps * d, max_size=n_jumps * d))
+    ball = engine.Restriction(M=M, center=centre, radius=draw(st.floats(0.0, 3e3)))
+    return ball, np.array(X).reshape(n, d), np.array(J).reshape(n_jumps, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(balls())
+def test_ball_form_is_the_pair_loop_form_bit_for_bit(case):
+    # the generated pair loop is pinned to coupling_reference._mq, so this
+    # ties its H and ball check to the ball's arithmetic
+    ball, X, J = case
+    M, centre, r2 = ball.M.tolist(), ball.center.tolist(), ball.radius**2
+    q = ball.form((X - ball.center).T)
+    keeps, inside = ball.keeps(X, J), ball.contains(X)
+    for n, x in enumerate(X.tolist()):
+        ref = np.float64(_mq([a - c for a, c in zip(x, centre)], M)).tobytes()
+        assert q[n].tobytes() == np.float64(ball.form(X[n] - ball.center)).tobytes() == ref
+        assert inside[n] == ball.contains(X[n]) == (q[n] <= r2)
+        for k, j in enumerate(J.tolist()):
+            assert keeps[n, k] == (_mq([(a + b) - c for a, b, c in zip(x, j, centre)], M) <= r2)
+
+
+def test_keeps_adds_the_jump_before_subtracting_the_centre():
+    # (5 + -1) - c rounds once; (5 - c) + -1 rounds twice and lands one ulp
+    # further out, past a sphere through the target
+    c = -3.848712202172183
+    w = (5 - 1) - c
+    assert abs((5 - c) - 1) > abs(w)
+    ball = engine.Restriction(M=np.eye(1), center=np.array([c]), radius=w)
+    assert ball.keeps(np.array([[5]]), np.array([[-1]]))[0, 0]
+
+
+@pytest.mark.parametrize(
+    "N,delta,cert", [(30, 0.78, "cert05"), (100, 0.7, "cert05"), (200, 1.8, "cert09")]
+)
+def test_keeps_on_every_sir_ball_state_matches_every_reference(request, sir, N, delta, cert):
+    cert = request.getfixturevalue(cert)
+    states = dj.enumerate_ball(N, cert, delta)
+    ball, jumps = cert.ball(N, delta), sir.jump_array
+    keeps = ball.keeps(states, jumps)
+    W = (states[:, None, :] + jumps).astype(float) - ball.center
+    assert np.array_equal(keeps, np.einsum("nki,ij,nkj->nk", W, ball.M, W) <= ball.radius**2)
+    assert np.array_equal(keeps, _restriction_mask(states, jumps, ball))
+    # the expanded form q(X) + 2 (X - c)^T M J + J^T M J that the engine took
+    # before its ball type keeps the same jumps on these balls
+    V = states - ball.center
+    MJ = ball.M @ jumps.T
+    q = np.einsum("ni,ij,nj->n", V, ball.M, V)[:, None] + 2.0 * (V @ MJ)
+    assert np.array_equal(keeps, q + np.einsum("ji,ij->j", jumps, MJ) <= ball.radius**2)
+    assert keeps.all(axis=1).any() and not keeps.all()

@@ -274,7 +274,7 @@ def test_empirical_tv_on_a_sir_sample_matches_reference(sir, cert09):
     N, reps = 40, 3000
     pi = dj.stationary_exact(sir, N, cert09, 1.8)
     opts = dj.SimOptions(N=N, seed=4, horizon=2.0, record=(0.5, 1.5))
-    rec = dj.sample_states(sir, opts, np.array([N, N]), (0.5, 1.5), reps)
+    rec = dj.sample_states(sir, opts, np.array([N, N]), reps)
     for k in range(2):
         _assert_tv_matches_reference(rec[:, k, :], pi, reps, 300, 9)
 

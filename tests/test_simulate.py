@@ -46,7 +46,7 @@ def test_pure_death_mean_matches_exponential_decay():
     N = 50
     reps = 20_000
     opts = dj.SimOptions(N=N, seed=9, horizon=1.5, record=(1.0,))
-    rec = dj.sample_states(m, opts, np.array([N]), (1.0,), reps)
+    rec = dj.sample_states(m, opts, np.array([N]), reps)
     vals = rec[:, 0, 0] / N
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - math.exp(-1.0)) <= 3.0 * se
@@ -55,7 +55,7 @@ def test_pure_death_mean_matches_exponential_decay():
 def test_scalar_and_batched_engines_agree_bitwise(sir):
     opts = dj.SimOptions(N=80, seed=123, horizon=4.0, record=(0.0, 0.7, 1.9, 3.7))
     X0 = np.array([40, 80])
-    rec = dj.sample_states(sir, opts, X0, opts.record, reps=6)
+    rec = dj.sample_states(sir, opts, X0, reps=6)
     for r in range(6):
         tr = simulate_path_reference(sir, opts, X0, replicate=r)
         assert np.array_equal(tr.recorded, rec[r])
@@ -171,7 +171,7 @@ def test_coupled_marginal_is_free_chain(sir, cert05):
         )
         legs[r] = tr.U[0]
     free_opts = dj.SimOptions(N=N, seed=77, horizon=1.5, record=(t,))
-    free = dj.sample_states(sir, free_opts, U0, (t,), reps)[:, 0, :]
+    free = dj.sample_states(sir, free_opts, U0, reps)[:, 0, :]
     p = dj.LatticeDistribution.from_points(legs)
     q = dj.LatticeDistribution.from_points(free)
     tv_obs = dj.tv_distance(p, q)
