@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -50,6 +51,8 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+_log = logging.getLogger(__name__)
 
 
 def _load_model(path):
@@ -191,14 +194,14 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _pi_for(m, N, cert, delta, args, log):
+def _pi_for(m, N, cert, delta, args):
     """Exact stationary law when the ball fits the cap, else the long-run
-    occupation estimate (downgrade logged, not fatal)."""
+    occupation estimate (downgrade logged as a warning, not fatal)."""
     try:
         pi = stationary_exact(m, N, cert, delta, cap=args.state_cap)
         return pi, "exact"
     except CapExceededError as e:
-        log(f"N={N}: exact pi unavailable ({e}); falling back to occupation estimate")
+        _log.warning("N=%s: exact pi unavailable (%s); falling back to occupation estimate", N, e)
         try:
             tN = cutoff_time(m, cert, np.full(m.d, 1.0), N)
         except (DdjumpError, ValueError):
@@ -218,7 +221,7 @@ def cmd_equilibrium(args):
     sigma2 = equilibrium_sigma2(m, cert.c)
     Sigma = solve_lyapunov_sigma(cert.A, sigma2)
     for N in args.N:
-        pi, method = _pi_for(m, N, cert, delta, args, lambda s: print(s, file=sys.stderr))
+        pi, method = _pi_for(m, N, cert, delta, args)
         dn = discrete_normal(N, cert.c, Sigma)
         entry = {
             "N": N,
@@ -248,7 +251,7 @@ def cmd_cutoff(args):
     delta = args.delta if args.delta is not None else cert.delta0 / 2
     summary = {"provenance": _provenance(args, text, seed=args.seed), "runs": []}
     for N in args.N:
-        pi, method = _pi_for(m, N, cert, delta, args, lambda s: print(s, file=sys.stderr))
+        pi, method = _pi_for(m, N, cert, delta, args)
         prof = cutoff_profile(
             m,
             cert,
@@ -476,6 +479,9 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    # warnings reach stderr as their bare message, like the error lines below
+    handler = logging.StreamHandler(sys.stderr)
+    _log.addHandler(handler)
     try:
         return args.func(args)
     except _CliError as e:
@@ -504,6 +510,8 @@ def main(argv=None):
     except DdjumpError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        _log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -381,6 +381,15 @@ def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
     return tv, (float(lo), float(hi))
 
 
+def _profile_row(shared, k, _):
+    """TV and bootstrap CI of row ``k`` of a cutoff profile, on the row's
+    own bootstrap stream."""
+    records, pi, reps, n_boot, seed = shared
+    rng = _rng.substream(seed, k, _rng.BOOTSTRAP)
+    tv, (lo, hi) = _empirical_tv_with_ci(records[:, k], pi, reps, rng, n_boot=n_boot)
+    return tv, lo, hi
+
+
 def cutoff_profile(
     m,
     cert,
@@ -399,26 +408,25 @@ def cutoff_profile(
     One batch of paths serves every s (each row's marginal is exact; rows
     share replicates).  Rows carry bootstrap CIs and the sampling-bias floor
     sqrt(|support(pi)| / reps).
+
+    The rows are scored on the worker pool, one row per chunk.  Row k of the
+    sorted s-grid draws its bootstrap from its own stream (k, BOOTSTRAP), so
+    a row does not depend on the other rows or on ``workers``, and dropping
+    the s-values after it leaves it unchanged.
     """
     x0 = np.asarray(x0, dtype=float)
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
     t_N = cutoff_time(m, cert, x0, N)
     times = np.maximum(t_N + s_grid, 0.0)
-    uniq = sorted(set(times.tolist()))
+    uniq, col = np.unique(times, return_inverse=True)
     from .simulate import SimOptions
 
-    opts = SimOptions(N=N, seed=seed, horizon=uniq[-1] + 1.0, record=tuple(uniq))
+    opts = SimOptions(N=N, seed=seed, horizon=float(uniq[-1]) + 1.0, record=tuple(uniq.tolist()))
     X0 = np.round(N * x0).astype(np.int64)
-    rec = sample_states(m, opts, X0, reps, workers=workers)
-    pos = {t: k for k, t in enumerate(uniq)}
-    rng = _rng.substream(seed, 0, _rng.BOOTSTRAP)
-    tvs = np.empty(len(s_grid))
-    clo = np.empty(len(s_grid))
-    chi = np.empty(len(s_grid))
-    for k, t in enumerate(times):
-        pts = rec[:, pos[t], :]
-        tv, (lo, hi) = _empirical_tv_with_ci(pts, pi, reps, rng, n_boot=n_boot)
-        tvs[k], clo[k], chi[k] = tv, lo, hi
+    records = sample_states(m, opts, X0, reps, workers=workers)[:, col]
+    shared = (records, pi, reps, n_boot, seed)
+    rows = engine.map_chunks(_profile_row, shared, len(times), 1, workers)
+    tvs, clo, chi = (np.array(c) for c in zip(*rows))
     return CutoffProfile(
         N=N,
         x0=tuple(float(v) for v in x0),

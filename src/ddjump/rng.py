@@ -6,7 +6,7 @@ seed and a tuple of integer ids via ``SeedSequence(seed, spawn_key=ids)``:
 * free/restricted path of replicate r      -> (r, PATH)
 * coupled pair r                           -> (r, COUPLED)
 * occupation sampler                       -> (0, OCCUPATION)
-* bootstrap resampling                     -> (0, BOOTSTRAP)
+* bootstrap of cutoff-profile row k        -> (k, BOOTSTRAP)
 
 Replicate results therefore depend only on (seed, replicate index), never on
 chunking or worker count.

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,21 @@ def test_equilibrium_downgrades_to_empirical_above_cap(sir_cfg, tmp_path, capsys
     summary = json.load(open(os.path.join(out, "equilibrium.json")))
     assert summary["N"][0]["pi_method"] == "empirical"
     assert "falling back" in captured.err
+
+
+def test_fallback_warning_is_one_bare_stderr_line_per_run(sir_cfg, tmp_path, capsys):
+    # the module logger's message reaches stderr with its old text, and the
+    # handler main attaches leaves with the run, so a second run logs once
+    args = ["cutoff", "--model", sir_cfg, "--N", "30", "--x0", "1,1", "--s-grid", "0"]
+    args += ["--reps", "50", "--delta", "0.6", "--state-cap", "50", "--samples", "2000"]
+    for run in ("a", "b"):
+        assert main(args + ["--workers", "1", "--out", str(tmp_path / run)]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"N=30: exact pi unavailable \(expected \S+ states exceeds cap 50\); "
+            r"falling back to occupation estimate\n",
+            err,
+        ), err
 
 
 def test_report_empty_dir(tmp_path, capsys):

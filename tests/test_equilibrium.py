@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import ddjump as dj
-from ddjump.equilibrium import build_restricted_generator
+from ddjump import engine
+from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator
 from ddjump.errors import CapExceededError, ConvergenceError
+from ddjump.rng import BOOTSTRAP, substream
+from ddjump.simulate import SimOptions, sample_states
 from conftest import as_dict, identity_certificate
 
 
@@ -341,6 +344,71 @@ def test_cutoff_profile_single_row(sir, cert05):
     prof = dj.cutoff_profile(sir, cert05, N, (1.0, 1.0), (0.0,), 500, delta, pi, seed=3)
     assert len(prof.s) == 1
     assert prof.t[0] == pytest.approx(prof.t_N)
+
+
+# two s-values clip to t = 0 and share one record time; the grid is unsorted
+ROW_GRID = (2.0, -50.0, 0.5, -40.0, -1.0)
+
+
+@pytest.fixture(scope="module")
+def pi30(sir, cert05):
+    return dj.stationary_exact(sir, 30, cert05, 0.7)
+
+
+def _rows_profile(sir, cert05, pi, s_grid, workers=1, n_boot=200):
+    return dj.cutoff_profile(
+        sir, cert05, 30, (1.0, 1.0), s_grid, 400, 0.7, pi, seed=11, workers=workers, n_boot=n_boot
+    )
+
+
+def _columns(prof):
+    return np.stack([prof.s, prof.t, prof.tv, prof.ci_lo, prof.ci_hi])
+
+
+def test_cutoff_profile_is_identical_at_one_and_two_workers(sir, cert05, pi30):
+    one = _rows_profile(sir, cert05, pi30, ROW_GRID, workers=1)
+    two = _rows_profile(sir, cert05, pi30, ROW_GRID, workers=2)
+    assert np.array_equal(_columns(one), _columns(two))
+    assert (one.t_N, one.bias_floor) == (two.t_N, two.bias_floor)
+
+
+def test_cutoff_row_k_bootstraps_on_stream_k(sir, cert05, pi30):
+    prof = _rows_profile(sir, cert05, pi30, ROW_GRID, workers=2)
+    uniq = np.unique(prof.t)
+    assert len(uniq) == len(prof.t) - 1 and prof.t[0] == prof.t[1] == 0.0
+    opts = SimOptions(N=30, seed=11, horizon=float(uniq[-1]) + 1.0, record=tuple(uniq.tolist()))
+    records = sample_states(sir, opts, np.array([30, 30]), 400)
+    for k, t in enumerate(prof.t):
+        pts = records[:, int(np.searchsorted(uniq, t))]
+        rng = substream(11, k, BOOTSTRAP)
+        tv, (lo, hi) = _empirical_tv_with_ci(pts, pi30, 400, rng, n_boot=200)
+        assert (prof.tv[k], prof.ci_lo[k], prof.ci_hi[k]) == (tv, lo, hi)
+
+
+def test_cutoff_row_keeps_its_ci_when_the_other_rows_change(sir, cert05, pi30):
+    # row k keeps its stream while k rows sort before it, whatever their
+    # s-values; its records do not depend on the horizon later rows set
+    full = _columns(_rows_profile(sir, cert05, pi30, ROW_GRID))
+    s_sorted = sorted(ROW_GRID)
+    for k in (0, 3):
+        part = _rows_profile(sir, cert05, pi30, s_sorted[: k + 1])
+        assert np.array_equal(_columns(part), full[:, : k + 1])
+    moved = _rows_profile(sir, cert05, pi30, [-60.0, -45.0, -2.0] + s_sorted[3:])
+    assert np.array_equal(_columns(moved)[:, 3:], full[:, 3:])
+
+
+def test_cutoff_profile_without_bootstrap_and_on_one_row(sir, cert05, pi30, monkeypatch):
+    boot = _rows_profile(sir, cert05, pi30, ROW_GRID)
+    bare = _rows_profile(sir, cert05, pi30, ROW_GRID, workers=2, n_boot=0)
+    assert np.array_equal(bare.tv, boot.tv)
+    assert np.array_equal(bare.ci_lo, bare.tv) and np.array_equal(bare.ci_hi, bare.tv)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-row profile started a process pool")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    one = _rows_profile(sir, cert05, pi30, (-50.0,), workers=2)
+    assert np.array_equal(_columns(one), _columns(boot)[:, :1])
 
 
 def test_transition_width_on_synthetic_profile():
