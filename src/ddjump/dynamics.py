@@ -426,13 +426,12 @@ class DriftConditionReport:
     g_max: float
 
 
-def _slack_threshold(rows):
-    """Sort the (level, slack) samples ``rows``; return their levels and
-    slacks as arrays, and the index of the first sample from which on no
-    slack is positive (``len(rows)`` when the last one is)."""
-    rows = sorted(rows)
-    levels = np.array([r[0] for r in rows])
-    slack = np.array([r[1] for r in rows])
+def _slack_threshold(levels, slack):
+    """Sort the samples by level, then slack; return the sorted levels and
+    slacks, and the index of the first sample from which on no slack is
+    positive (``len(levels)`` when the last one is)."""
+    order = np.lexsort((slack, levels))
+    levels, slack = np.asarray(levels)[order], np.asarray(slack)[order]
     bad = np.flatnonzero(slack > 0)
     return levels, slack, int(bad[-1]) + 1 if len(bad) else 0
 
@@ -471,28 +470,29 @@ def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
         g = cert.m_norm(X / N - cert.c)
         if g_lo <= g <= g_hi and m.domain.contains(X / N):
             samples.append(tuple(X))
-    seen = sorted(set(samples))
-    rows = []
-    for X in seen:
+    gs, slack = [], []
+    for X in set(samples):
         q, g = generator_apply_G(m, cert, np.array(X), N)
-        rows.append((g, q + cert.rho * g))
-    gs, slack, g_star_idx = _slack_threshold(rows)
-    if g_star_idx >= len(rows):
+        gs.append(g)
+        slack.append(q + cert.rho * g)
+    gs, slack, g_star_idx = _slack_threshold(gs, slack)
+    n = len(gs)
+    if g_star_idx >= n:
         return DriftConditionReport(
             N=N,
             rho=cert.rho,
-            n_samples=len(rows),
+            n_samples=n,
             k1_empirical=math.inf,
             max_slack_above=math.nan,
             failed_everywhere=True,
-            g_min=float(gs[0]) if len(rows) else math.nan,
-            g_max=float(gs[-1]) if len(rows) else math.nan,
+            g_min=float(gs[0]) if n else math.nan,
+            g_max=float(gs[-1]) if n else math.nan,
         )
     g_star = gs[g_star_idx]
     return DriftConditionReport(
         N=N,
         rho=cert.rho,
-        n_samples=len(rows),
+        n_samples=n,
         k1_empirical=float(g_star * math.sqrt(N)),
         max_slack_above=float(slack[g_star_idx:].max()),
         failed_everywhere=False,

@@ -19,14 +19,13 @@ must be a bound parameter.
 
 Rates, drift and rate gradients are compiled once per model from
 :func:`codegen` output, in ``model._compile_kernel``, the only caller of
-:func:`differentiate`.  The interpreter :func:`evaluate` is kept as the
-reference the tests check the generated code against.  Integer exponents are
-chained multiplications in both, so the two agree bit for bit.
+:func:`differentiate`.  Integer exponents are chained multiplications.  The
+tests check the generated code bit for bit against a tree interpreter kept
+as their oracle (``tests/expr_reference.py``).
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
@@ -83,9 +82,8 @@ class Pow:
     exponent: int  # >= 0
 
 
-# binary node types: their infix operator and the float operation it performs
+# binary node types and their infix operators
 _INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -222,33 +220,6 @@ class _Parser:
 def parse_expr(text, dim, param_names):
     """Parse ``text`` into an expression tree, binding names eagerly."""
     return _Parser(text, dim, param_names).parse()
-
-
-def evaluate(node, y, params):
-    """Interpret ``node`` at point ``y`` (indexable) with bound ``params``.
-
-    Uses the same operation order as the generated numpy code, so results are
-    bitwise identical between the two paths.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(y[node.index])
-    if isinstance(node, Param):
-        return float(params[node.name])
-    if type(node) in _APPLY:
-        return _APPLY[type(node)](evaluate(node.left, y, params), evaluate(node.right, y, params))
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, y, params)
-    if isinstance(node, Pow):
-        if node.exponent == 0:
-            return 1.0
-        base = evaluate(node.base, y, params)
-        acc = base
-        for _ in range(node.exponent - 1):
-            acc = acc * base
-        return acc
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _const(v):

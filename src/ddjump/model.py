@@ -265,7 +265,8 @@ def _compile_kernel(m):
     Each rate is differentiated once, here.  Parameter values are inlined and
     the source holds only arithmetic on the coordinates (the expression
     language is closed, so no user code reaches the exec).  Every form uses
-    the operation order of ``expr.evaluate``, so all agree with it bit for bit.
+    the tree's operation order, so all agree bit for bit with the tests'
+    tree interpreter (``tests/expr_reference.py``).
     """
     d, n = m.d, len(m.jumps)
     args = ", ".join(f"y{i}" for i in range(d))

@@ -18,8 +18,7 @@ import numpy as np
 from . import engine, rng as _rng
 from .dist import LatticeDistribution
 from .dynamics import _slack_threshold, integrate_ode, m_sphere_map
-from .errors import DomainError, SimulationError
-from .model import eval_rates
+from .errors import CapExceededError, DomainError, RateError, SimulationError
 
 CONTRACTIVE = "contractive"
 INDEPENDENT = "independent"
@@ -28,6 +27,9 @@ COALESCED = "coalesced"
 _PHASE_CODE = {CONTRACTIVE: 0, INDEPENDENT: 1, COALESCED: 2}
 
 K2_CAP_FACTOR = 16.0  # estimate_K2 is at most this many JstarM
+# estimate_K2 scores every pair of a ball of at most this many lattice points
+# (523,776 pairs at the cap) and samples pairs of a larger one
+K2_EXACT_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -164,52 +166,81 @@ class CoupledTrace:
     V: np.ndarray = None
 
 
-def estimate_K2(m, cert, N, samples=4000, seed=0):
-    """Empirical contractive-phase threshold.
+def _in_domain(m, N, X):
+    """The rows of ``X`` whose scaled point X / N lies in the model's domain."""
+    y = X / N
+    return X[((y >= m.domain.lower) & (y <= m.domain.upper)).all(axis=1)]
 
-    Scans lattice pairs inside B_M(N c, N delta0) and returns the smallest H
-    above which the exact coupling generator satisfies A H <= -rho H on all
-    samples, capped at K2_CAP_FACTOR * JstarM; the cap is also the fallback
-    when no threshold works.  A threshold at the smallest sampled H is
-    returned uncapped.
+
+def _draw_ball_points(m, cert, ball, N, n, rng):
+    """``n`` lattice points drawn uniformly from the in-domain points of
+    ``ball``: uniform points of the box ``enumerate_ball`` scans, kept when
+    they lie in the ball, drawn in batches until ``n`` are kept."""
+    hw = math.ceil(ball.radius / cert.c0)
+    lo = np.floor(ball.center).astype(np.int64) - hw
+    hi = np.ceil(ball.center).astype(np.int64) + hw
+    kept, have = [], 0
+    while have < n:
+        X = rng.integers(lo, hi + 1, size=(2 * n, len(lo)))
+        X = _in_domain(m, N, X[ball.contains(X)])
+        kept.append(X)
+        have += len(X)
+    return np.concatenate(kept)[:n]
+
+
+def _pair_slack(m, cert, ball, N, pts, i, j):
+    """H = ||U - V||_M and the slack A H + rho H of the exact coupling
+    generator, for the pairs U = pts[i], V = pts[j].
+
+    Jump J moves the pair by +J at rate N (r_J(U) - r_J(V)) when r_J(U) >=
+    r_J(V), and by -J at rate N (r_J(V) - r_J(U)) otherwise; the jumps are
+    added left to right.  Norms take ``ball.form``, the scalar ``m_norm``'s
+    order at d <= 2.  The slack is symmetric in U and V.
     """
-    rng = np.random.default_rng(seed)
-    d = m.d
-    Linv_T = m_sphere_map(cert.M)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = m.kernel.rates_array(pts / N)
+    bad = ~(np.isfinite(R) & (R >= 0.0)).all(axis=1)
+    if bad.any():
+        raise RateError(f"invalid rate at lattice point {pts[bad][0].tolist()} (N={N})")
+    W = (pts[i] - pts[j]).astype(float).T
+    H = np.sqrt(ball.form(W))
+    AH = np.zeros(len(i))
+    for k, J in enumerate(m.kernel.J):
+        a, b = R[i, k], R[j, k]
+        up = a >= b
+        T = np.where(up, W + J[:, None], W - J[:, None])
+        AH += (np.sqrt(ball.form(T)) - H) * N * np.where(up, a - b, b - a)
+    return H, AH + cert.rho * H
+
+
+def estimate_K2(m, cert, N, samples=4000, seed=0):
+    """Contractive-phase threshold over the lattice ball B_M(N c, N delta0).
+
+    The smallest H above which the exact coupling generator satisfies
+    A H <= -rho H on every scored pair of distinct in-domain ball points,
+    capped at K2_CAP_FACTOR * JstarM; the cap is also the fallback when no
+    threshold works or no pair exists.  A threshold at the smallest scored H
+    is returned uncapped.
+
+    A ball of at most K2_EXACT_POINTS lattice points has every unordered pair
+    scored, so the result is exact and ignores ``samples`` and ``seed``.  A
+    larger ball is scored on ``samples`` pairs of points drawn with ``seed``,
+    uniformly from its in-domain lattice points.
+    """
+    from .equilibrium import enumerate_ball  # equilibrium imports this module
+
     ball = cert.ball(N, cert.delta0)
-    jumps = m.jump_array
-    rows = []
-    for _ in range(samples):
-        pts = []
-        for _k in range(2):
-            r = cert.delta0 * math.sqrt(rng.random())
-            u = rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            x = cert.c + r * (Linv_T @ u)
-            X = np.round(N * x).astype(np.int64)
-            if not ball.contains(X) or not m.domain.contains(X / N):
-                pts = None
-                break
-            pts.append(X)
-        if pts is None:
-            continue
-        U, V = pts
-        H = cert.m_norm(U - V)
-        if H == 0:
-            continue
-        ru = eval_rates(m, U / N)
-        rv = eval_rates(m, V / N)
-        w = (U - V).astype(float)
-        AH = 0.0
-        for J, a, b in zip(jumps, ru, rv):
-            if a >= b:
-                AH += (cert.m_norm(w + J) - H) * N * (a - b)
-            else:
-                AH += (cert.m_norm(w - J) - H) * N * (b - a)
-        rows.append((H, AH + cert.rho * H))
-    hs, _, k = _slack_threshold(rows)
+    try:
+        pts = _in_domain(m, N, enumerate_ball(N, cert, cert.delta0, cap=K2_EXACT_POINTS))
+        i, j = np.triu_indices(len(pts), k=1)
+    except CapExceededError:
+        pts = _draw_ball_points(m, cert, ball, N, 2 * samples, np.random.default_rng(seed))
+        i, j = np.arange(0, 2 * samples, 2), np.arange(1, 2 * samples, 2)
+        distinct = (pts[i] != pts[j]).any(axis=1)
+        i, j = i[distinct], j[distinct]
+    hs, _, k = _slack_threshold(*_pair_slack(m, cert, ball, N, pts, i, j))
     cap = K2_CAP_FACTOR * cert.JstarM
-    if k >= len(rows):
+    if k >= len(hs):
         return cap
     return float(hs[0]) if k == 0 else float(min(hs[k], cap))
 
@@ -599,27 +630,36 @@ def _ball_sup_constants(m, cert, samples=512, seed=1):
     return Rstar, L
 
 
+def _exit_starts(start_ball, Linv_T, reps, seed):
+    """``reps`` lattice starts near the sphere of ``start_ball``.
+
+    Start i rounds the point of the sphere along the M-unit direction
+    ``Linv_T @ u_i``, u_i a normalized standard normal row; a start rounded
+    out of the ball is pulled in along its direction, 0.05 of the radius at
+    a time.  The rows come from one normal draw on the stream
+    (seed, 0, EXIT_START).
+    """
+    Nc, rad_p = start_ball.center, start_ball.radius
+    U = _rng.substream(seed, 0, _rng.EXIT_START).normal(size=(reps, len(Nc)))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    V = U @ Linv_T.T
+    starts = np.round(Nc + rad_p * V).astype(np.int64)
+    out = np.flatnonzero(~start_ball.contains(starts))
+    scale = 1.0
+    while out.size and scale > 0.0:
+        scale -= 0.05
+        starts[out] = np.round(Nc + scale * rad_p * V[out]).astype(np.int64)
+        out = out[~start_ball.contains(starts[out])]
+    return starts
+
+
 def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     """Empirical P[tau_1(delta) <= T] from lattice starts near the sphere of
     M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps')."""
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
     d = m.d
-    Linv_T = m_sphere_map(cert.M)
-    start_ball = cert.ball(N, delta_prime)
-    Nc, rad_p = start_ball.center, start_ball.radius
-    rng = _rng.substream(seed, 0, _rng.EXIT_START)
-    starts = np.zeros((reps, d), dtype=np.int64)
-    for i in range(reps):
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        x = Nc + rad_p * (Linv_T @ u)
-        X = np.round(x).astype(np.int64)
-        scale = 1.0
-        while not start_ball.contains(X) and scale > 0.0:
-            scale -= 0.05
-            X = np.round(Nc + scale * rad_p * (Linv_T @ u)).astype(np.int64)
-        starts[i] = X
+    starts = _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed)
     if T > 0:
         out = engine.run_paths(
             m,

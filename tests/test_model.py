@@ -225,6 +225,7 @@ def test_jacobian_matches_interpreter_jump_by_jump():
     # gradients; a single J.T @ G may fuse -3 * g with the running sum and
     # round differently
     from ddjump import expr as ex
+    from expr_reference import evaluate
 
     m = dj.parse_model(
         "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
@@ -233,6 +234,6 @@ def test_jacobian_matches_interpreter_jump_by_jump():
     for y in np.random.default_rng(8).uniform(0.05, 3.0, size=(200, 2)):
         A = np.zeros((2, 2))
         for J, node in zip(m.jump_array.astype(float), m.rate_exprs):
-            grad = [ex.evaluate(ex.differentiate(node, i), y, m.params) for i in range(2)]
+            grad = [evaluate(ex.differentiate(node, i), y, m.params) for i in range(2)]
             A += np.outer(J, grad)
         assert dj.eval_jacobian(m, y).tobytes() == A.tobytes()

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
-from ddjump.errors import DomainError, SimulationError
+from ddjump.dynamics import m_sphere_map
+from ddjump.equilibrium import enumerate_ball
+from ddjump.errors import CapExceededError, DomainError, SimulationError
+from ddjump.simulate import K2_CAP_FACTOR, K2_EXACT_POINTS, _exit_starts
 from conftest import as_dict, identity_certificate
 from coupling_reference import simulate_coupled_reference
 from path_reference import simulate_path_reference
@@ -231,6 +234,94 @@ def test_contractive_generator_identity_and_negativity(sir, cert05):
         assert total <= -cert05.rho * H
         checked += 1
     assert checked >= 20
+
+
+# K2 from the 4,000-pair rejection scan that estimate_K2 ran before it scored
+# every pair of the ball; the scan gave these at seeds 0 and 3 alike
+K2_SCAN = {
+    ("cert025", 100): 1.282121529512065,
+    ("cert025", 400): 1.282121529512065,
+    ("cert05", 100): 36.81431946467376,
+    ("cert05", 400): 2.5895718474182505,
+    ("cert05", 1600): 2.5895718474182505,
+    ("cert09", 100): 86.83058863208558,
+    ("cert09", 400): 86.83058863208558,
+    ("cert09", 1600): 86.83058863208558,
+}
+
+
+def scan_slack(m, cert, N, U, V):
+    """(H, A H + rho H) of the pair (U, V), term for term as the scan scored it."""
+    H = cert.m_norm(U - V)
+    ru, rv = dj.eval_rates(m, U / N), dj.eval_rates(m, V / N)
+    w = (U - V).astype(float)
+    AH = 0.0
+    for J, a, b in zip(m.jump_array, ru, rv):
+        if a >= b:
+            AH += (cert.m_norm(w + J) - H) * N * (a - b)
+        else:
+            AH += (cert.m_norm(w - J) - H) * N * (b - a)
+    return H, AH + cert.rho * H
+
+
+@pytest.mark.parametrize("cert_name,N", sorted(K2_SCAN))
+def test_estimate_k2_is_the_scan_value_bit_for_bit(request, sir, cert_name, N):
+    cert = request.getfixturevalue(cert_name)
+    k2 = dj.estimate_K2(sir, cert, N, seed=3)
+    assert np.float64(k2).tobytes() == np.float64(K2_SCAN[cert_name, N]).tobytes()
+    # every pair is scored, so neither the seed nor the sample count is read
+    for seed, samples in ((0, 4000), (7, 1), (123, 50)):
+        assert dj.estimate_K2(sir, cert, N, samples=samples, seed=seed) == k2
+
+
+def test_estimate_k2_of_a_one_point_ball_is_the_cap(sir, cert05):
+    assert len(enumerate_ball(100, cert05, cert05.delta0)) == 1
+    assert dj.estimate_K2(sir, cert05, 100) == K2_CAP_FACTOR * cert05.JstarM
+
+
+@pytest.mark.parametrize("N", [1600, 20000])
+def test_estimate_k2_samples_a_ball_past_the_cap_reproducibly(sir, cert025, N):
+    with pytest.raises(CapExceededError):
+        enumerate_ball(N, cert025, cert025.delta0, cap=K2_EXACT_POINTS)
+    k2 = [dj.estimate_K2(sir, cert025, N, seed=s) for s in (0, 1, 0)]
+    assert k2[0] == k2[2]
+    assert all(0.0 < k <= K2_CAP_FACTOR * cert025.JstarM for k in k2)
+
+
+@st.composite
+def small_balls(draw):
+    """(model, certificate, N): a random SIR certificate and an N at which
+    its ball B_M(N c, N delta0) holds about 15 to 60 lattice points."""
+    alpha, beta, gamma = (draw(st.floats(0.5, 3.0)) for _ in range(3))
+    m = dj.builtin_hamer_sir(alpha, beta, gamma)
+    cert = dj.certify(m, np.array([gamma / alpha, beta / gamma]), rho_fraction=draw(st.floats(0.1, 0.9)))
+    n_max = int(math.sqrt(60.0 * math.sqrt(np.linalg.det(cert.M)) / math.pi) / cert.delta0)
+    return m, cert, draw(st.integers(max(1, n_max // 2), max(1, n_max)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_balls())
+def test_estimate_k2_is_the_threshold_of_every_pair(case):
+    # scored pair by pair in the scan's scalar arithmetic: no pair at H >= K2
+    # has positive slack, and K2 is the next level above the last one that does
+    m, cert, N = case
+    pts = enumerate_ball(N, cert, cert.delta0)
+    rows = []
+    for a, U in enumerate(pts):
+        for V in pts[a + 1 :]:
+            H, slack = scan_slack(m, cert, N, U, V)
+            assert scan_slack(m, cert, N, V, U) == (H, slack)
+            rows.append((H, slack))
+    k2 = dj.estimate_K2(m, cert, N)
+    cap = K2_CAP_FACTOR * cert.JstarM
+    if k2 < cap:
+        assert all(slack <= 0.0 for H, slack in rows if H >= k2)
+    bad = [H for H, slack in rows if slack > 0.0]
+    above = sorted(H for H, _ in rows if not bad or H > max(bad))
+    if not above:
+        assert k2 == cap
+    else:
+        assert k2 == (above[0] if not bad else min(above[0], cap))
 
 
 def test_coupled_trace_dump_fields(sir, cert05):
@@ -462,6 +553,34 @@ def test_martingale_tail_below_bound(sir):
 # ---------------------------------------------------------------------------
 # exit probability
 # ---------------------------------------------------------------------------
+
+
+def exit_starts_reference(start_ball, Linv_T, reps, seed):
+    """The per-start loop ``exit_probability`` drew its starts with: one
+    normal draw and one shrink loop per start."""
+    Nc, rad_p = start_ball.center, start_ball.radius
+    rng = dj.rng.substream(seed, 0, dj.rng.EXIT_START)
+    starts = np.zeros((reps, len(Nc)), dtype=np.int64)
+    for i in range(reps):
+        u = rng.normal(size=len(Nc))
+        u /= np.linalg.norm(u)
+        X = np.round(Nc + rad_p * (Linv_T @ u)).astype(np.int64)
+        scale = 1.0
+        while not start_ball.contains(X) and scale > 0.0:
+            scale -= 0.05
+            X = np.round(Nc + scale * rad_p * (Linv_T @ u)).astype(np.int64)
+        starts[i] = X
+    return starts
+
+
+@pytest.mark.parametrize("cert_name", ["cert05", "cert09"])
+@pytest.mark.parametrize("N,delta_prime", [(40, 0.001), (40, 0.3), (200, 0.01), (200, 0.35), (1000, 1.0)])
+def test_exit_starts_match_the_per_start_loop(request, cert_name, N, delta_prime):
+    cert = request.getfixturevalue(cert_name)
+    ball, Linv_T = cert.ball(N, delta_prime), m_sphere_map(cert.M)
+    for seed in range(4):
+        starts = _exit_starts(ball, Linv_T, 2000, seed)
+        assert np.array_equal(starts, exit_starts_reference(ball, Linv_T, 2000, seed))
 
 
 def test_exit_probability_zero_horizon(sir, cert05):
