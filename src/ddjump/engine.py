@@ -305,12 +305,7 @@ def simulate_chunk(
         X += step
         live["t"] = t_next
         if mode == EVENTS:
-            if n == 1:  # one path: no compaction, and no masks while it runs
-                if gone[0]:
-                    break
-                events.append((row, t_next, X.copy()))
-            else:
-                events.append((row[~gone], t_next[~gone], X[~gone]))
+            events.append((row[~gone], t_next[~gone], X[~gone]))
 
         if mode == MARTINGALE:
             y = X / N

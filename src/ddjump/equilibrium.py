@@ -21,12 +21,18 @@ STATE_CAP = 200_000
 POWER_MAX_ITERS = 2_000_000
 
 
+def ball_box(cert, ball):
+    """The lattice box ``lo <= X <= hi`` (int64 arrays) that holds ``ball``:
+    half-width radius / c0 (norm equivalence) about the rounded-out centre."""
+    hw = math.ceil(ball.radius / cert.c0)
+    return np.floor(ball.center).astype(np.int64) - hw, np.ceil(ball.center).astype(np.int64) + hw
+
+
 def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     """All lattice points X with ||X - N c||_M <= N delta.
 
-    Bounding-box scan with half-width N delta / c0 (norm equivalence), then
-    exact quadratic-form filter.  Errors out when the expected state count
-    (ellipsoid volume) exceeds ``cap``.
+    Scan of the ``ball_box``, then exact quadratic-form filter.  Errors out
+    when the expected state count (ellipsoid volume) exceeds ``cap``.
     """
     d = len(cert.c)
     ball = cert.ball(N, delta)
@@ -38,8 +44,8 @@ def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     )
     if expected > cap:
         raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
-    hw = int(math.ceil(ball.radius / cert.c0))
-    axes = [np.arange(int(math.floor(c)) - hw, int(math.ceil(c)) + hw + 1) for c in ball.center]
+    lo, hi = ball_box(cert, ball)
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     states = grid[ball.contains(grid)]
     if len(states) > cap:

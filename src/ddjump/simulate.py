@@ -30,6 +30,7 @@ K2_CAP_FACTOR = 16.0  # estimate_K2 is at most this many JstarM
 # estimate_K2 scores every pair of a ball of at most this many lattice points
 # (523,776 pairs at the cap) and samples pairs of a larger one
 K2_EXACT_POINTS = 1024
+K2_PAIR_BLOCK = 65536  # estimate_K2 scores this many pairs at a time
 
 
 @dataclass(frozen=True)
@@ -174,11 +175,11 @@ def _in_domain(m, N, X):
 
 def _draw_ball_points(m, cert, ball, N, n, rng):
     """``n`` lattice points drawn uniformly from the in-domain points of
-    ``ball``: uniform points of the box ``enumerate_ball`` scans, kept when
-    they lie in the ball, drawn in batches until ``n`` are kept."""
-    hw = math.ceil(ball.radius / cert.c0)
-    lo = np.floor(ball.center).astype(np.int64) - hw
-    hi = np.ceil(ball.center).astype(np.int64) + hw
+    ``ball``: uniform points of its ``ball_box``, kept when they lie in the
+    ball, drawn in batches until ``n`` are kept."""
+    from .equilibrium import ball_box  # equilibrium imports this module
+
+    lo, hi = ball_box(cert, ball)
     kept, have = [], 0
     while have < n:
         X = rng.integers(lo, hi + 1, size=(2 * n, len(lo)))
@@ -195,22 +196,29 @@ def _pair_slack(m, cert, ball, N, pts, i, j):
     Jump J moves the pair by +J at rate N (r_J(U) - r_J(V)) when r_J(U) >=
     r_J(V), and by -J at rate N (r_J(V) - r_J(U)) otherwise; the jumps are
     added left to right.  Norms take ``ball.form``, the scalar ``m_norm``'s
-    order at d <= 2.  The slack is symmetric in U and V.
+    order at d <= 2.  The slack is symmetric in U and V.  The pairs are
+    scored K2_PAIR_BLOCK at a time, which bounds the memory of a large ball;
+    each pair's values do not depend on the blocks.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         R = m.kernel.rates_array(pts / N)
     bad = ~(np.isfinite(R) & (R >= 0.0)).all(axis=1)
     if bad.any():
         raise RateError(f"invalid rate at lattice point {pts[bad][0].tolist()} (N={N})")
-    W = (pts[i] - pts[j]).astype(float).T
-    H = np.sqrt(ball.form(W))
-    AH = np.zeros(len(i))
-    for k, J in enumerate(m.kernel.J):
-        a, b = R[i, k], R[j, k]
-        up = a >= b
-        T = np.where(up, W + J[:, None], W - J[:, None])
-        AH += (np.sqrt(ball.form(T)) - H) * N * np.where(up, a - b, b - a)
-    return H, AH + cert.rho * H
+    H, slack = np.empty(len(i)), np.empty(len(i))
+    for lo in range(0, len(i), K2_PAIR_BLOCK):
+        b = slice(lo, lo + K2_PAIR_BLOCK)
+        ib, jb = i[b], j[b]
+        W = (pts[ib] - pts[jb]).astype(float).T
+        Hb = np.sqrt(ball.form(W))
+        AH = np.zeros(len(ib))
+        for k, J in enumerate(m.kernel.J):
+            a, c = R[ib, k], R[jb, k]
+            up = a >= c
+            T = np.where(up, W + J[:, None], W - J[:, None])
+            AH += (np.sqrt(ball.form(T)) - Hb) * N * np.where(up, a - c, c - a)
+        H[b], slack[b] = Hb, AH + cert.rho * Hb
+    return H, slack
 
 
 def estimate_K2(m, cert, N, samples=4000, seed=0):

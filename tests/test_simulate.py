@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
+import ddjump.simulate as simulate
 from ddjump.dynamics import m_sphere_map
 from ddjump.equilibrium import enumerate_ball
 from ddjump.errors import CapExceededError, DomainError, SimulationError
@@ -286,6 +288,24 @@ def test_estimate_k2_samples_a_ball_past_the_cap_reproducibly(sir, cert025, N):
     k2 = [dj.estimate_K2(sir, cert025, N, seed=s) for s in (0, 1, 0)]
     assert k2[0] == k2[2]
     assert all(0.0 < k <= K2_CAP_FACTOR * cert025.JstarM for k in k2)
+
+
+def test_estimate_k2_near_the_cap_is_scored_in_bounded_blocks(monkeypatch, sir, cert025):
+    # 1,021 points, 520,710 pairs: the values do not depend on the block size,
+    # and the call's numpy memory stays well under the 68 MB that scoring
+    # every pair in one pass took
+    N = 1290
+    assert 0.95 * K2_EXACT_POINTS < len(enumerate_ball(N, cert025, cert025.delta0)) <= K2_EXACT_POINTS
+    tracemalloc.start()
+    try:
+        k2 = dj.estimate_K2(sir, cert025, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    for block in (1000, 10**9):
+        monkeypatch.setattr(simulate, "K2_PAIR_BLOCK", block)
+        assert np.float64(dj.estimate_K2(sir, cert025, N)).tobytes() == np.float64(k2).tobytes()
 
 
 @st.composite
