@@ -5,6 +5,11 @@ positive definite matrix M with <x, Ax>_M <= -rho' ||x||_M^2 (rho' halfway
 between the certified rate rho and the spectral abscissa), and a sampled
 radius delta0 within which the drift is rho-contractive in the M-norm and all
 rates stay positive.
+
+The certified ball's drift arithmetic lives here once: ``_m_directions``
+draws the M-sphere directions of every ball sampler, and ``_drift_slack``
+scores A ||.||_M + rho ||.||_M for both the chain's K1 scan and the coupled
+pair's K2 (``simulate.estimate_K2``).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     HorizonError,
+    RateError,
 )
 from .model import eval_drift, eval_jacobian, eval_rates, rate_gradients
 
@@ -149,6 +155,14 @@ def m_sphere_map(M):
     return np.linalg.inv(np.linalg.cholesky(M)).T
 
 
+def _m_directions(rng, n, L):
+    """``n`` rows on the M-unit sphere: ``n`` standard normal rows drawn from
+    ``rng``, normalized and mapped by ``L = m_sphere_map(M)``."""
+    U = rng.normal(size=(n, len(L)))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U @ L.T
+
+
 def construct_M(A, rho):
     """SPD matrix M with <x, Ax>_M <= -rho ||x||_M^2 for all real x.
 
@@ -269,15 +283,14 @@ class StabilityCertificate:
             return StabilityCertificate.from_json_dict(json.load(f))
 
 
-def _sample_ball(c, M, delta, n, rng):
-    """Points of B_M(c, delta): half on the boundary sphere, half interior."""
-    d = len(c)
-    U = rng.normal(size=(n, d))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
+def _sample_ball(c, L, delta, n, rng):
+    """Points of B_M(c, delta), ``L = m_sphere_map(M)``: half on the boundary
+    sphere, half interior."""
+    V = _m_directions(rng, n, L)
     radii = np.ones(n)
     half = n // 2
-    radii[:half] = rng.random(half) ** (1.0 / d)
-    return c + delta * radii[:, None] * (U @ m_sphere_map(M).T)
+    radii[:half] = rng.random(half) ** (1.0 / len(c))
+    return c + delta * radii[:, None] * V
 
 
 def _ball_passes(m, pts, grad_c, tol):
@@ -285,7 +298,7 @@ def _ball_passes(m, pts, grad_c, tol):
     and strictly positive, and every rate gradient lies within ``tol`` of
     ``grad_c``.  One array call covers all points; a division by zero at any
     point fails them all."""
-    if not np.all((pts >= m.domain.lower) & (pts <= m.domain.upper)):
+    if not m.domain._inside(pts).all():
         return False
     try:
         with np.errstate(divide="raise", invalid="ignore", over="ignore"):
@@ -344,10 +357,11 @@ def certify(m, guess, rho_fraction=0.9):
         raise CertificateError("fixed point sits on the domain boundary")
 
     rng = np.random.default_rng(DELTA0_SEED)
+    L = m_sphere_map(M)
     delta0 = None
     delta = delta_max
     for _ in range(DELTA0_STEPS):
-        pts = _sample_ball(c, M, delta, DELTA0_SAMPLES, rng)
+        pts = _sample_ball(c, L, delta, DELTA0_SAMPLES, rng)
         if _ball_passes(m, pts, grad_c, eps / c0):
             delta0 = delta
             break
@@ -436,66 +450,84 @@ def _slack_threshold(levels, slack):
     return levels, slack, int(bad[-1]) + 1 if len(bad) else 0
 
 
-def generator_apply_G(m, cert, X, N):
-    """Exact Q^N G at lattice state X: sum_J N r_J(x) [G(x + J/N) - G(x)]."""
-    x = np.asarray(X, dtype=float) / N
-    r = eval_rates(m, x)
-    g = cert.m_norm(x - cert.c)
-    total = 0.0
-    for J, rj in zip(m.jump_array, r):
-        total += N * rj * (cert.m_norm(x + J / N - cert.c) - g)
-    return total, g
+def _lattice_rates(m, X, N):
+    """The rates r_J(X / N) at the lattice points ``X``, one row each; raises
+    RateError at the first point with a rate that is not finite and >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = m.kernel.rates_array(X / N)
+    bad = ~(np.isfinite(R) & (R >= 0.0)).all(axis=1)
+    if bad.any():
+        raise RateError(f"invalid rate at lattice point {X[bad][0].tolist()} (N={N})")
+    return R
 
 
-def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
-    """Scan lattice states with G in [k1_floor/sqrt(N), delta0] and find the
-    smallest K1 such that Q^N G <= -rho G holds on every sample above it.
+def _drift_slack(ball, J, W, R, N, rho):
+    """H = ||W||_M and the slack A H + rho H for the columns of ``W`` (shape
+    (d, n), lattice units) under the generator A in which jump k moves W by
+    +J[k] at rate N R[:, k] where R[:, k] >= 0, and by -J[k] at rate
+    -N R[:, k] elsewhere.
+
+    The jumps are added left to right and the norms take ``ball.form``
+    (only the ball's M is read), the scalar ``m_norm``'s order at d <= 2.
+    """
+    H = np.sqrt(ball.form(W))
+    AH = np.zeros(W.shape[1])
+    for k, Jk in enumerate(J):
+        r = R[:, k]
+        up = r >= 0.0
+        T = np.where(up, W + Jk[:, None], W - Jk[:, None])
+        AH += (np.sqrt(ball.form(T)) - H) * N * np.abs(r)
+    return H, AH + rho * H
+
+
+def _shell_samples(m, cert, N, sample_count, seed, g_lo, g_hi):
+    """The distinct lattice points X, sorted, of up to ``sample_count``
+    accepted draws with ||X/N - c||_M in [g_lo, g_hi] and X/N in the domain.
+
+    Each of at most 50 * sample_count attempts draws a log-uniform radius,
+    then one M-sphere direction, from the generator of ``seed``, and rounds
+    the point N (c + radius * direction) to the lattice.
     """
     rng = np.random.default_rng(seed)
-    d = m.d
-    Linv_T = m_sphere_map(cert.M)
-    g_lo = k1_floor / math.sqrt(N)
-    g_hi = cert.delta0
-    if g_lo >= g_hi:
-        raise ValueError("k1 floor exceeds delta0; N too small for the scan")
+    L = m_sphere_map(cert.M)
     samples = []
     attempts = 0
     while len(samples) < sample_count and attempts < 50 * sample_count:
         attempts += 1
         radius = g_lo * (g_hi / g_lo) ** rng.random()
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        x = cert.c + radius * (Linv_T @ u)
-        X = np.round(N * x).astype(np.int64)
+        X = np.round(N * (cert.c + radius * _m_directions(rng, 1, L)[0])).astype(np.int64)
         g = cert.m_norm(X / N - cert.c)
         if g_lo <= g <= g_hi and m.domain.contains(X / N):
-            samples.append(tuple(X))
-    gs, slack = [], []
-    for X in set(samples):
-        q, g = generator_apply_G(m, cert, np.array(X), N)
-        gs.append(g)
-        slack.append(q + cert.rho * g)
-    gs, slack, g_star_idx = _slack_threshold(gs, slack)
-    n = len(gs)
-    if g_star_idx >= n:
-        return DriftConditionReport(
-            N=N,
-            rho=cert.rho,
-            n_samples=n,
-            k1_empirical=math.inf,
-            max_slack_above=math.nan,
-            failed_everywhere=True,
-            g_min=float(gs[0]) if n else math.nan,
-            g_max=float(gs[-1]) if n else math.nan,
-        )
-    g_star = gs[g_star_idx]
+            samples.append(X)
+    return np.unique(np.array(samples, dtype=np.int64).reshape(-1, m.d), axis=0)
+
+
+def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
+    """Scan lattice states with G in [k1_floor/sqrt(N), delta0] and find the
+    smallest K1 such that Q^N G <= -rho G holds on every sample above it.
+
+    Q^N G is exact: jump J moves W = X - N c by +J at rate N r_J(X/N), so
+    with H = ||W||_M the level is G = H/N and the slack Q^N G + rho G is
+    (A H + rho H)/N, scored by ``_drift_slack`` on every distinct sample at
+    once.
+    """
+    g_lo = k1_floor / math.sqrt(N)
+    g_hi = cert.delta0
+    if g_lo >= g_hi:
+        raise ValueError("k1 floor exceeds delta0; N too small for the scan")
+    X = _shell_samples(m, cert, N, sample_count, seed, g_lo, g_hi)
+    ball = cert.ball(N, g_hi)
+    R = _lattice_rates(m, X, N)
+    H, slack = _drift_slack(ball, m.kernel.J, (X - ball.center).T, R, N, cert.rho)
+    gs, slack, g_star_idx = _slack_threshold(H / N, slack / N)
+    n, failed = len(gs), g_star_idx >= len(gs)
     return DriftConditionReport(
         N=N,
         rho=cert.rho,
         n_samples=n,
-        k1_empirical=float(g_star * math.sqrt(N)),
-        max_slack_above=float(slack[g_star_idx:].max()),
-        failed_everywhere=False,
-        g_min=float(gs[0]),
-        g_max=float(gs[-1]),
+        k1_empirical=math.inf if failed else float(gs[g_star_idx] * math.sqrt(N)),
+        max_slack_above=math.nan if failed else float(slack[g_star_idx:].max()),
+        failed_everywhere=failed,
+        g_min=float(gs[0]) if n else math.nan,
+        g_max=float(gs[-1]) if n else math.nan,
     )

@@ -13,6 +13,9 @@ compacted only on the steps where some replicate retires.  Uniforms are
 stored one row per draw, so a draw is one row gathered by the live columns.
 The total rate, the running sums that pick the jump and the martingale drift
 are added jump by jump, left to right, so no sum depends on the chunk layout.
+
+The lattice ball ``Restriction`` sits here with its box, its enumeration and
+its uniform point draw, below every module that uses them.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import SimulationError
+from .dist import canonical_order
+from .errors import CapExceededError, SimulationError
 
 RECORDS = "records"
 EVENTS = "events"
 MARTINGALE = "martingale"
 EXIT = "exit"
+
+STATE_CAP = 200_000  # default cap on the states of an enumerated ball
 
 
 def compile_rates(model):
@@ -54,11 +60,6 @@ class Restriction:
     def form(self, W):
         """``sum_i (sum_k (w_i M_ik) w_k)`` over the first axis of ``W``, each
         sum added left to right: the coupled-pair loop's form, term for term."""
-        if W.ndim == 1:  # one point: Python floats cost far less than numpy calls
-            w = W.tolist()
-            rows = [[wi * m * wk for m, wk in zip(Mi, w)] for wi, Mi in zip(w, self.M.tolist())]
-            rows = [sum(r[1:], r[0]) for r in rows]
-            return sum(rows[1:], rows[0])
         W2 = W.reshape(len(W), -1)
         T = W2[:, None] * self.M[:, :, None]
         T *= W2  # T[i, k] = (w_i M_ik) w_k
@@ -81,6 +82,48 @@ class Restriction:
         # jump, row) so that every product runs over all jumps and rows at once
         W = np.add(X.T[:, None, :], jumps.T[:, :, None], order="C") - self.center[:, None, None]
         return (self.form(W) <= self.radius**2).T
+
+
+def ball_box(cert, ball):
+    """The lattice box ``lo <= X <= hi`` (int64 arrays) that holds ``ball``:
+    half-width radius / c0 (norm equivalence) about the rounded-out centre."""
+    hw = math.ceil(ball.radius / cert.c0)
+    return np.floor(ball.center).astype(np.int64) - hw, np.ceil(ball.center).astype(np.int64) + hw
+
+
+def enumerate_ball(N, cert, delta, cap=STATE_CAP):
+    """All lattice points X with ||X - N c||_M <= N delta.
+
+    Scan of the ``ball_box``, then exact quadratic-form filter.  Errors out
+    when the expected state count (ellipsoid volume) exceeds ``cap``.
+    """
+    d = len(cert.c)
+    ball = cert.ball(N, delta)
+    volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * ball.radius**d
+    expected = volume / math.sqrt(np.linalg.det(cert.M))
+    if expected > cap:
+        raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
+    lo, hi = ball_box(cert, ball)
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    states = grid[ball.contains(grid)]
+    if len(states) > cap:
+        raise CapExceededError(f"{len(states)} states exceeds cap {cap}")
+    return states[canonical_order(states)].astype(np.int64)
+
+
+def _draw_ball_points(m, cert, ball, N, n, rng):
+    """``n`` lattice points drawn uniformly from the in-domain points of
+    ``ball``: uniform points of its ``ball_box``, kept when they lie in the
+    ball, drawn in batches until ``n`` are kept."""
+    lo, hi = ball_box(cert, ball)
+    kept, have = [], 0
+    while have < n:
+        X = rng.integers(lo, hi + 1, size=(2 * n, len(lo)))
+        X = X[ball.contains(X) & m.domain._inside(X / N)]
+        kept.append(X)
+        have += len(X)
+    return np.concatenate(kept)[:n]
 
 
 def _validate_rates(r, X, N):

@@ -1,4 +1,5 @@
-"""Quasi-equilibrium of the ball-restricted chain, discrete-normal
+"""Quasi-equilibrium of the ball-restricted chain (on the engine's ball
+enumeration, also reachable here as ``enumerate_ball``), discrete-normal
 comparison, total variation, and the cutoff-profile experiments."""
 
 from __future__ import annotations
@@ -14,43 +15,12 @@ import scipy.sparse.linalg as spla
 from . import engine, rng as _rng
 from .dist import LatticeDistribution, LatticeKeys, canonical_order
 from .dynamics import _drift, _lyapunov_lift, _rk4_flow, _rk4_step, cutoff_time, default_step
-from .errors import CapExceededError, ConvergenceError, DdjumpError, DomainError
-from .simulate import sample_states
+from .engine import STATE_CAP, enumerate_ball
+from .errors import ConvergenceError, DdjumpError, DomainError
+from .model import eval_rates
+from .simulate import SimOptions, sample_states
 
-STATE_CAP = 200_000
 POWER_MAX_ITERS = 2_000_000
-
-
-def ball_box(cert, ball):
-    """The lattice box ``lo <= X <= hi`` (int64 arrays) that holds ``ball``:
-    half-width radius / c0 (norm equivalence) about the rounded-out centre."""
-    hw = math.ceil(ball.radius / cert.c0)
-    return np.floor(ball.center).astype(np.int64) - hw, np.ceil(ball.center).astype(np.int64) + hw
-
-
-def enumerate_ball(N, cert, delta, cap=STATE_CAP):
-    """All lattice points X with ||X - N c||_M <= N delta.
-
-    Scan of the ``ball_box``, then exact quadratic-form filter.  Errors out
-    when the expected state count (ellipsoid volume) exceeds ``cap``.
-    """
-    d = len(cert.c)
-    ball = cert.ball(N, delta)
-    expected = (
-        math.pi ** (d / 2.0)
-        / math.gamma(d / 2.0 + 1.0)
-        * ball.radius**d
-        / math.sqrt(np.linalg.det(cert.M))
-    )
-    if expected > cap:
-        raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
-    lo, hi = ball_box(cert, ball)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    states = grid[ball.contains(grid)]
-    if len(states) > cap:
-        raise CapExceededError(f"{len(states)} states exceeds cap {cap}")
-    return states[canonical_order(states)].astype(np.int64)
 
 
 def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
@@ -58,12 +28,10 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     transitions deleted.  Rates are evaluated at X/N and must be valid there."""
     states = enumerate_ball(N, cert, delta, cap=cap)
     n = len(states)
-    for i in range(m.d):
-        lo, hi = states[:, i].min() / N, states[:, i].max() / N
-        if lo < m.domain.lower[i] or hi > m.domain.upper[i]:
-            raise DomainError(
-                f"restriction ball leaves the domain along axis {i + 1}; shrink delta"
-            )
+    out = ~m.domain._inside(states / N)
+    if out.any():
+        state = states[out][0].tolist()
+        raise DomainError(f"restriction ball leaves the domain at {state}; shrink delta")
     rates_fn = engine.compile_rates(m)
     r = rates_fn(states.astype(float) / N)
     engine._validate_rates(r, states, N)
@@ -249,8 +217,6 @@ def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
 
 def equilibrium_sigma2(m, c):
     """Innovations matrix sum_J J J^T r_J(c); symmetric PSD by construction."""
-    from .model import eval_rates
-
     r = eval_rates(m, c)
     J = m.jump_array.astype(float)
     return (J.T * r) @ J
@@ -425,8 +391,6 @@ def cutoff_profile(
     t_N = cutoff_time(m, cert, x0, N)
     times = np.maximum(t_N + s_grid, 0.0)
     uniq, col = np.unique(times, return_inverse=True)
-    from .simulate import SimOptions
-
     opts = SimOptions(N=N, seed=seed, horizon=float(uniq[-1]) + 1.0, record=tuple(uniq.tolist()))
     X0 = np.round(N * x0).astype(np.int64)
     records = sample_states(m, opts, X0, reps, workers=workers)[:, col]
@@ -510,8 +474,6 @@ class MeanDriftReport:
 def mean_drift_check(m, cert, N, y0, times, reps, seed, workers=1, delta=None):
     """sqrt(N) max_t || mean(X(t)/N) - y(t) ||_M with y the drift flow from
     the realized lattice start X0/N."""
-    from .simulate import SimOptions
-
     times = tuple(float(t) for t in times)
     X0 = np.round(N * np.asarray(y0, dtype=float)).astype(np.int64)
     restriction = None if delta is None else (cert, delta)
@@ -550,8 +512,6 @@ def variance_check(m, cert, N, X0, t, reps, direction, seed, workers=1, delta=No
     A linear f(X) = <u, X> has M-Lipschitz constant |u| / c0, so the bound
     shape is Var <= N v L^2 with L = |direction| / c0.
     """
-    from .simulate import SimOptions
-
     direction = np.asarray(direction, dtype=float)
     restriction = None if delta is None else (cert, delta)
     opts = SimOptions(N=N, seed=seed, horizon=t + 1.0, record=(t,), restriction=restriction)

@@ -58,8 +58,12 @@ class Domain:
         return Domain(lower=(-math.inf,) * d, upper=(math.inf,) * d)
 
     def contains(self, y):
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower) and np.all(y <= self.upper))
+        return bool(self._inside(y))
+
+    def _inside(self, Y):
+        """Whether each point ``Y[..., :]`` lies in the box (NaN does not)."""
+        Y = np.asarray(Y, dtype=float)
+        return ((Y >= self.lower) & (Y <= self.upper)).all(axis=-1)
 
     def m_distance_to_boundary(self, c, M):
         """M-norm distance from ``c`` to the nearest finite face.

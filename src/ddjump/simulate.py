@@ -17,8 +17,12 @@ import numpy as np
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution
-from .dynamics import _slack_threshold, integrate_ode, m_sphere_map
-from .errors import CapExceededError, DomainError, RateError, SimulationError
+from .dynamics import _drift_slack, _lattice_rates, _m_directions, _sample_ball, _slack_threshold
+from .dynamics import integrate_ode, m_sphere_map
+from .engine import _draw_ball_points, enumerate_ball
+from .errors import CapExceededError, DomainError, SimulationError
+from .lattice import classify_jumps
+from .model import eval_jacobian
 
 CONTRACTIVE = "contractive"
 INDEPENDENT = "independent"
@@ -167,57 +171,23 @@ class CoupledTrace:
     V: np.ndarray = None
 
 
-def _in_domain(m, N, X):
-    """The rows of ``X`` whose scaled point X / N lies in the model's domain."""
-    y = X / N
-    return X[((y >= m.domain.lower) & (y <= m.domain.upper)).all(axis=1)]
-
-
-def _draw_ball_points(m, cert, ball, N, n, rng):
-    """``n`` lattice points drawn uniformly from the in-domain points of
-    ``ball``: uniform points of its ``ball_box``, kept when they lie in the
-    ball, drawn in batches until ``n`` are kept."""
-    from .equilibrium import ball_box  # equilibrium imports this module
-
-    lo, hi = ball_box(cert, ball)
-    kept, have = [], 0
-    while have < n:
-        X = rng.integers(lo, hi + 1, size=(2 * n, len(lo)))
-        X = _in_domain(m, N, X[ball.contains(X)])
-        kept.append(X)
-        have += len(X)
-    return np.concatenate(kept)[:n]
-
-
 def _pair_slack(m, cert, ball, N, pts, i, j):
     """H = ||U - V||_M and the slack A H + rho H of the exact coupling
     generator, for the pairs U = pts[i], V = pts[j].
 
     Jump J moves the pair by +J at rate N (r_J(U) - r_J(V)) when r_J(U) >=
-    r_J(V), and by -J at rate N (r_J(V) - r_J(U)) otherwise; the jumps are
-    added left to right.  Norms take ``ball.form``, the scalar ``m_norm``'s
-    order at d <= 2.  The slack is symmetric in U and V.  The pairs are
-    scored K2_PAIR_BLOCK at a time, which bounds the memory of a large ball;
-    each pair's values do not depend on the blocks.
+    r_J(V), and by -J at rate N (r_J(V) - r_J(U)) otherwise: ``_drift_slack``
+    with the rate differences.  The slack is symmetric in U and V.  The
+    pairs are scored K2_PAIR_BLOCK at a time, which bounds the memory of a
+    large ball; each pair's values do not depend on the blocks.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = m.kernel.rates_array(pts / N)
-    bad = ~(np.isfinite(R) & (R >= 0.0)).all(axis=1)
-    if bad.any():
-        raise RateError(f"invalid rate at lattice point {pts[bad][0].tolist()} (N={N})")
+    R = _lattice_rates(m, pts, N)
     H, slack = np.empty(len(i)), np.empty(len(i))
     for lo in range(0, len(i), K2_PAIR_BLOCK):
         b = slice(lo, lo + K2_PAIR_BLOCK)
         ib, jb = i[b], j[b]
         W = (pts[ib] - pts[jb]).astype(float).T
-        Hb = np.sqrt(ball.form(W))
-        AH = np.zeros(len(ib))
-        for k, J in enumerate(m.kernel.J):
-            a, c = R[ib, k], R[jb, k]
-            up = a >= c
-            T = np.where(up, W + J[:, None], W - J[:, None])
-            AH += (np.sqrt(ball.form(T)) - Hb) * N * np.where(up, a - c, c - a)
-        H[b], slack[b] = Hb, AH + cert.rho * Hb
+        H[b], slack[b] = _drift_slack(ball, m.kernel.J, W, R[ib] - R[jb], N, cert.rho)
     return H, slack
 
 
@@ -227,19 +197,17 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
     The smallest H above which the exact coupling generator satisfies
     A H <= -rho H on every scored pair of distinct in-domain ball points,
     capped at K2_CAP_FACTOR * JstarM; the cap is also the fallback when no
-    threshold works or no pair exists.  A threshold at the smallest scored H
-    is returned uncapped.
+    threshold works or no pair exists.
 
     A ball of at most K2_EXACT_POINTS lattice points has every unordered pair
     scored, so the result is exact and ignores ``samples`` and ``seed``.  A
     larger ball is scored on ``samples`` pairs of points drawn with ``seed``,
     uniformly from its in-domain lattice points.
     """
-    from .equilibrium import enumerate_ball  # equilibrium imports this module
-
     ball = cert.ball(N, cert.delta0)
     try:
-        pts = _in_domain(m, N, enumerate_ball(N, cert, cert.delta0, cap=K2_EXACT_POINTS))
+        pts = enumerate_ball(N, cert, cert.delta0, cap=K2_EXACT_POINTS)
+        pts = pts[m.domain._inside(pts / N)]
         i, j = np.triu_indices(len(pts), k=1)
     except CapExceededError:
         pts = _draw_ball_points(m, cert, ball, N, 2 * samples, np.random.default_rng(seed))
@@ -248,16 +216,12 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
         i, j = i[distinct], j[distinct]
     hs, _, k = _slack_threshold(*_pair_slack(m, cert, ball, N, pts, i, j))
     cap = K2_CAP_FACTOR * cert.JstarM
-    if k >= len(hs):
-        return cap
-    return float(hs[0]) if k == 0 else float(min(hs[k], cap))
+    return float(min(hs[k], cap)) if k < len(hs) else cap
 
 
 def _default_k2_nu(m, cert, N, seed, k2, nu):
     """``k2`` and ``nu``, where None stands for ``estimate_K2`` at ``seed``
     and for the jump analysis's nu; nu is kept above 1."""
-    from .lattice import classify_jumps
-
     if k2 is None:
         k2 = estimate_K2(m, cert, N, seed=seed)
     if nu is None:
@@ -625,14 +589,10 @@ class ExitReport:
 
 def _ball_sup_constants(m, cert, samples=512, seed=1):
     """Sampled sups of sum_J r_J and |DF| over B_M(c, delta0)."""
-    from .dynamics import _sample_ball
-    from .model import eval_jacobian
-
     rng = np.random.default_rng(seed)
-    pts = _sample_ball(cert.c, cert.M, cert.delta0, samples, rng)
+    pts = _sample_ball(cert.c, m_sphere_map(cert.M), cert.delta0, samples, rng)
+    pts = pts[m.domain._inside(pts)]
     rates_fn = engine.compile_rates(m)
-    keep = np.array([m.domain.contains(p) for p in pts])
-    pts = pts[keep]
     Rstar = float(rates_fn(pts).sum(axis=1).max())
     L = max(float(np.linalg.norm(eval_jacobian(m, p, check_domain=False), 2)) for p in pts[:128])
     return Rstar, L
@@ -648,9 +608,7 @@ def _exit_starts(start_ball, Linv_T, reps, seed):
     (seed, 0, EXIT_START).
     """
     Nc, rad_p = start_ball.center, start_ball.radius
-    U = _rng.substream(seed, 0, _rng.EXIT_START).normal(size=(reps, len(Nc)))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    V = U @ Linv_T.T
+    V = _m_directions(_rng.substream(seed, 0, _rng.EXIT_START), reps, Linv_T)
     starts = np.round(Nc + rad_p * V).astype(np.int64)
     out = np.flatnonzero(~start_ball.contains(starts))
     scale = 1.0

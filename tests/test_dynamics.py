@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ddjump as dj
-from ddjump.dynamics import _ball_passes, _sample_ball
+from ddjump.dynamics import _ball_passes, _sample_ball, _shell_samples, m_sphere_map
 from ddjump.equilibrium import _flow_at_times
 from ddjump.errors import CertificateError, ConvergenceError, RateError
 from ddjump.model import rate_gradients
 from conftest import batch_flow, identity_certificate
+from drift_reference import check_drift_reference, shell_samples_reference
 from flow_reference import cutoff_time_reference, flow_at_times_reference, integrate_ode_reference
 
 
@@ -203,7 +206,7 @@ def test_batched_radius_check_matches_pointwise(sir, cert05):
     for m in (sir, division):
         grad_c = rate_gradients(m, cert05.c)
         for delta in np.geomspace(1e-3, 1.2, 40):
-            pts = _sample_ball(cert05.c, cert05.M, delta, 64, rng)
+            pts = _sample_ball(cert05.c, m_sphere_map(cert05.M), delta, 64, rng)
             verdict = _ball_passes(m, pts, grad_c, 0.05)
             assert verdict == _ball_passes_pointwise(m, pts, grad_c, 0.05)
             verdicts.add(verdict)
@@ -340,6 +343,66 @@ def test_drift_condition_birth_death(birth_death):
 def test_drift_condition_rejects_small_N(sir, cert05):
     with pytest.raises(ValueError):
         dj.check_drift_condition(sir, cert05, N=4, sample_count=10, k1_floor=1.0)
+
+
+@pytest.mark.parametrize(
+    "cert_name,delta0",
+    [("cert025", "0.019430905693547388"), ("cert05", "0.01062501989267148"), ("cert09", "0.0008699409777820552")],
+)
+def test_certify_delta0_is_pinned(request, cert_name, delta0):
+    # the radius search draws its points from one M-sphere map built per certify
+    assert repr(float(request.getfixturevalue(cert_name).delta0)) == delta0
+
+
+@pytest.mark.parametrize("cert_name", ["cert025", "cert05", "cert09"])
+def test_shell_samples_match_the_per_sample_draw(request, sir, cert_name):
+    cert = request.getfixturevalue(cert_name)
+    for N, seed in ((10_000, 0), (10_000, 1), (40_000, 5), (20_000, 9)):
+        g_lo = 0.05 / math.sqrt(N)
+        X = _shell_samples(sir, cert, N, 3000, seed, g_lo, cert.delta0)
+        assert sorted(map(tuple, X.tolist())) == sorted(
+            shell_samples_reference(sir, cert, N, 3000, seed, g_lo, cert.delta0)
+        )
+
+
+@st.composite
+def drift_scans(draw):
+    """(model, certificate, N, seed): a random SIR certificate and an N from
+    400 to 20,000 whose shell [0.05 / sqrt(N), delta0] is not empty."""
+    alpha, beta, gamma = (draw(st.floats(0.5, 3.0)) for _ in range(3))
+    m = dj.builtin_hamer_sir(alpha, beta, gamma)
+    cert = dj.certify(m, np.array([gamma / alpha, beta / gamma]), rho_fraction=draw(st.floats(0.1, 0.9)))
+    n_lo = max(400, math.ceil((0.05 / cert.delta0) ** 2 * 1.01))
+    assume(n_lo <= 20_000)
+    return m, cert, draw(st.integers(n_lo, 20_000)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift_scans())
+def test_drift_scan_matches_the_per_state_oracle(case):
+    # the array pass scores in lattice units, so it rounds differently from
+    # the oracle's x-units: K1 stays within 1e-12 relative; the levels within
+    # 1e-12 of the point's size, since x - c cancels; and the slack within
+    # 1e-12 of the generator terms N g r that cancel in it
+    m, cert, N, seed = case
+    rep = dj.check_drift_condition(m, cert, N, sample_count=300, seed=seed)
+    n, k1, slack, g_min, g_max, X_star, levels = check_drift_reference(m, cert, N, 300, seed)
+    assert rep.n_samples == n
+    if n == 0:
+        assert rep.failed_everywhere and math.isnan(rep.g_min) and math.isnan(rep.g_max)
+        return
+    size = cert.m_norm(cert.c)
+    assert abs(rep.g_min - g_min) <= 1e-12 * (g_min + size)
+    assert abs(rep.g_max - g_max) <= 1e-12 * (g_max + size)
+    assert rep.failed_everywhere == (X_star is None)
+    if X_star is None:
+        return
+    assert abs(rep.k1_empirical - k1) <= 1e-12 * k1
+    # the same threshold sample: the oracle's only one at the scan's level
+    root_n = math.sqrt(N)
+    assert [X for X, g in levels.items() if abs(g * root_n - rep.k1_empirical) <= 1e-12 * k1] == [X_star]
+    terms = N * g_max * float(dj.eval_rates(m, cert.c).sum())
+    assert abs(rep.max_slack_above - slack) <= 1e-12 * terms
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,16 @@ def test_estimate_k2_samples_a_ball_past_the_cap_reproducibly(sir, cert025, N):
     assert all(0.0 < k <= K2_CAP_FACTOR * cert025.JstarM for k in k2)
 
 
+def test_estimate_k2_is_capped_when_no_scored_pair_has_positive_slack(sir, cert025, cert05):
+    # at N=200,000 the smallest sampled H already lies past the cap, so no
+    # scored pair fails and the threshold is that H, which the cap bounds
+    for cert, seed in ((cert025, 0), (cert025, 3), (cert05, 0)):
+        assert dj.estimate_K2(sir, cert, 200_000, seed=seed) == K2_CAP_FACTOR * cert.JstarM
+    # sampled values below the cap do not move
+    assert dj.estimate_K2(sir, cert025, 20_000, seed=0) == 9.837028173573117
+    assert dj.estimate_K2(sir, cert025, 20_000, seed=3) == 4.8143620752682095
+
+
 def test_estimate_k2_near_the_cap_is_scored_in_bounded_blocks(monkeypatch, sir, cert025):
     # 1,021 points, 520,710 pairs: the values do not depend on the block size,
     # and the call's numpy memory stays well under the 68 MB that scoring
