@@ -44,7 +44,7 @@ from .errors import (
     SimulationError,
 )
 from .lattice import SPANNING, classify_jumps
-from .model import eval_rates, parse_model
+from .model import domain_exits, eval_rates, parse_model
 from .simulate import SimOptions, coupled_ensemble, estimate_K2, simulate_coupled, simulate_path
 
 EXIT_OK = 0
@@ -138,6 +138,8 @@ def cmd_validate(args):
         report["c0"] = cert.c0
         report["c1"] = cert.c1
         report["rates_at_c"] = eval_rates(m, cert.c).tolist()
+        report["domain_exits"] = domain_exits(m, cert.c.tolist())
+        ok = ok and not report["domain_exits"]
     except (CertificateError, ConvergenceError, DomainError, RateError) as e:
         report["certificate_error"] = str(e)
         ok = False

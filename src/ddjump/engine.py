@@ -7,12 +7,19 @@ depend only on (seed, replicate), never on chunking or worker count.  A
 single path (``simulate.simulate_path``) is the ``events`` mode run on one.
 
 A step costs a few contiguous array operations.  The live replicates sit in
-compacted arrays, in row order: state, time, original row, the column of
-their uniforms, and each mode's own per-replicate state.  The arrays are
-compacted only on the steps where some replicate retires.  Uniforms are
-stored one row per draw, so a draw is one row gathered by the live columns.
-The total rate, the running sums that pick the jump and the martingale drift
-are added jump by jump, left to right, so no sum depends on the chunk layout.
+compacted arrays, in row order, replicate axis last (state and martingale
+(d, n), rates (k, n)), so every operation runs along whole replicate rows:
+state, time, original row, the column of their uniforms, and each mode's
+own per-replicate state.  The arrays are compacted only on the steps where
+some replicate retires.  Uniforms are stored one row per draw, so a draw is
+one row gathered by the live columns.
+
+Every sum over the jumps or the coordinates adds whole rows left to right,
+so no sum depends on the chunk layout.  ``np.add.reduce`` adds pairwise along
+a contiguous axis, as in a (k, 1) array (one live replicate) or a transposed
+view: from 8 terms on it moved the last bit in 60 to 200 of 200 random cases.
+``np.cumsum`` along axis 0 is sequential, but takes 80 us to the row adds' 6
+us at k = 3, n = 4096.
 
 The lattice ball ``Restriction`` sits here with its box, its enumeration and
 its uniform point draw, below every module that uses them.
@@ -73,11 +80,12 @@ class Restriction:
 
     def contains(self, X):
         """Whether the lattice point ``X`` (shape (d,)), or each row of ``X``
-        (shape (n, d)), lies in the ball."""
+        (shape (n, d)), lies in the ball; a transposed (d, n) array is read by rows."""
         return self.form((np.asarray(X) - self.center).T) <= self.radius**2
 
     def keeps(self, X, jumps):
-        """``keeps(X, jumps)[n, k]``: jump k from the lattice point ``X[n]`` lands in the ball."""
+        """``keeps(X, jumps)[n, k]``: jump k from the lattice point ``X[n]`` lands
+        in the ball; stored (jump, row), and a transposed (d, n) X is read by rows."""
         # the targets (X + J) - center, integer add first, laid out (coordinate,
         # jump, row) so that every product runs over all jumps and rows at once
         W = np.add(X.T[:, None, :], jumps.T[:, :, None], order="C") - self.center[:, None, None]
@@ -139,29 +147,26 @@ def _validate_rates(r, X, N):
 
 
 def _running_sums(r):
-    """Running sums of ``r`` over its last axis, added left to right: entry
-    k is ``r[..., 0] + ... + r[..., k]`` and the last entry is the total.
-
-    The engine takes the total rate and the jump pick from these.  (numpy's
-    ``sum`` adds 8 or more terms pairwise, so it can differ from the running
-    sum in the last bit from 8 jumps on.)
-    """
-    cum = [r[..., 0]]
-    for k in range(1, r.shape[-1]):
-        cum.append(cum[-1] + r[..., k])
+    """Running sums of ``r`` over its first axis, one whole row per add, left
+    to right: entry k is ``r[0] + ... + r[k]`` and the last entry is the total."""
+    cum = [r[0]]
+    for k in range(1, len(r)):
+        cum.append(cum[-1] + r[k])
     return cum
 
 
 def _drift(r, J):
-    """``sum_k r[..., k] J[k]``, added left to right.
+    """``F[:, n] = sum_k r[k, n] J[k]``, added left to right.
 
     A matrix product adds in an order that can depend on how many rows it
     is given, which would tie the martingale to the chunk layout.
     """
-    F = r[..., 0, None] * J[0]
-    for k in range(1, len(J)):
-        F = F + r[..., k, None] * J[k]
-    return F
+    return _running_sums(r[:, None] * J[:, :, None])[-1]
+
+
+def _norm(m):
+    """The Euclidean norm of each column of ``m``, squares added left to right."""
+    return np.sqrt(_running_sums(m * m)[-1])
 
 
 def _draw_blocks(bufs, gens, row):
@@ -171,15 +176,23 @@ def _draw_blocks(bufs, gens, row):
     The transposed writes go 64 by 64 replicates, so each tile stays in cache.
     """
     block = len(bufs)
+    tile = np.empty((64, block))
     for a in range(0, len(row), 64):
-        fresh = np.array([gens[i].random(block) for i in row[a : a + 64]])
+        for j, i in enumerate(row[a : a + 64]):
+            gens[i].random(out=tile[j])
         for b in range(0, block, 64):
-            bufs[b : b + 64, a : a + len(fresh)] = fresh[:, b : b + 64].T
+            bufs[b : b + 64, a : a + j + 1] = tile[: j + 1, b : b + 64].T
     return np.arange(len(row))
 
 
+def _m_at(live, cols, N):
+    """The martingale (X - X_start) / N - integral at the live columns ``cols``."""
+    X, start, integral = (live[name].take(cols, axis=1) for name in ("X", "X_start", "integral"))
+    return (X - start) / N - integral
+
+
 def _keep(live, keep):
-    return {name: a[keep] for name, a in live.items()}
+    return {name: a.take(keep, axis=-1) for name, a in live.items()}
 
 
 def simulate_chunk(
@@ -220,7 +233,7 @@ def simulate_chunk(
     rates_fn = compile_rates(model)
 
     X0 = np.asarray(X0, dtype=np.int64)
-    X = np.tile(X0, (n, 1)) if X0.ndim == 1 else X0[rep_lo:rep_hi].copy()
+    X = np.repeat(X0[:, None], n, axis=1) if X0.ndim == 1 else X0[rep_lo:rep_hi].T.copy()
     # the live replicates, in row order; compacted on the steps where some retire
     live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}
     absorbed = np.zeros(n, dtype=bool)
@@ -239,12 +252,11 @@ def simulate_chunk(
         events = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, d), dtype=np.int64))]
     if mode == MARTINGALE:
         live["X_start"] = X.astype(float)
-        live["integral"] = np.zeros((n, d))
+        live["integral"] = np.zeros((d, n))
         live["sup"] = np.zeros(n)
         sup_m = np.zeros(n)
         final_m = np.zeros((n, d))
-        box_lo = np.asarray(stop_box[0], dtype=float)
-        box_hi = np.asarray(stop_box[1], dtype=float)
+        box = np.asarray(stop_box, dtype=float)[:, :, None]  # (lo, hi), one column each
     if mode in (MARTINGALE, EXIT):
         exited = np.zeros(n, dtype=bool)
         exit_time = np.full(n, math.inf)
@@ -262,10 +274,10 @@ def simulate_chunk(
             live["slot"] = _draw_blocks(bufs, gens, row)
             col = 0
         X = live["X"]
-        r = rates_fn(X / N)
-        _validate_rates(r, X, N)
+        r = rates_fn((X / N).T).T
+        _validate_rates(r.T, X.T, N)
         if restriction is not None:
-            r = np.where(restriction.keeps(X, jumps), r, 0.0)
+            r = np.where(restriction.keeps(X.T, jumps).T, r, 0.0)
         cum = _running_sums(r)
 
         dead = cum[-1] <= 0.0
@@ -274,19 +286,19 @@ def simulate_chunk(
             for i in np.flatnonzero(dead):
                 if mode in (RECORDS, EVENTS):
                     # an absorbing state holds its value through every remaining record
-                    records[row[i], live["k"][i] :] = X[i]
+                    records[row[i], live["k"][i] :] = X[:, i]
                 if mode == MARTINGALE:
                     # state frozen: m drifts by -F (=0 if all rates vanish) to T
                     seg = max(0.0, horizon - live["t"][i])
-                    f_row = _drift(rates_fn(X[i] / N), J)
-                    m_T = (X[i] - live["X_start"][i]) / N - live["integral"][i] - f_row * seg
+                    f_row = _drift(rates_fn(X[:, i] / N)[:, None], J)[:, 0]
+                    m_T = _m_at(live, [i], N)[:, 0] - f_row * seg
                     sup_m[row[i]] = max(live["sup"][i], float(np.linalg.norm(m_T)))
                     final_m[row[i]] = m_T
-            keep = ~dead
+            keep = np.flatnonzero(~dead)
             live = _keep(live, keep)
             if not live["row"].size:
                 break
-            row, X, r = live["row"], live["X"], r[keep]
+            row, X, r = live["row"], live["X"], r.take(keep, axis=1)
             cum = [c[keep] for c in cum]
 
         t = live["t"]
@@ -299,7 +311,7 @@ def simulate_chunk(
         j = np.zeros(row.size, dtype=np.intp)
         for c in cum[:-1]:
             j += c < pick
-        step = jumps.take(j, axis=0)
+        step = jumps.T.take(j, axis=1)
 
         gone = None
         if mode in (RECORDS, EVENTS):
@@ -308,7 +320,7 @@ def simulate_chunk(
             if due.any():  # most steps take no record, and one reduction clears them
                 due = np.flatnonzero(due)
                 while due.size:
-                    records[row[due], k[due]] = X[due]
+                    records[row[due], k[due]] = X.take(due, axis=1).T
                     k[due] += 1
                     due_t[due] = rec_next[k[due]]
                     due = due[due_t[due] < t_next[due]]
@@ -318,56 +330,53 @@ def simulate_chunk(
             gone = t_next >= horizon
             if gone.any():
                 for i in np.flatnonzero(gone):
-                    records[row[i], k[i] :] = X[i]
+                    records[row[i], k[i] :] = X[:, i]
 
         if mode == MARTINGALE:
             F = _drift(r, J)
             over = t_next >= horizon
             if over.any():
-                seg = horizon - t[over]
-                m_T = (
-                    (X[over] - live["X_start"][over]) / N
-                    - live["integral"][over]
-                    - F[over] * seg[:, None]
-                )
-                sup_m[row[over]] = np.maximum(live["sup"][over], np.linalg.norm(m_T, axis=1))
-                final_m[row[over]] = m_T
-                keep = ~over
+                o = np.flatnonzero(over)
+                m_T = _m_at(live, o, N) - F.take(o, axis=1) * (horizon - t[o])
+                sup_m[row[over]] = np.maximum(live["sup"][over], _norm(m_T))
+                final_m[row[over]] = m_T.T
+                keep = np.flatnonzero(~over)
                 live = _keep(live, keep)
                 if not live["row"].size:
                     break
                 row, X = live["row"], live["X"]
-                dt, t_next, F, step = dt[keep], t_next[keep], F[keep], step[keep]
-            Fdt = F * dt[:, None]
+                dt, t_next, F, step = dt[keep], t_next[keep], F.take(keep, axis=1), step.take(keep, axis=1)
+            Fdt = F * dt
             m_pre = (X - live["X_start"]) / N - live["integral"] - Fdt
-            sup = np.maximum(live["sup"], np.linalg.norm(m_pre, axis=1))
+            sup = np.maximum(live["sup"], _norm(m_pre))
             m_post = m_pre + step / N
-            live["sup"] = np.maximum(sup, np.linalg.norm(m_post, axis=1))
+            live["sup"] = np.maximum(sup, _norm(m_post))
             live["integral"] += Fdt
 
         X += step
         live["t"] = t_next
         if mode == EVENTS:
-            events.append((row[~gone], t_next[~gone], X[~gone]))
+            stay = ~gone
+            events.append((row[stay], t_next[stay], X[:, stay].T))
 
         if mode == MARTINGALE:
             y = X / N
-            gone = np.any((y < box_lo) | (y > box_hi), axis=1)
+            gone = ((y < box[0]) | (y > box[1])).any(axis=0)
             if gone.any():
                 rows = row[gone]
                 exited[rows] = True
                 exit_time[rows] = t_next[gone]
-                final_m[rows] = (X[gone] - live["X_start"][gone]) / N - live["integral"][gone]
+                final_m[rows] = _m_at(live, np.flatnonzero(gone), N).T
                 sup_m[rows] = live["sup"][gone]
 
         if mode == EXIT:
-            out = ~exit_ball.contains(X)
+            out = ~exit_ball.contains(X.T)
             exited[row[out]] = True
             exit_time[row[out]] = t_next[out]
             gone = out | (t_next >= horizon)
 
         if gone is not None and gone.any():
-            live = _keep(live, ~gone)
+            live = _keep(live, np.flatnonzero(~gone))
 
     if mode == RECORDS:
         return {"records": records, "absorbed": absorbed}

@@ -254,10 +254,12 @@ def parse_model(text):
 # scalar forms take the d coordinates as floats and return a tuple:
 # rates(y0, ..)[k] = r_k(y) and grads(y0, ..)[k * d + i] = d r_k / d y_i.  The
 # array forms take the coordinates in the last axis of Y: rates_array(Y)[..., k]
-# and grads_array(Y)[..., k, i].  The entry tuples hold one scalar function per
-# rate and per gradient entry, to find the one that divides by zero.  J is the
-# read-only float jump matrix, one row per jump, and rate_src the rates' source
-# expressions, which the coupled-pair loop inlines.
+# and grads_array(Y)[..., k, i], stored jump-major so that each entry is one
+# contiguous write (and one contiguous read of a transposed (d, n) Y).  The
+# entry tuples hold one scalar function per rate and per gradient entry, to
+# find the one that divides by zero.  J is the read-only float jump matrix, one
+# row per jump, and rate_src the rates' source expressions, which the
+# coupled-pair loop inlines.
 Kernel = namedtuple(
     "Kernel", "rates grads rates_array grads_array rate_entries grad_entries J rate_src"
 )
@@ -283,9 +285,10 @@ def _compile_kernel(m):
             f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
             f"def {name}s_array(Y):",
             *(f"    y{i} = Y[..., {i}]" for i in range(d)),
-            f"    out = np.empty(Y.shape[:-1] + ({len(exprs)},))",
-            *(f"    out[..., {k}] = {e}" for k, e in enumerate(exprs)),
-            f"    return out.reshape(Y.shape[:-1] + {shape})",
+            f"    out = np.empty(({len(exprs)},) + Y.shape[:-1])",
+            *(f"    out[{k}] = {e}" for k, e in enumerate(exprs)),
+            *([f"    out = out.reshape({shape} + Y.shape[:-1])"] if len(shape) > 1 else []),
+            f"    return out.transpose((*range({len(shape)}, out.ndim), *{tuple(range(len(shape)))}))",
         ]
     ns = {"np": np, "inf": math.inf, "nan": math.nan}
     exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
@@ -328,6 +331,32 @@ def eval_rates(m, y, check_domain=True):
         if v < 0:
             raise RateError(f"negative rate {v} for jump {m.jumps[k]} at {y}")
     return np.array(r)
+
+
+def domain_exits(m, c):
+    """The jumps that can carry the chain out of the domain, one message per
+    jump and finite face it points out through: a jump that crosses the face
+    by two or more lattice steps (the rate cannot vanish on every lattice
+    point it leaves from), or by one step at a rate that does not vanish at
+    ``c`` projected onto the face."""
+    found = []
+    for J, rate in zip(m.jumps, m.kernel.rate_entries):
+        for i, step in enumerate(J):
+            for bound, out, op in ((m.domain.lower[i], -step, ">="), (m.domain.upper[i], step, "<=")):
+                if out < 1 or not math.isfinite(bound):
+                    continue
+                face = f"x{i + 1} {op} {bound:g}"
+                y = [*c[:i], bound, *c[i + 1 :]]
+                if out > 1:
+                    found.append(f"jump {J} crosses the face {face} by {out} lattice steps")
+                    continue
+                try:
+                    v = rate(*y)
+                except ZeroDivisionError:
+                    v = math.nan
+                if v != 0:
+                    found.append(f"jump {J} leaves through the face {face} at rate {v:g} at {y}")
+    return found
 
 
 def eval_drift(m, y, check_domain=True):

@@ -21,7 +21,26 @@ import math
 import numpy as np
 
 from ddjump import engine, rng as _rng
-from ddjump.engine import EXIT, MARTINGALE, RECORDS, _drift, _running_sums
+from ddjump.engine import EXIT, MARTINGALE, RECORDS
+
+
+def _running_sums(r):
+    """Running sums of ``r`` over its last axis, added left to right: entry
+    k is ``r[..., 0] + ... + r[..., k]`` and the last entry is the total.
+    (numpy's ``sum`` adds 8 or more terms pairwise, so it can differ from
+    the running sum in the last bit from 8 jumps on.)"""
+    cum = [r[..., 0]]
+    for k in range(1, r.shape[-1]):
+        cum.append(cum[-1] + r[..., k])
+    return cum
+
+
+def _drift(r, J):
+    """``sum_k r[..., k] J[k]``, added left to right."""
+    F = r[..., 0, None] * J[0]
+    for k in range(1, len(J)):
+        F = F + r[..., k, None] * J[k]
+    return F
 
 
 def _in_ball(W, ball):

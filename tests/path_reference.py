@@ -12,6 +12,7 @@ import numpy as np
 
 from ddjump import engine, rng as _rng
 from ddjump.simulate import Trajectory, _check_start
+from engine_reference import _running_sums
 
 
 def simulate_path_reference(m, opts, X0, replicate=0):
@@ -40,7 +41,7 @@ def simulate_path_reference(m, opts, X0, replicate=0):
         engine._validate_rates(r[None, :], X[None, :], N)
         if restr is not None:
             r = np.where(restr.keeps(X[None, :], jumps)[0], r, 0.0)
-        cum = engine._running_sums(r)
+        cum = _running_sums(r)
         tot = cum[-1]
         if tot <= 0.0:
             absorbed = True

@@ -99,6 +99,41 @@ def test_validate_fails_positivity(tmp_path, capsys):
     assert "certificate_error" in out
 
 
+# the death jump leaves x1 = 0 at rate 1
+LEAKY_FACE = """
+[dimension]
+1
+[jumps]
+ 1 : 2
+-1 : 1 + x1
+"""
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (WIDE_JUMPS, "jump (-7, 0) crosses the face x1 >= 0 by 7 lattice steps"),
+        (LEAKY_FACE, "jump (-1,) leaves through the face x1 >= 0 at rate 1 at [0.0]"),
+    ],
+)
+def test_validate_fails_a_jump_out_of_the_domain(tmp_path, capsys, text, message):
+    p = tmp_path / "m.cfg"
+    p.write_text(text)
+    code = main(["validate", "--model", str(p), "--search-radius", "16"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "FAIL" and out["domain_exits"] == [message]
+    assert out["spanning_verdict"] == "spanning" and "certificate_error" not in out
+
+
+@pytest.mark.parametrize("name", ["hamer_sir.cfg", "birth_death.cfg"])
+def test_shipped_models_keep_to_their_domain(capsys, name):
+    path = os.path.join(os.path.dirname(__file__), "..", "models", name)
+    assert main(["validate", "--model", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "PASS" and out["domain_exits"] == []
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.cfg"
     p.write_text("[dimension]\n2\n[jumps]\n1 0 : q * x1\n")

@@ -11,7 +11,7 @@ import ddjump as dj
 import ddjump.engine as engine
 from conftest import identity_certificate
 from coupling_reference import _mq
-from engine_reference import _restriction_mask, simulate_chunk_reference
+from engine_reference import _drift, _restriction_mask, _running_sums, simulate_chunk_reference
 from path_reference import simulate_path_reference
 
 SIR = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
@@ -127,18 +127,22 @@ def test_run_paths_matches_reference_across_chunks_and_workers(name, mode):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(1, 7),
+    st.integers(1, 33),
     st.integers(1, 9),
-    st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=63, max_size=63),
+    st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=297, max_size=297),
 )
 def test_running_total_is_numpy_sum_below_eight_terms(k, n, values):
     # below 8 terms numpy adds a row left to right too, so switching the
-    # engines to the running sum left every model with fewer jumps unchanged
+    # engines to the running sum left every model with fewer jumps unchanged;
+    # np.cumsum along the jump axis of the engine's (jump, replicate) layout
+    # also adds left to right, for every k and n, contiguous or transposed
     r = np.array(values[: n * k]).reshape(n, k)
-    cum = engine._running_sums(r)
-    assert np.array_equal(cum[-1], r.sum(axis=1))
-    assert np.array_equal(np.stack(cum, axis=1), np.cumsum(r, axis=1))
-    assert engine._running_sums(r[0])[-1] == r[0].sum()
+    cum = np.stack(_running_sums(r))
+    if k < 8:
+        assert np.array_equal(cum[-1], r.sum(axis=1))
+        assert _running_sums(r[0])[-1] == r[0].sum()
+    assert np.array_equal(cum, np.cumsum(r.T, axis=0))
+    assert np.array_equal(cum, np.cumsum(np.ascontiguousarray(r.T), axis=0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -147,7 +151,28 @@ def test_drift_is_the_matrix_product_for_sir_jumps(n, values):
     # two nonzero jump entries per coordinate: any order of the sum agrees,
     # so the martingale of the shipped models is what r @ J gave
     r = np.array(values[: 3 * n]).reshape(n, 3)
-    assert np.array_equal(engine._drift(r, SIR.kernel.J), r @ SIR.kernel.J)
+    assert np.array_equal(engine._drift(r.T, SIR.kernel.J).T, r @ SIR.kernel.J)
+    assert np.array_equal(engine._drift(r.T, SIR.kernel.J).T, _drift(r, SIR.kernel.J))
+
+
+@pytest.mark.parametrize("N", [12, 30])
+def test_one_live_replicate_with_nine_jumps_matches_the_oracles(N):
+    # one live replicate holds its rates as a (9, 1) array, along whose
+    # contiguous jump axis numpy's sum adds pairwise; the engine's running
+    # sums must still add left to right, as both oracles do
+    X0 = np.array([N, N])
+    box = (np.full(2, 0.2), np.full(2, 1.8))
+    kws = [
+        dict(mode=engine.RECORDS, record_times=(0.0, 0.3, 0.9, 2.0)),
+        dict(mode=engine.MARTINGALE, horizon=2.0, stop_box=box),
+    ]
+    for rep in range(12):
+        for kw in kws:
+            new = engine.simulate_chunk(NINE_JUMPS, N, X0, 17, rep, rep + 1, block=8, **kw)
+            assert_same(new, simulate_chunk_reference(NINE_JUMPS, N, X0, 17, rep, rep + 1, block=8, **kw))
+        opts = dj.SimOptions(N=N, seed=17, horizon=2.0, record=(0.0, 0.9))
+        ref = simulate_path_reference(NINE_JUMPS, opts, X0, replicate=rep)
+        assert_same_path(dj.simulate_path(NINE_JUMPS, opts, X0, replicate=rep), ref)
 
 
 def test_scalar_path_matches_engine_with_nine_jumps():
@@ -276,6 +301,10 @@ def test_ball_form_is_the_pair_loop_form_bit_for_bit(case):
     M, centre, r2 = ball.M.tolist(), ball.center.tolist(), ball.radius**2
     q = ball.form((X - ball.center).T)
     keeps, inside = ball.keeps(X, J), ball.contains(X)
+    # a transposed (d, n) array, as the engine passes its state, reads the same
+    XT = np.ascontiguousarray(X.T).T
+    assert np.array_equal(ball.contains(XT), inside) and np.array_equal(ball.keeps(XT, J), keeps)
+    assert np.ndim(ball.contains(X[0])) == 0 and type(ball.contains(X[0])) is np.bool_
     for n, x in enumerate(X.tolist()):
         ref = np.float64(_mq([a - c for a, c in zip(x, centre)], M)).tobytes()
         assert q[n].tobytes() == np.float64(ball.form(X[n] - ball.center)).tobytes() == ref

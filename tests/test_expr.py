@@ -167,6 +167,32 @@ def test_kernel_forms_match_interpreter_bitwise(rate_nodes, points, a):
     _assert_kernel_matches_interpreter(m, points)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(nodes(), min_size=1, max_size=3),
+    st.sampled_from([(), (5,), (2, 3)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.5, 1.5),
+)
+def test_kernel_array_forms_match_scalar_forms_on_every_layout(rate_nodes, batch, transposed, seed, a):
+    # the array forms store their output jump-major; shapes, values and the
+    # reading of a Y whose points run along its last memory axis stay put
+    k, d = len(rate_nodes), 2
+    m = Model(
+        d=d, jumps=((1, 0), (0, 1), (1, 1))[:k], rate_exprs=tuple(rate_nodes), params={"a": a},
+        domain=Domain.unbounded(d),
+    )
+    pts = np.random.default_rng(seed).uniform(0.1, 2.0, size=batch + (d,))
+    Y = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1) if transposed else pts
+    R, G = m.kernel.rates_array(Y), m.kernel.grads_array(Y)
+    assert R.shape == batch + (k,) and G.shape == batch + (k, d)
+    for idx in np.ndindex(batch):
+        y = [float(v) for v in pts[idx]]
+        assert R[idx].tobytes() == np.array(m.kernel.rates(*y), dtype=float).tobytes()
+        assert G[idx].tobytes() == np.array(m.kernel.grads(*y), dtype=float).reshape(k, d).tobytes()
+
+
 def test_kernel_matches_interpreter_with_division():
     m = parse_model(
         "[dimension]\n2\n[params]\na = 1.3\n[jumps]\n"
