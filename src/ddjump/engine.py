@@ -7,19 +7,13 @@ depend only on (seed, replicate), never on chunking or worker count.  A
 single path (``simulate.simulate_path``) is the ``events`` mode run on one.
 
 A step costs a few contiguous array operations.  The live replicates sit in
-compacted arrays, in row order, replicate axis last (state and martingale
-(d, n), rates (k, n)), so every operation runs along whole replicate rows:
-state, time, original row, the column of their uniforms, and each mode's
-own per-replicate state.  The arrays are compacted only on the steps where
-some replicate retires.  Uniforms are stored one row per draw, so a draw is
-one row gathered by the live columns.
-
-Every sum over the jumps or the coordinates adds whole rows left to right,
-so no sum depends on the chunk layout.  ``np.add.reduce`` adds pairwise along
-a contiguous axis, as in a (k, 1) array (one live replicate) or a transposed
-view: from 8 terms on it moved the last bit in 60 to 200 of 200 random cases.
-``np.cumsum`` along axis 0 is sequential, but takes 80 us to the row adds' 6
-us at k = 3, n = 4096.
+compacted arrays, in row order, replicate axis last (state (d, n), rates
+(k, n)), so each operation runs along whole replicate rows; the arrays are
+compacted only on the steps where some replicate retires, and a draw is one
+row of uniforms gathered by the live columns.  Sums over the jumps or the
+coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
+``np.add.reduce`` adds pairwise along a contiguous axis (one live replicate's
+(k, 1) rates) and from 8 terms on moved the last bit in 60-200 of 200 cases.
 
 The lattice ball ``Restriction`` sits here with its box, its enumeration and
 its uniform point draw, below every module that uses them.
@@ -156,11 +150,8 @@ def _running_sums(r):
 
 
 def _drift(r, J):
-    """``F[:, n] = sum_k r[k, n] J[k]``, added left to right.
-
-    A matrix product adds in an order that can depend on how many rows it
-    is given, which would tie the martingale to the chunk layout.
-    """
+    """``F[:, n] = sum_k r[k, n] J[k]``, added left to right (a matrix product's
+    order can depend on its row count, which would tie F to the chunking)."""
     return _running_sums(r[:, None] * J[:, :, None])[-1]
 
 
@@ -289,9 +280,8 @@ def simulate_chunk(
                     records[row[i], live["k"][i] :] = X[:, i]
                 if mode == MARTINGALE:
                     # state frozen: m drifts by -F (=0 if all rates vanish) to T
-                    seg = max(0.0, horizon - live["t"][i])
                     f_row = _drift(rates_fn(X[:, i] / N)[:, None], J)[:, 0]
-                    m_T = _m_at(live, [i], N)[:, 0] - f_row * seg
+                    m_T = _m_at(live, [i], N)[:, 0] - f_row * max(0.0, horizon - live["t"][i])
                     sup_m[row[i]] = max(live["sup"][i], float(np.linalg.norm(m_T)))
                     final_m[row[i]] = m_T
             keep = np.flatnonzero(~dead)

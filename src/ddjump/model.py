@@ -254,12 +254,10 @@ def parse_model(text):
 # scalar forms take the d coordinates as floats and return a tuple:
 # rates(y0, ..)[k] = r_k(y) and grads(y0, ..)[k * d + i] = d r_k / d y_i.  The
 # array forms take the coordinates in the last axis of Y: rates_array(Y)[..., k]
-# and grads_array(Y)[..., k, i], stored jump-major so that each entry is one
-# contiguous write (and one contiguous read of a transposed (d, n) Y).  The
-# entry tuples hold one scalar function per rate and per gradient entry, to
-# find the one that divides by zero.  J is the read-only float jump matrix, one
-# row per jump, and rate_src the rates' source expressions, which the
-# coupled-pair loop inlines.
+# and grads_array(Y)[..., k, i], stored jump-major.  The entry tuples hold one
+# scalar function per rate and per gradient entry, to find the one that divides
+# by zero.  J is the read-only float jump matrix, one row per jump, and
+# rate_src the rates' source expressions, which the coupled-pair loop inlines.
 Kernel = namedtuple(
     "Kernel", "rates grads rates_array grads_array rate_entries grad_entries J rate_src"
 )
@@ -285,9 +283,8 @@ def _compile_kernel(m):
             f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
             f"def {name}s_array(Y):",
             *(f"    y{i} = Y[..., {i}]" for i in range(d)),
-            f"    out = np.empty(({len(exprs)},) + Y.shape[:-1])",
-            *(f"    out[{k}] = {e}" for k, e in enumerate(exprs)),
-            *([f"    out = out.reshape({shape} + Y.shape[:-1])"] if len(shape) > 1 else []),
+            f"    out = np.empty({shape} + Y.shape[:-1])",
+            *(f"    out[{', '.join(map(str, i))}] = {e}" for i, e in zip(np.ndindex(shape), exprs)),
             f"    return out.transpose((*range({len(shape)}, out.ndim), *{tuple(range(len(shape)))}))",
         ]
     ns = {"np": np, "inf": math.inf, "nan": math.nan}
