@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -238,39 +238,16 @@ class StabilityCertificate:
         return Restriction(M=self.M, center=N * self.c, radius=N * delta)
 
     def to_json_dict(self):
-        return {
-            "c": self.c.tolist(),
-            "A": self.A.tolist(),
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "rho_hat": self.rho_hat,
-            "rho": self.rho,
-            "rho_prime": self.rho_prime,
-            "M": self.M.tolist(),
-            "delta0": self.delta0,
-            "c0": self.c0,
-            "c1": self.c1,
-            "JstarM": self.JstarM,
-            "sum_JM": self.sum_JM,
-            "eps": self.eps,
-        }
+        obj = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        obj["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
+        return obj
 
     @staticmethod
     def from_json_dict(obj):
-        return StabilityCertificate(
-            c=np.array(obj["c"], dtype=float),
-            A=np.array(obj["A"], dtype=float),
-            eigenvalues=np.array([complex(re, im) for re, im in obj["eigenvalues"]]),
-            rho_hat=float(obj["rho_hat"]),
-            rho=float(obj["rho"]),
-            rho_prime=float(obj["rho_prime"]),
-            M=np.array(obj["M"], dtype=float),
-            delta0=float(obj["delta0"]),
-            c0=float(obj["c0"]),
-            c1=float(obj["c1"]),
-            JstarM=float(obj["JstarM"]),
-            sum_JM=float(obj["sum_JM"]),
-            eps=float(obj["eps"]),
-        )
+        kw = {f.name: obj[f.name] for f in fields(StabilityCertificate)}
+        kw = {name: np.array(v, dtype=float) if isinstance(v, list) else float(v) for name, v in kw.items()}
+        kw["eigenvalues"] = np.array([complex(re, im) for re, im in obj["eigenvalues"]])
+        return StabilityCertificate(**kw)
 
     def dump(self, path):
         with open(path, "w") as f:

@@ -9,8 +9,10 @@ single path (``simulate.simulate_path``) is the ``events`` mode run on one.
 A step costs a few contiguous array operations.  The live replicates sit in
 compacted arrays, in row order, replicate axis last (state (d, n), rates
 (k, n)), so each operation runs along whole replicate rows; the arrays are
-compacted only on the steps where some replicate retires, and a draw is one
-row of uniforms gathered by the live columns.  Sums over the jumps or the
+compacted only at the end of a step where some replicate retires, and a
+draw is one row of uniforms gathered by the live columns.  An absorbed
+replicate (total rate 0) has its next event at t = inf, so it retires as
+at a horizon, by the one rule of every mode.  Sums over the jumps or the
 coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
 ``np.add.reduce`` adds pairwise along a contiguous axis (one live replicate's
 (k, 1) rates) and from 8 terms on moved the last bit in 60-200 of 200 cases.
@@ -212,8 +214,10 @@ def simulate_chunk(
         jump martingale m(t) = (X(t)-X(0))/N - int F, plus its final value;
         ``stop_box`` is the compact set K as an (lo, hi) box in x-coords and
         ``horizon`` plays the role of T.
-    mode "exit": first time ||X - center||_M exceeds the exit_ball radius,
-        censored at ``horizon``.
+    mode "exit": first time ||X - center||_M exceeds the exit_ball radius.
+        Not censored: a replicate stops at its first event that exits or
+        falls at or past ``horizon``, so ``exit_time`` can pass the horizon.
+    An absorbed replicate takes no event, so it never exits.
     """
     if mode not in (RECORDS, EVENTS, MARTINGALE, EXIT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -264,35 +268,17 @@ def simulate_chunk(
         if col + 2 > block:
             live["slot"] = _draw_blocks(bufs, gens, row)
             col = 0
-        X = live["X"]
+        X, t = live["X"], live["t"]
         r = rates_fn((X / N).T).T
         _validate_rates(r.T, X.T, N)
         if restriction is not None:
             r = np.where(restriction.keeps(X.T, jumps).T, r, 0.0)
         cum = _running_sums(r)
-
-        dead = cum[-1] <= 0.0
-        if dead.any():
-            absorbed[row[dead]] = True
-            for i in np.flatnonzero(dead):
-                if mode in (RECORDS, EVENTS):
-                    # an absorbing state holds its value through every remaining record
-                    records[row[i], live["k"][i] :] = X[:, i]
-                if mode == MARTINGALE:
-                    # state frozen: m drifts by -F (=0 if all rates vanish) to T
-                    f_row = _drift(rates_fn(X[:, i] / N)[:, None], J)[:, 0]
-                    m_T = _m_at(live, [i], N)[:, 0] - f_row * max(0.0, horizon - live["t"][i])
-                    sup_m[row[i]] = max(live["sup"][i], float(np.linalg.norm(m_T)))
-                    final_m[row[i]] = m_T
-            keep = np.flatnonzero(~dead)
-            live = _keep(live, keep)
-            if not live["row"].size:
-                break
-            row, X, r = live["row"], live["X"], r.take(keep, axis=1)
-            cum = [c[keep] for c in cum]
-
-        t = live["t"]
         tot = cum[-1]
+        dead = tot <= 0.0
+        absorbing = dead.any()
+        if absorbing:  # any positive total draws for an absorbed replicate
+            tot = np.where(dead, 1.0, tot)
         u2 = bufs[col + 1].take(live["slot"])
         dt = -np.log(bufs[col].take(live["slot"])) / (N * tot)
         col += 2
@@ -302,8 +288,15 @@ def simulate_chunk(
         for c in cum[:-1]:
             j += c < pick
         step = jumps.T.take(j, axis=1)
+        if absorbing:  # its next event is at t = inf, and it stays put
+            absorbed[row[dead]] = True
+            t_next[dead] = math.inf
+            step[:, dead] = 0
 
         gone = None
+        if mode == EVENTS:  # past the horizon, the state holds through every record left
+            gone = t_next >= horizon
+            t_next[gone] = math.inf
         if mode in (RECORDS, EVENTS):
             k, due_t = live["k"], live["due_t"]
             due = due_t < t_next
@@ -316,11 +309,6 @@ def simulate_chunk(
                     due = due[due_t[due] < t_next[due]]
                 if mode == RECORDS:
                     gone = due_t == math.inf
-        if mode == EVENTS:
-            gone = t_next >= horizon
-            if gone.any():
-                for i in np.flatnonzero(gone):
-                    records[row[i], k[i] :] = X[:, i]
 
         if mode == MARTINGALE:
             F = _drift(r, J)
@@ -328,14 +316,8 @@ def simulate_chunk(
             if over.any():
                 o = np.flatnonzero(over)
                 m_T = _m_at(live, o, N) - F.take(o, axis=1) * (horizon - t[o])
-                sup_m[row[over]] = np.maximum(live["sup"][over], _norm(m_T))
-                final_m[row[over]] = m_T.T
-                keep = np.flatnonzero(~over)
-                live = _keep(live, keep)
-                if not live["row"].size:
-                    break
-                row, X = live["row"], live["X"]
-                dt, t_next, F, step = dt[keep], t_next[keep], F.take(keep, axis=1), step.take(keep, axis=1)
+                sup_m[row[o]] = np.maximum(live["sup"][o], _norm(m_T))
+                final_m[row[o]] = m_T.T
             Fdt = F * dt
             m_pre = (X - live["X_start"]) / N - live["integral"] - Fdt
             sup = np.maximum(live["sup"], _norm(m_pre))
@@ -351,16 +333,19 @@ def simulate_chunk(
 
         if mode == MARTINGALE:
             y = X / N
-            gone = ((y < box[0]) | (y > box[1])).any(axis=0)
-            if gone.any():
-                rows = row[gone]
+            out = ((y < box[0]) | (y > box[1])).any(axis=0) & ~over
+            if out.any():
+                rows = row[out]
                 exited[rows] = True
-                exit_time[rows] = t_next[gone]
-                final_m[rows] = _m_at(live, np.flatnonzero(gone), N).T
-                sup_m[rows] = live["sup"][gone]
+                exit_time[rows] = t_next[out]
+                final_m[rows] = _m_at(live, np.flatnonzero(out), N).T
+                sup_m[rows] = live["sup"][out]
+            gone = out | over
 
         if mode == EXIT:
             out = ~exit_ball.contains(X.T)
+            if absorbing:  # no event, so no exit
+                out &= ~dead
             exited[row[out]] = True
             exit_time[row[out]] = t_next[out]
             gone = out | (t_next >= horizon)

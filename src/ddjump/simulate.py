@@ -35,6 +35,9 @@ K2_CAP_FACTOR = 16.0  # estimate_K2 is at most this many JstarM
 # (523,776 pairs at the cap) and samples pairs of a larger one
 K2_EXACT_POINTS = 1024
 K2_PAIR_BLOCK = 65536  # estimate_K2 scores this many pairs at a time
+BALL_SUP_SAMPLES, BALL_SUP_SEED = 512, 1  # points of B_M(c, delta0) the exit bound's sups see
+SUP_RATE_MESH = 9  # grid points per axis of the box the martingale bound's rate sup sees
+DRIFT_BOX_MARGIN = 0.25  # the compact set K reaches this far past the drift path, per span
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class SimOptions:
         rec = tuple(float(t) for t in self.record)
         if any(b < a for a, b in zip(rec, rec[1:])):
             raise ValueError("record times must be sorted")
-        if rec and (rec[0] < 0 or rec[-1] > self.horizon):
-            raise ValueError("record times must lie within [0, horizon]")
+        if rec and (rec[0] < 0 or rec[-1] > self.horizon or not all(map(math.isfinite, rec))):
+            raise ValueError("record times must be finite and lie within [0, horizon]")
         object.__setattr__(self, "record", rec)
         if self.restriction is not None:
             cert, delta = self.restriction
@@ -481,25 +484,25 @@ def zeta_bound(z, N, T, d, Rstar, Jstar):
     return 2.0 * d * np.exp(-lin * np.minimum(1.0, quad))
 
 
-def _sup_total_rate(m, box, mesh=9):
+def _sup_total_rate(m, box):
     """Sampled sup of sum_J r_J over an axis box (exact at the corners for
     coordinate-monotone rates)."""
     lo, hi = box
-    axes = [np.linspace(lo[i], hi[i], mesh) for i in range(m.d)]
+    axes = [np.linspace(lo[i], hi[i], SUP_RATE_MESH) for i in range(m.d)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m.d)
     rates_fn = engine.compile_rates(m)
     return float(rates_fn(grid).sum(axis=1).max())
 
 
-def _drift_box(m, N, X0, T, margin=0.25):
+def _drift_box(m, N, X0, T):
     """Compact box K around the drift path from X0/N, clipped to the domain."""
     y0 = np.asarray(X0, dtype=float) / N
     flow = integrate_ode(m, y0, T, h=min(1e-2, T / 10) if T > 0 else 1e-2)
     lo = flow.states.min(axis=0)
     hi = flow.states.max(axis=0)
     span = np.maximum(hi - lo, 1.0)
-    lo = np.maximum(lo - margin * span, m.domain.lower)
-    hi = np.minimum(hi + margin * span, m.domain.upper)
+    lo = np.maximum(lo - DRIFT_BOX_MARGIN * span, m.domain.lower)
+    hi = np.minimum(hi + DRIFT_BOX_MARGIN * span, m.domain.upper)
     return lo, hi
 
 
@@ -587,10 +590,10 @@ class ExitReport:
     certified: bool  # delta within the certified radius
 
 
-def _ball_sup_constants(m, cert, samples=512, seed=1):
+def _ball_sup_constants(m, cert):
     """Sampled sups of sum_J r_J and |DF| over B_M(c, delta0)."""
-    rng = np.random.default_rng(seed)
-    pts = _sample_ball(cert.c, m_sphere_map(cert.M), cert.delta0, samples, rng)
+    rng = np.random.default_rng(BALL_SUP_SEED)
+    pts = _sample_ball(cert.c, m_sphere_map(cert.M), cert.delta0, BALL_SUP_SAMPLES, rng)
     pts = pts[m.domain._inside(pts)]
     rates_fn = engine.compile_rates(m)
     Rstar = float(rates_fn(pts).sum(axis=1).max())

@@ -148,7 +148,7 @@ def simulate_chunk_reference(
                     seg = max(0.0, horizon - t[row])
                     f_row = _drift(rates_fn(X[row].astype(float) / N), jumps.astype(float))
                     m_T = (X[row] - X_start[row]) / N - integral[row] - f_row * seg
-                    sup_m[row] = max(sup_m[row], float(np.linalg.norm(m_T)))
+                    sup_m[row] = max(sup_m[row], float(np.linalg.norm(m_T[None], axis=1)[0]))
                     final_m[row] = m_T
             active[rows] = False
             keep = ~dead

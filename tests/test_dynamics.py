@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -217,9 +219,12 @@ def test_certificate_serialization_roundtrip(cert05, tmp_path):
     path = tmp_path / "cert.json"
     cert05.dump(path)
     c2 = dj.StabilityCertificate.load(path)
-    np.testing.assert_array_equal(c2.M, cert05.M)
-    assert c2.delta0 == cert05.delta0
-    assert c2.rho == cert05.rho
+    names = [f.name for f in dataclasses.fields(cert05)]
+    assert sorted(json.loads(path.read_text())) == sorted(names)
+    for name in names:
+        np.testing.assert_array_equal(getattr(c2, name), getattr(cert05, name), err_msg=name)
+    c2.dump(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == path.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ from path_reference import simulate_path_reference
 
 SIR = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
 PURE_DEATH = dj.parse_model("[dimension]\n1\n[jumps]\n-1 : x1\n")
+# absorbs at the origin in two coordinates, where a row norm and a BLAS dot
+# can round apart
+PURE_DEATH_2D = dj.parse_model("[dimension]\n2\n[jumps]\n-1 0 : x1\n0 -1 : 0.7 * x2\n")
 # nine jumps: numpy's sum adds the rate row pairwise, the engines left to right
 NINE_JUMPS = dj.parse_model(
     """
@@ -33,7 +36,7 @@ NINE_JUMPS = dj.parse_model(
  2  0 : 0.1 + 0.05 * x2
 """
 )
-MODELS = {"sir": SIR, "pure_death": PURE_DEATH, "nine_jumps": NINE_JUMPS}
+MODELS = {"sir": SIR, "pure_death": PURE_DEATH, "pure_death_2d": PURE_DEATH_2D, "nine_jumps": NINE_JUMPS}
 M_OF_DIM = {1: np.array([[1.0]]), 2: np.array([[1.0, 0.3], [0.3, 2.0]])}
 
 
@@ -118,7 +121,7 @@ def test_run_paths_matches_reference_across_chunks_and_workers(name, mode):
     ref = simulate_chunk_reference(m, N, X0, seed, 0, reps, mode=mode, **kw)
     if mode != engine.RECORDS:  # both retirements occur: exits and horizon stops
         assert ref["exited"].any() and not ref["exited"].all()
-    if name == "pure_death" and mode == engine.RECORDS:
+    if name.startswith("pure_death") and mode == engine.RECORDS:
         assert ref["absorbed"].any() and not ref["absorbed"].all()
     for workers, chunk in ((1, 37), (1, 5), (2, 10)):
         out = engine.run_paths(m, N, X0, seed, reps, workers=workers, chunk=chunk, mode=mode, **kw)
@@ -197,7 +200,7 @@ def path_runs(draw):
     N = draw(st.sampled_from([5, 12, 30]))
     X0 = np.full(m.d, N, dtype=np.int64)
     # pure death runs on to absorption
-    horizon = draw(st.sampled_from([0.3, 1.0, 2.5] + ([50.0] if name == "pure_death" else [])))
+    horizon = draw(st.sampled_from([0.3, 1.0, 2.5] + ([50.0] if name.startswith("pure_death") else [])))
     inner = draw(st.lists(st.floats(0.0, horizon), min_size=0, max_size=4))
     ends = draw(st.sampled_from([(), (0.0,), (horizon,), (0.0, horizon)]))
     restriction = None
@@ -239,10 +242,10 @@ def test_run_paths_events_give_each_replicate_its_path(name):
     m = MODELS[name]
     N, seed, reps = 12, 3, 11
     X0 = np.full(m.d, N, dtype=np.int64)
-    horizon = 30.0 if name == "pure_death" else 1.0
+    horizon = 30.0 if name.startswith("pure_death") else 1.0
     opts = dj.SimOptions(N=N, seed=seed, horizon=horizon, record=(0.0, 0.4, horizon))
     paths = [dj.simulate_path(m, opts, X0, replicate=r) for r in range(reps)]
-    if name == "pure_death":
+    if name.startswith("pure_death"):
         assert any(p.absorbed for p in paths)
     kw = dict(mode=engine.EVENTS, record_times=opts.record, horizon=horizon)
     for workers, chunk in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 3), (2, 7)):
@@ -254,6 +257,39 @@ def test_run_paths_events_give_each_replicate_its_path(name):
             assert np.array_equal(out["event_X"][mine], path.states[1:])
             assert np.array_equal(out["records"][r], path.recorded)
             assert out["absorbed"][r] == path.absorbed
+
+
+def test_exit_mode_takes_the_first_event_past_the_horizon():
+    # exit mode is not censored at the horizon: a replicate stops at its first
+    # event that leaves the ball or falls at or past the horizon, and an exit
+    # that this last event causes is reported, with its time past the horizon
+    N, T, reps = 200, 0.02, 256
+    X0 = np.array([N, N])
+    ball = engine.Restriction(M=M_OF_DIM[2], center=X0.astype(float), radius=6.0)
+    out = engine.simulate_chunk(SIR, N, X0, 1, 0, reps, mode=engine.EXIT, horizon=T, exit_ball=ball)
+    paths = engine.simulate_chunk(SIR, N, X0, 1, 0, reps, mode=engine.EVENTS, horizon=5 * T)
+    for r in range(reps):
+        mine = paths["event_rep"] == r
+        event_t, outside = paths["event_t"][mine], ~ball.contains(paths["event_X"][mine])
+        last = np.flatnonzero(outside | (event_t >= T))[0]
+        assert out["exited"][r] == outside[last]
+        assert out["exit_time"][r] == (event_t[last] if outside[last] else np.inf)
+    late = out["exited"] & (out["exit_time"] >= T)
+    assert late.any() and (out["exited"] & ~late).any()
+
+
+@pytest.mark.parametrize("mode", [engine.MARTINGALE, engine.EXIT])
+def test_absorbed_start_outside_the_stopping_set_is_no_exit(mode):
+    # an absorbed replicate takes no event, so it does not exit, even from a
+    # start outside the box or ball
+    X0 = np.array([[0], [6], [0], [7]])
+    kw = {
+        engine.MARTINGALE: dict(horizon=1.0, stop_box=(np.array([0.5]), np.array([1.5]))),
+        engine.EXIT: dict(horizon=1.0, exit_ball=engine.Restriction(M=np.eye(1), center=np.array([6.0]), radius=3.0)),
+    }[mode]
+    out = engine.simulate_chunk(PURE_DEATH, 6, X0, 2, 0, 4, mode=mode, **kw)
+    assert_same(out, simulate_chunk_reference(PURE_DEATH, 6, X0, 2, 0, 4, mode=mode, **kw))
+    assert out["absorbed"][[0, 2]].all() and not out["exited"][[0, 2]].any()
 
 
 def test_records_without_record_times():

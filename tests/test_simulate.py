@@ -93,6 +93,16 @@ def test_restriction_delta_validated(cert05):
         dj.SimOptions(N=10, seed=0, horizon=1.0, restriction=(cert05, cert05.delta0 * 2))
 
 
+@pytest.mark.parametrize(
+    "horizon,record", [(math.inf, (0.5, math.inf)), (math.inf, (math.nan,)), (1.0, (-0.1, 0.5)), (1.0, (0.5, 2.0))]
+)
+def test_record_times_must_be_finite_and_within_the_horizon(horizon, record):
+    # a record at t = inf is no time a path reaches: the records mode and
+    # the events mode used to fill it differently for an absorbed path
+    with pytest.raises(ValueError, match="record times must be finite"):
+        dj.SimOptions(N=10, seed=0, horizon=horizon, record=record)
+
+
 def test_start_outside_restriction_rejected(sir, cert05):
     opts = dj.SimOptions(N=100, seed=0, horizon=1.0, restriction=(cert05, cert05.delta0))
     with pytest.raises(DomainError):
