@@ -1,6 +1,9 @@
 """Quasi-equilibrium of the ball-restricted chain (on the engine's ball
 enumeration, also reachable here as ``enumerate_ball``), discrete-normal
-comparison, total variation, and the cutoff-profile experiments."""
+comparison, total variation, and the cutoff-profile experiments.
+
+scipy.sparse is imported inside the generator and solver functions, so a
+process that only simulates does not load it."""
 
 from __future__ import annotations
 
@@ -8,9 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution, LatticeKeys, canonical_order
@@ -26,6 +26,8 @@ POWER_MAX_ITERS = 2_000_000
 def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     """States of the ball and the sparse generator Q with out-of-ball
     transitions deleted.  Rates are evaluated at X/N and must be valid there."""
+    import scipy.sparse as sp
+
     states = enumerate_ball(N, cert, delta, cap=cap)
     n = len(states)
     out = ~m.domain._inside(states / N)
@@ -57,6 +59,8 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
 
 
 def _pi_direct(Q):
+    import scipy.sparse.linalg as spla
+
     n = Q.shape[0]
     A = Q.T.tolil()
     A[0, :] = 1.0
@@ -71,6 +75,8 @@ def _closed_classes(Q):
     """Number of closed communicating classes of the chain with generator Q:
     strongly connected components of its positive-rate graph that no
     positive rate leaves (Tarjan 1972)."""
+    import scipy.sparse.csgraph as csgraph
+
     G = (Q > 0).tocoo()
     n_scc, label = csgraph.connected_components(G, directed=True, connection="strong")
     leaving = label[G.row] != label[G.col]
@@ -78,6 +84,8 @@ def _closed_classes(Q):
 
 
 def _pi_power(Q, pi0=None):
+    import scipy.sparse as sp
+
     n = Q.shape[0]
     closed = _closed_classes(Q)
     if closed > 1:
@@ -285,7 +293,13 @@ def tail_mass(pi, cert, N, z):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """TV-to-quasi-equilibrium profile around the cutoff time."""
+    """TV-to-quasi-equilibrium profile around the cutoff time.
+
+    ``ci_lo`` and ``ci_hi`` are the 2.5% and 97.5% quantiles of the
+    resampled plug-in TV.  They usually sit above ``tv``, because resampling
+    adds the plug-in's upward bias a second time, and they are not a
+    confidence interval for the true TV.
+    """
 
     N: int
     x0: tuple
@@ -311,8 +325,11 @@ class CutoffProfile:
 
 
 def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
-    """Plug-in TV of an empirical sample against ``pi`` with a multinomial
-    bootstrap CI, computed on the union support.
+    """Plug-in TV of an empirical sample against ``pi``, with the 2.5% and
+    97.5% quantiles of the plug-in TV over multinomial resamples, computed
+    on the union support.  Resampling adds the plug-in's upward bias again,
+    so the quantiles usually sit above the TV; they are not a confidence
+    interval for the true TV.
 
     Each bootstrap draw is a multinomial over only the union points the
     sample hits, plus the last union point.  numpy draws a multinomial as a
@@ -354,8 +371,8 @@ def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
 
 
 def _profile_row(shared, k, _):
-    """TV and bootstrap CI of row ``k`` of a cutoff profile, on the row's
-    own bootstrap stream."""
+    """TV and bootstrap quantiles of row ``k`` of a cutoff profile, on the
+    row's own bootstrap stream."""
     records, pi, reps, n_boot, seed = shared
     rng = _rng.substream(seed, k, _rng.BOOTSTRAP)
     tv, (lo, hi) = _empirical_tv_with_ci(records[:, k], pi, reps, rng, n_boot=n_boot)
@@ -378,7 +395,9 @@ def cutoff_profile(
     """TV between the law of the free chain at t_N(x0)+s and ``pi``.
 
     One batch of paths serves every s (each row's marginal is exact; rows
-    share replicates).  Rows carry bootstrap CIs and the sampling-bias floor
+    share replicates).  Rows carry the 2.5% and 97.5% quantiles of the
+    bootstrap-resampled plug-in TV (see ``CutoffProfile``; not a confidence
+    interval for the true TV) and the sampling-bias floor
     sqrt(|support(pi)| / reps).
 
     The rows are scored on the worker pool, one row per chunk.  Row k of the

@@ -509,7 +509,7 @@ def _drift_box(m, N, X0, T):
 @dataclass(frozen=True)
 class MartingaleReport:
     N: int
-    T: int
+    T: float
     reps: int
     z_grid: np.ndarray
     tail: np.ndarray  # empirical P[sup |m| >= z]
@@ -521,6 +521,16 @@ class MartingaleReport:
     Rstar: float
     Jstar: float
     exited: int
+
+
+def _tail_lcb99(counts, reps):
+    """One-sided lower 99% Clopper-Pearson bound on a probability seen
+    ``counts`` times in ``reps`` draws: the 0.01 quantile of
+    Beta(counts, reps - counts + 1), and 0 where counts is 0."""
+    from scipy.special import betaincinv
+
+    c = np.maximum(counts, 1)
+    return np.where(counts > 0, betaincinv(c, reps - c + 1, 0.01), 0.0)
 
 
 def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
@@ -549,9 +559,7 @@ def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     z_grid = np.asarray(z_grid, dtype=float)
     counts = (sup_m[None, :] >= z_grid[:, None]).sum(axis=1)
     tail = counts / reps
-    from scipy.stats import beta
-
-    lcb = np.where(counts > 0, beta.ppf(0.01, np.maximum(counts, 1), reps - np.maximum(counts, 1) + 1), 0.0)
+    lcb = _tail_lcb99(counts, reps)
     bound = zeta_bound(z_grid, opts.N, T, m.d, Rstar, Jstar)
     violations = int((lcb > bound).sum())
     return MartingaleReport(

@@ -590,6 +590,16 @@ def test_martingale_tail_below_bound(sir):
     assert np.all(rep.tail[:-1] >= rep.tail[1:])  # tail nonincreasing in z
 
 
+@pytest.mark.parametrize("reps", [1, 2, 100, 8192])
+def test_tail_lcb99_is_the_beta_quantile_bit_for_bit(reps):
+    from scipy.stats import beta
+
+    counts = np.arange(reps + 1)
+    expect = beta.ppf(0.01, np.maximum(counts, 1), reps - np.maximum(counts, 1) + 1)
+    expect[0] = 0.0
+    assert np.array_equal(simulate._tail_lcb99(counts, reps), expect)
+
+
 # ---------------------------------------------------------------------------
 # exit probability
 # ---------------------------------------------------------------------------
