@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, io as _io
-from .dynamics import StabilityCertificate, certify, cutoff_time, m_sphere_map
+from .dynamics import StabilityCertificate, certify, m_sphere_map
 from .equilibrium import (
     cutoff_profile,
     discrete_normal,
@@ -79,6 +79,12 @@ def _floats(text):
 
 def _ints(text):
     return tuple(int(v) for v in text.split(",") if v != "")
+
+
+def _one_N(args):
+    if len(args.N) != 1:
+        raise _CliError(EXIT_VALIDATION, f"{args.command} takes one --N value, got {len(args.N)}")
+    return args.N[0]
 
 
 def _ensure_out(args):
@@ -175,7 +181,7 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     m, text = _load_model(args.model)
-    N = args.N[0]
+    N = _one_N(args)
     x0 = np.asarray(_floats(args.x0))
     X0 = np.round(N * x0).astype(np.int64)
     restriction = None
@@ -197,20 +203,14 @@ def cmd_simulate(args):
 
 
 def _pi_for(m, N, cert, delta, args):
-    """Exact stationary law when the ball fits the cap, else the long-run
-    occupation estimate (downgrade logged as a warning, not fatal)."""
+    """Exact stationary law when the ball fits the cap, else the sampled
+    estimate (downgrade logged as a warning, not fatal)."""
     try:
         pi = stationary_exact(m, N, cert, delta, cap=args.state_cap)
         return pi, "exact"
     except CapExceededError as e:
         _log.warning("N=%s: exact pi unavailable (%s); falling back to occupation estimate", N, e)
-        try:
-            tN = cutoff_time(m, cert, np.full(m.d, 1.0), N)
-        except (DdjumpError, ValueError):
-            tN = 0.5 * math.log(max(N, 2)) / cert.rho
-        lam = float(np.asarray(eval_rates(m, cert.c)).sum()) * N
-        burnin = int(10 * max(tN, 1.0) * lam)
-        pi = stationary_empirical(m, N, cert, delta, burnin, args.samples, args.seed)
+        pi = stationary_empirical(m, N, cert, delta, args.samples, args.seed)
         return pi, "empirical"
 
 
@@ -303,7 +303,7 @@ def cmd_couple(args):
     m, text = _load_model(args.model)
     cert = _certificate(m, args)
     out = _ensure_out(args)
-    N = args.N[0]
+    N = _one_N(args)
     Nc = N * cert.c
     h0 = args.h0 if args.h0 is not None else 0.1 * N
     u = m_sphere_map(cert.M) @ np.ones(m.d)
@@ -410,6 +410,9 @@ _SHARED = {
     "guess": dict(default=None, help="fixed-point guess, comma floats (default: all ones)"),
     "search_radius": dict(type=int, default=8),
     "state_cap": dict(type=int, default=200_000),
+    "samples": dict(
+        type=int, default=1_000_000, help="recorded states behind the sampled pi past --state-cap"
+    ),
 }
 
 
@@ -445,7 +448,7 @@ def build_parser():
     _add_shared(p, "model", "out", "seed", "rho_fraction", "cert", "guess", "state_cap")
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    _add_shared(p, "samples")
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("cutoff", help="TV-to-equilibrium profile around t_N")
@@ -455,7 +458,7 @@ def build_parser():
     p.add_argument("--s-grid", dest="s_grid", required=True)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    _add_shared(p, "samples")
     p.set_defaults(func=cmd_cutoff)
 
     p = sub.add_parser("couple", help="two-phase coupling traces and decay fit")

@@ -10,20 +10,15 @@ import numpy as np
 from .errors import KeyRangeError
 
 
-def canonical_order(support):
-    """Lexicographic order on rows (first coordinate major)."""
-    keys = tuple(support[:, i] for i in range(support.shape[1] - 1, -1, -1))
-    return np.lexsort(keys)
-
-
 class LatticeKeys:
     """Int64 keys for the lattice points of a box.
 
     The box is the smallest one that holds every row of the given point
     sets.  A point's key is its mixed-radix index in the box, first
     coordinate most significant (``np.ravel_multi_index`` in C order), so
-    sorted keys list their points in ``canonical_order``.  A box with more
-    points than int64 can number raises ``KeyRangeError``.
+    sorted keys list their points in canonical order (lexicographic, first
+    coordinate major).  A box with more points than int64 can number raises
+    ``KeyRangeError``.
     """
 
     def __init__(self, *point_sets):

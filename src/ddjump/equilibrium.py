@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, rng as _rng
-from .dist import LatticeDistribution, LatticeKeys, canonical_order
+from .dist import LatticeDistribution, LatticeKeys
 from .dynamics import _drift, _lyapunov_lift, _rk4_flow, _rk4_step, cutoff_time, default_step
 from .engine import STATE_CAP, enumerate_ball
 from .errors import ConvergenceError, DdjumpError, DomainError
@@ -21,6 +21,8 @@ from .model import eval_rates
 from .simulate import SimOptions, sample_states
 
 POWER_MAX_ITERS = 2_000_000
+OCCUPATION_REPS = 128  # paths behind one stationary_empirical estimate
+BURNIN_RELAXATIONS = 10  # its burn-in, in relaxation times 1/rho_hat
 
 
 def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
@@ -59,14 +61,15 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
 
 
 def _pi_direct(Q):
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n = Q.shape[0]
-    A = Q.T.tolil()
-    A[0, :] = 1.0
+    # pi Q = 0 with its first equation replaced by sum(pi) = 1
+    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), Q.T.tocsr()[1:]], format="csr")
     b = np.zeros(n)
     b[0] = 1.0
-    pi = spla.spsolve(A.tocsr(), b)
+    pi = spla.spsolve(A, b)
     pi = np.maximum(pi, 0.0)
     return pi / pi.sum()
 
@@ -163,64 +166,34 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     return LatticeDistribution(states, pi / pi.sum())
 
 
-def stationary_empirical(m, N, cert, delta, burnin, samples, seed):
-    """Occupation-time estimate of the restricted stationary law.
+def stationary_empirical(m, N, cert, delta, samples, seed):
+    """Sampled estimate of the restricted stationary law.
 
-    Single long path of the restricted chain started at the lattice point
-    nearest N c; after ``burnin`` jump events, each of the ``samples``
-    subsequent visits adds its expected holding time 1/q(x) to the visited
-    state (time-weighted occupation).
+    ``OCCUPATION_REPS`` paths of the chain restricted to B_M(N c, N delta),
+    each on its own (seed, r, PATH) stream, start at the lattice point
+    nearest N c and burn in for ``BURNIN_RELAXATIONS`` relaxation times
+    1/rho_hat of the linearised drift.  Each then records its state every
+    1/lambda, lambda = N sum_J r_J(c) being the event rate at the centre
+    (all at the burn-in time when lambda is 0); the estimate is the
+    empirical law of the first ``samples`` records, in time order.
     """
-    if burnin < 0 or samples < 1:
-        raise ValueError("need burnin >= 0 and samples >= 1")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    if m.domain.m_distance_to_boundary(cert.c, cert.M) < delta:
+        raise DomainError("restriction ball leaves the domain; shrink delta")
     ball = cert.ball(N, delta)
-    X = tuple(int(v) for v in np.round(ball.center))
-    if not ball.contains(X):
+    X0 = np.round(ball.center).astype(np.int64)
+    if not ball.contains(X0):
         raise DomainError("no lattice state inside the restriction ball")
-    rates_fn = engine.compile_rates(m)
-    jumps = [tuple(int(v) for v in J) for J in m.jumps]
-
-    cache = {}
-
-    def row(x):
-        entry = cache.get(x)
-        if entry is None:
-            y = np.array(x, dtype=float) / N
-            if not m.domain.contains(y):
-                raise DomainError(f"state {x} outside domain; shrink delta")
-            r = rates_fn(y)
-            engine._validate_rates(r[None, :], np.array([x]), N)
-            targets = []
-            vals = []
-            keeps = ball.keeps(np.array([x]), m.jump_array)[0]
-            for J, rj, ok in zip(jumps, r, keeps):
-                if rj > 0 and ok:
-                    targets.append(tuple(a + b for a, b in zip(x, J)))
-                    vals.append(N * rj)
-            if targets:
-                cum = np.cumsum(vals)
-                entry = (targets, cum, float(cum[-1]))
-            else:
-                entry = ((), None, 0.0)
-            cache[x] = entry
-        return entry
-
-    draw = _rng.uniforms(seed, 0, _rng.OCCUPATION)
-    occ = {}
-    for step in range(burnin + samples):
-        targets, cum, total = row(X)
-        if total <= 0.0:
-            # absorbing: all remaining weight sits here
-            occ = {X: 1.0}
-            break
-        if step >= burnin:
-            occ[X] = occ.get(X, 0.0) + 1.0 / total
-        u = draw()
-        j = int(np.searchsorted(cum, u * total))
-        X = targets[min(j, len(targets) - 1)]
-    pts = np.array(sorted(occ), dtype=np.int64)
-    w = np.array([occ[tuple(p)] for p in pts])
-    return LatticeDistribution.from_points(pts, weights=w)
+    per_rep = -(-samples // OCCUPATION_REPS)
+    lam = N * float(eval_rates(m, cert.c).sum())
+    gap = 1.0 / lam if lam > 0 else 0.0
+    times = BURNIN_RELAXATIONS / cert.rho_hat + gap * np.arange(per_rep)
+    out = engine.run_paths(
+        m, N, X0, seed, OCCUPATION_REPS, mode=engine.RECORDS, record_times=times, restriction=ball
+    )
+    points = out["records"].transpose(1, 0, 2).reshape(-1, m.d)[:samples]
+    return LatticeDistribution.from_points(points)
 
 
 def equilibrium_sigma2(m, c):
@@ -268,9 +241,8 @@ def discrete_normal(N, c, Sigma):
     mass = np.exp(-0.5 * np.minimum(q, 1400.0))
     keep = mass > 0.0
     grid, mass = grid[keep], mass[keep]
-    mass = mass / mass.sum()
-    order = canonical_order(grid)
-    return LatticeDistribution(grid[order].astype(np.int64), mass[order])
+    # the "ij" scan lists the grid in canonical order (first coordinate major)
+    return LatticeDistribution(grid.astype(np.int64), mass / mass.sum())
 
 
 def tv_distance(p, q):
@@ -407,6 +379,8 @@ def cutoff_profile(
     """
     x0 = np.asarray(x0, dtype=float)
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
+    if not len(s_grid):
+        raise ValueError("the s-grid is empty")
     t_N = cutoff_time(m, cert, x0, N)
     times = np.maximum(t_N + s_grid, 0.0)
     uniq, col = np.unique(times, return_inverse=True)

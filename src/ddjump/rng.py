@@ -5,7 +5,6 @@ seed and a tuple of integer ids via ``SeedSequence(seed, spawn_key=ids)``:
 
 * free/restricted path of replicate r      -> (r, PATH)
 * coupled pair r                           -> (r, COUPLED)
-* occupation sampler                       -> (0, OCCUPATION)
 * bootstrap of cutoff-profile row k        -> (k, BOOTSTRAP)
 
 Replicate results therefore depend only on (seed, replicate index), never on
@@ -20,8 +19,7 @@ import numpy as np
 
 PATH = 0
 COUPLED = 1
-OCCUPATION = 2
-BOOTSTRAP = 3
+BOOTSTRAP = 3  # id 2 is retired; the ids are kept so no stream changes
 EXIT_START = 4
 
 _MASK64 = (1 << 64) - 1
@@ -37,8 +35,7 @@ def uniforms(seed, *key):
     """A function returning the next uniform of the (seed, *key) stream as a
     Python float on each call, read from the stream in blocks of 1024.
 
-    The occupation sampler and the coupled pairs draw through it.  The
-    engine reads the same streams in its own blocks (``engine._draw_blocks``);
+    The coupled pairs draw through it.  The engine reads the same streams in its own blocks (``engine._draw_blocks``);
     a stream gives the same sequence whatever the block size.
     """
     gen = substream(seed, *key)

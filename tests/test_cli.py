@@ -224,6 +224,29 @@ def test_couple_zero_reps_is_validation_error(sir_cfg, tmp_path, capsys, reps):
     assert err == f"validation error: reps must be >= 1, got {reps}\n"
 
 
+def test_cutoff_empty_s_grid_is_validation_error(sir_cfg, tmp_path, capsys):
+    args = ["cutoff", "--model", sir_cfg, "--N", "30", "--x0", "1,1", "--s-grid=,"]
+    code = main(args + ["--reps", "50", "--delta", "0.6", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "validation error: the s-grid is empty\n"
+
+
+def test_simulate_rejects_a_second_N(sir_cfg, tmp_path, capsys):
+    args = ["simulate", "--model", sir_cfg, "--N", "20,40", "--x0", "1,1", "--horizon", "0.5"]
+    code = main(args + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: simulate takes one --N value, got 2\n"
+    assert not os.path.exists(tmp_path / "out" / "trajectory.csv")
+
+
+def test_couple_rejects_a_second_N(sir_cfg, tmp_path, capsys):
+    args = ["couple", "--model", sir_cfg, "--N", "40,80", "--horizon", "0.5", "--k2", "5.0"]
+    code = main(args + ["--workers", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: couple takes one --N value, got 2\n"
+    assert not os.path.exists(tmp_path / "out" / "couple_trace.csv")
+
+
 @pytest.mark.parametrize("N", ["100", "400"])
 def test_couple_h0_is_the_certificate_norm_at_default_start(sir_cfg, tmp_path, N):
     out = str(tmp_path / "out")

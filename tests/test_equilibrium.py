@@ -10,7 +10,7 @@ from scipy.stats import norm
 import ddjump as dj
 from ddjump import engine
 from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator
-from ddjump.errors import CapExceededError, ConvergenceError
+from ddjump.errors import CapExceededError, ConvergenceError, DomainError
 from ddjump.rng import BOOTSTRAP, substream
 from ddjump.simulate import SimOptions, sample_states
 from conftest import as_dict, identity_certificate
@@ -116,23 +116,32 @@ def test_stationary_residual_invariant(sir, cert05):
 def test_occupation_estimate_close_to_exact(sir, cert05):
     N, delta = 30, 0.78
     pi = dj.stationary_exact(sir, N, cert05, delta)
-    pe = dj.stationary_empirical(sir, N, cert05, delta, burnin=20_000, samples=200_000, seed=5)
+    pe = dj.stationary_empirical(sir, N, cert05, delta, samples=200_000, seed=5)
     assert dj.tv_distance(pe, pi) <= 0.1
 
 
 def test_occupation_two_seeds_consistent(sir, cert05):
     N, delta = 30, 0.78
     pi = dj.stationary_exact(sir, N, cert05, delta)
-    pa = dj.stationary_empirical(sir, N, cert05, delta, burnin=20_000, samples=200_000, seed=1)
-    pb = dj.stationary_empirical(sir, N, cert05, delta, burnin=20_000, samples=200_000, seed=2)
+    pa = dj.stationary_empirical(sir, N, cert05, delta, samples=200_000, seed=1)
+    pb = dj.stationary_empirical(sir, N, cert05, delta, samples=200_000, seed=2)
     ref = max(dj.tv_distance(pa, pi), dj.tv_distance(pb, pi))
     assert dj.tv_distance(pa, pb) <= 2.0 * ref
+
+
+def test_occupation_ball_past_the_domain_raises_before_simulating(sir, cert05, monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(engine, "run_paths", no_paths)
+    with pytest.raises(DomainError):
+        dj.stationary_empirical(sir, 30, cert05, 5.0, samples=10, seed=0)
 
 
 def test_occupation_absorbing_point_mass(cert05):
     m = dj.parse_model("[dimension]\n2\n[jumps]\n1 0 : 0\n0 1 : 0\n")
     cert = identity_certificate(d=2, c=(1.0, 1.0))
-    pi = dj.stationary_empirical(m, 10, cert, 0.6, burnin=0, samples=10, seed=0)
+    pi = dj.stationary_empirical(m, 10, cert, 0.6, samples=10, seed=0)
     assert len(pi) == 1
     assert pi.mass.tolist() == [1.0]
 

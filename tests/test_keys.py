@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import ddjump as dj
 from ddjump import engine
-from ddjump.dist import LatticeKeys, canonical_order
+from ddjump.dist import LatticeKeys
 from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator, enumerate_ball
 from ddjump.errors import DomainError, KeyRangeError
 from conftest import as_dict
@@ -27,6 +27,12 @@ from conftest import as_dict
 # ---------------------------------------------------------------------------
 # references: the dict-keyed implementations
 # ---------------------------------------------------------------------------
+
+
+def canonical_order(support):
+    """Lexicographic order on rows (first coordinate major)."""
+    keys = tuple(support[:, i] for i in range(support.shape[1] - 1, -1, -1))
+    return np.lexsort(keys)
 
 
 def from_points_ref(points, weights=None):
@@ -119,6 +125,26 @@ def test_key_order_is_canonical_order(rows, shift):
     keys = codec.encode(points)
     assert keys.dtype == np.int64
     assert np.array_equal(np.argsort(keys, kind="stable"), canonical_order(points))
+
+
+def _strictly_increasing_keys(points):
+    keys = LatticeKeys(points).encode(points)
+    return bool(np.all(np.diff(keys) > 0))
+
+
+@pytest.mark.parametrize("N", [30, 200, 400])
+def test_ball_enumeration_is_in_canonical_order(cert05, cert09, N):
+    for cert, delta in ((cert05, 0.7), (cert09, 1.8)):
+        states = enumerate_ball(N, cert, delta)
+        assert len(states) > 1
+        assert _strictly_increasing_keys(states)
+
+
+def test_discrete_normal_is_in_canonical_order(sir, cert05):
+    Sigma = dj.solve_lyapunov_sigma(cert05.A, dj.equilibrium_sigma2(sir, cert05.c))
+    Sigma3 = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]])
+    for N, c, S in ((30, cert05.c, Sigma), (200, cert05.c, Sigma), (20, (1.0, 0.5, 2.0), Sigma3)):
+        assert _strictly_increasing_keys(dj.discrete_normal(N, c, S).support)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,12 @@
 """The package's modules import each other only at module top, so an import
 cycle between them fails at import time instead of hiding in a function.
 scipy.sparse, by contrast, is imported only inside the functions that use it,
-and scipy.stats not at all, so a run that solves no generator loads neither."""
+and scipy.stats not at all, so a run that solves no generator loads neither.
+
+There are two hand-written samplers of jump paths, the batched engine and
+the coupled-pair loop, and each reads its own random streams: only the
+engine reads the ``PATH`` streams, and only ``simulate_coupled`` draws
+scalar uniforms.  A third sampler fails the guard below."""
 
 import ast
 import os
@@ -10,6 +15,7 @@ import sys
 from pathlib import Path
 
 import ddjump
+from ddjump import rng
 
 SRC = Path(ddjump.__file__).parent
 
@@ -70,3 +76,59 @@ def test_simulation_only_runs_load_no_sparse_or_stats_module():
     assert loaded == "[]"
     states, total, sparse = solve.split()
     assert int(states) > 1 and float(total) == 1.0 and sparse == "True"
+
+
+def _rng_reads(tree, names=("uniforms", "PATH")):
+    """(function, name) of every read of ``rng.<name>``, through the alias the
+    module binds ``rng`` to, or of a bare import of the name from ``rng``;
+    the function is the innermost one enclosing the read ("" at module top)."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module
+        for a in node.names
+        if a.name == "rng"
+    }
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append((fn, node.attr))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rng":
+            found.extend((fn, a.name) for a in node.names if a.name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_engine_and_the_pair_loop_sample_paths():
+    reads = {
+        (path.name, fn, name)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, name in _rng_reads(ast.parse(path.read_text()))
+    }
+    assert {r for r in reads if r[2] == "uniforms"} == {
+        ("simulate.py", "simulate_coupled", "uniforms")
+    }
+    assert {r[0] for r in reads if r[2] == "PATH"} == {"engine.py"}
+    assert not hasattr(rng, "OCCUPATION")
+    assert (rng.PATH, rng.COUPLED, rng.BOOTSTRAP, rng.EXIT_START) == (0, 1, 3, 4)
+
+
+def test_the_guard_sees_a_third_sampler():
+    src = (
+        "from . import rng as r\nfrom .rng import PATH\n"
+        "def walk(seed):\n    draw = r.uniforms(seed, 0, r.PATH)\n"
+    )
+    assert sorted(_rng_reads(ast.parse(src))) == [
+        ("", "PATH"), ("walk", "PATH"), ("walk", "uniforms")
+    ]
