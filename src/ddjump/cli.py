@@ -102,13 +102,16 @@ def _provenance(args, model_text, seed, **extra):
     return _io.provenance(__version__, seed, cfg, **extra)
 
 
+def _point(m, text, option):
+    """A model-space point given as comma floats, one per coordinate."""
+    x = np.asarray(_floats(text))
+    if x.shape != (m.d,):
+        raise _CliError(EXIT_VALIDATION, f"{option} has {len(x)} entries, model dimension is {m.d}")
+    return x
+
+
 def _guess(m, args):
-    if args.guess is None:
-        return np.ones(m.d)
-    g = np.asarray(_floats(args.guess))
-    if g.shape != (m.d,):
-        raise _CliError(EXIT_VALIDATION, f"--guess has {len(g)} entries, model dimension is {m.d}")
-    return g
+    return np.ones(m.d) if args.guess is None else _point(m, args.guess, "--guess")
 
 
 def _certificate(m, args):
@@ -182,7 +185,7 @@ def cmd_analyze(args):
 def cmd_simulate(args):
     m, text = _load_model(args.model)
     N = _one_N(args)
-    x0 = np.asarray(_floats(args.x0))
+    x0 = _point(m, args.x0, "--x0")
     X0 = np.round(N * x0).astype(np.int64)
     restriction = None
     if args.delta is not None:
@@ -229,6 +232,8 @@ def cmd_equilibrium(args):
             "N": N,
             "pi_method": method,
             "states": len(pi),
+            # the plug-in TV's own bias scale on a sampled pi
+            "bias_floor": math.sqrt(len(pi) / args.samples) if method == "empirical" else 0.0,
             "tail_mass_half_delta": tail_mass(pi, cert, N, delta / 2),
             "tv_vs_discrete_normal": tv_distance(pi, dn),
         }
@@ -246,9 +251,9 @@ def cmd_equilibrium(args):
 
 def cmd_cutoff(args):
     m, text = _load_model(args.model)
+    x0 = _point(m, args.x0, "--x0")
     cert = _certificate(m, args)
     out = _ensure_out(args)
-    x0 = np.asarray(_floats(args.x0))
     s_grid = _floats(args.s_grid)
     delta = args.delta if args.delta is not None else cert.delta0 / 2
     summary = {"provenance": _provenance(args, text, seed=args.seed), "runs": []}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, rng as _rng
+from . import engine
 from .dist import LatticeDistribution, LatticeKeys
 from .dynamics import _drift, _lyapunov_lift, _rk4_flow, _rk4_step, cutoff_time, default_step
 from .engine import STATE_CAP, enumerate_ball
@@ -23,6 +23,7 @@ from .simulate import SimOptions, sample_states
 POWER_MAX_ITERS = 2_000_000
 OCCUPATION_REPS = 128  # paths behind one stationary_empirical estimate
 BURNIN_RELAXATIONS = 10  # its burn-in, in relaxation times 1/rho_hat
+TV_ALPHA = 0.05  # a cutoff row's interval misses its true TV with probability at most this
 
 
 def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
@@ -267,10 +268,11 @@ def tail_mass(pi, cert, N, z):
 class CutoffProfile:
     """TV-to-quasi-equilibrium profile around the cutoff time.
 
-    ``ci_lo`` and ``ci_hi`` are the 2.5% and 97.5% quantiles of the
-    resampled plug-in TV.  They usually sit above ``tv``, because resampling
-    adds the plug-in's upward bias a second time, and they are not a
-    confidence interval for the true TV.
+    ``ci_lo`` and ``ci_hi`` bound each row's true TV(law(X(t)), pi) with
+    probability at least 1 - TV_ALPHA (see ``_empirical_tv_with_ci``).  The
+    interval is closed-form and conservative: its half-width is at least
+    ``bias_floor / 2``, so at few reps it is wide, and says how little the
+    plug-in ``tv`` resolves there.
     """
 
     N: int
@@ -296,59 +298,35 @@ class CutoffProfile:
             )
 
 
-def _empirical_tv_with_ci(points, pi, reps, rng, n_boot=1000):
-    """Plug-in TV of an empirical sample against ``pi``, with the 2.5% and
-    97.5% quantiles of the plug-in TV over multinomial resamples, computed
-    on the union support.  Resampling adds the plug-in's upward bias again,
-    so the quantiles usually sit above the TV; they are not a confidence
-    interval for the true TV.
+def _empirical_tv_with_ci(points, pi):
+    """Plug-in TV of the sample ``points`` (n rows, drawn i.i.d. from an
+    unknown law p) against ``pi``, and an interval that holds TV(p, pi) with
+    probability at least 1 - TV_ALPHA.
 
-    Each bootstrap draw is a multinomial over only the union points the
-    sample hits, plus the last union point.  numpy draws a multinomial as a
-    chain of binomials, one per category but the last, which takes the
-    remainder; a binomial with p = 0 returns 0 without using the generator,
-    and leaves the running probability total unchanged.  So the dropped
-    zero-mass categories cost no random numbers, and the counts and the
-    generator state after the call are those of a draw over the whole union.
-    A draw is scored on its categories, plus the mass of ``pi`` on the
-    points no draw can reach.
+    The interval is tv -+ w, clipped to [0, 1], with
+    w = 1/2 sqrt(|supp pi| / n) + p_off + 2 sqrt(ln(2 / TV_ALPHA) / (2 n)),
+    p_off the fraction of the sample off pi's support S.  Why it holds:
+    |TV(p_hat, pi) - TV(p, pi)| <= TV(p_hat, p) by the triangle inequality;
+    E TV(p_hat, p) <= 1/2 sqrt(|S| / n) + p(S^c) by Cauchy-Schwarz over S;
+    one sample moves TV(p_hat, p) by at most 1/n, so it exceeds its mean by
+    the last term's half with probability at most TV_ALPHA / 2 (McDiarmid
+    1989), and p(S^c) exceeds p_off by the same amount with probability at
+    most TV_ALPHA / 2 (Hoeffding 1963).
     """
+    n = len(points)
     codec = LatticeKeys(points, pi.support)
     sample_keys, counts = np.unique(codec.encode(points), return_counts=True)
     pi_keys = codec.encode(pi.support)
     keys = np.union1d(sample_keys, pi_keys)
-    hit = np.searchsorted(keys, sample_keys)
     p_hat = np.zeros(len(keys))
-    p_hat[hit] = counts / len(points)
+    p_hat[np.searchsorted(keys, sample_keys)] = counts / n
     p_ref = np.zeros(len(keys))
     p_ref[np.searchsorted(keys, pi_keys)] = pi.mass
     tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
-    if n_boot <= 0:
-        return tv, (tv, tv)
-    cats = hit if hit[-1] == len(keys) - 1 else np.append(hit, len(keys) - 1)
-    p_cat, ref_cat = p_hat[cats], p_ref[cats]
-    off = np.delete(p_ref, cats).sum()
-    # at most 2**19 cells (4 MiB of float64) per chunk, scored in place, so
-    # the bootstrap stays below the peak memory of the stationary solve
-    chunk = max(1, min(n_boot, 2**19 // len(cats)))
-    tvs = np.empty(n_boot)
-    for done in range(0, n_boot, chunk):
-        b = min(chunk, n_boot - done)
-        score = rng.multinomial(reps, p_cat, size=b) / reps
-        score -= ref_cat
-        np.abs(score, out=score)
-        tvs[done : done + b] = 0.5 * (score.sum(axis=1) + off)
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
-    return tv, (float(lo), float(hi))
-
-
-def _profile_row(shared, k, _):
-    """TV and bootstrap quantiles of row ``k`` of a cutoff profile, on the
-    row's own bootstrap stream."""
-    records, pi, reps, n_boot, seed = shared
-    rng = _rng.substream(seed, k, _rng.BOOTSTRAP)
-    tv, (lo, hi) = _empirical_tv_with_ci(records[:, k], pi, reps, rng, n_boot=n_boot)
-    return tv, lo, hi
+    p_off = int(counts[~np.isin(sample_keys, pi_keys)].sum()) / n
+    dev = math.sqrt(math.log(2 / TV_ALPHA) / (2 * n))
+    w = 0.5 * math.sqrt(len(pi) / n) + p_off + 2 * dev
+    return tv, (max(0.0, tv - w), min(1.0, tv + w))
 
 
 def cutoff_profile(
@@ -367,15 +345,15 @@ def cutoff_profile(
     """TV between the law of the free chain at t_N(x0)+s and ``pi``.
 
     One batch of paths serves every s (each row's marginal is exact; rows
-    share replicates).  Rows carry the 2.5% and 97.5% quantiles of the
-    bootstrap-resampled plug-in TV (see ``CutoffProfile``; not a confidence
-    interval for the true TV) and the sampling-bias floor
-    sqrt(|support(pi)| / reps).
+    share replicates), simulated over ``workers`` processes.  Each row
+    carries the plug-in TV, a closed-form interval for the true TV at level
+    1 - TV_ALPHA (see ``_empirical_tv_with_ci``) and the sampling-bias floor
+    sqrt(|support(pi)| / reps).  The rows are scored in this process; a row
+    depends only on its own records.
 
-    The rows are scored on the worker pool, one row per chunk.  Row k of the
-    sorted s-grid draws its bootstrap from its own stream (k, BOOTSTRAP), so
-    a row does not depend on the other rows or on ``workers``, and dropping
-    the s-values after it leaves it unchanged.
+    ``delta`` and ``n_boot`` are not read: the restriction radius is carried
+    by ``pi``, and no row is resampled.  They are accepted so that existing
+    callers keep working.
     """
     x0 = np.asarray(x0, dtype=float)
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
@@ -386,10 +364,9 @@ def cutoff_profile(
     uniq, col = np.unique(times, return_inverse=True)
     opts = SimOptions(N=N, seed=seed, horizon=float(uniq[-1]) + 1.0, record=tuple(uniq.tolist()))
     X0 = np.round(N * x0).astype(np.int64)
-    records = sample_states(m, opts, X0, reps, workers=workers)[:, col]
-    shared = (records, pi, reps, n_boot, seed)
-    rows = engine.map_chunks(_profile_row, shared, len(times), 1, workers)
-    tvs, clo, chi = (np.array(c) for c in zip(*rows))
+    records = sample_states(m, opts, X0, reps, workers=workers)
+    tvs, cis = zip(*(_empirical_tv_with_ci(records[:, k], pi) for k in col))
+    clo, chi = np.array(cis).T
     return CutoffProfile(
         N=N,
         x0=tuple(float(v) for v in x0),
@@ -398,7 +375,7 @@ def cutoff_profile(
         reps=reps,
         s=s_grid,
         t=times,
-        tv=tvs,
+        tv=np.array(tvs),
         ci_lo=clo,
         ci_hi=chi,
         bias_floor=math.sqrt(len(pi) / reps),

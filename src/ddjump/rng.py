@@ -5,7 +5,7 @@ seed and a tuple of integer ids via ``SeedSequence(seed, spawn_key=ids)``:
 
 * free/restricted path of replicate r      -> (r, PATH)
 * coupled pair r                           -> (r, COUPLED)
-* bootstrap of cutoff-profile row k        -> (k, BOOTSTRAP)
+* exit-probability start directions        -> (0, EXIT_START)
 
 Replicate results therefore depend only on (seed, replicate index), never on
 chunking or worker count.
@@ -19,8 +19,7 @@ import numpy as np
 
 PATH = 0
 COUPLED = 1
-BOOTSTRAP = 3  # id 2 is retired; the ids are kept so no stream changes
-EXIT_START = 4
+EXIT_START = 4  # ids 2 and 3 are retired; the ids are kept so no stream changes
 
 _MASK64 = (1 << 64) - 1
 

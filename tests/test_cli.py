@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 
@@ -231,6 +232,17 @@ def test_cutoff_empty_s_grid_is_validation_error(sir_cfg, tmp_path, capsys):
     assert capsys.readouterr().err == "validation error: the s-grid is empty\n"
 
 
+@pytest.mark.parametrize("x0", ["1", "1,1,1"])
+@pytest.mark.parametrize("command", ["simulate", "cutoff"])
+def test_x0_of_the_wrong_length_is_validation_error(sir_cfg, tmp_path, capsys, command, x0):
+    args = [command, "--model", sir_cfg, "--N", "30", "--x0", x0, "--out", str(tmp_path / "out")]
+    if command == "cutoff":
+        args += ["--s-grid", "0", "--reps", "50", "--delta", "0.6"]
+    assert main(args) == 2
+    n = len(x0.split(","))
+    assert capsys.readouterr().err == f"error: --x0 has {n} entries, model dimension is 2\n"
+
+
 def test_simulate_rejects_a_second_N(sir_cfg, tmp_path, capsys):
     args = ["simulate", "--model", sir_cfg, "--N", "20,40", "--x0", "1,1", "--horizon", "0.5"]
     code = main(args + ["--out", str(tmp_path / "out")])
@@ -348,6 +360,7 @@ def test_equilibrium_outputs(sir_cfg, tmp_path):
     assert code == 0
     summary = json.load(open(os.path.join(out, "equilibrium.json")))
     assert summary["N"][0]["pi_method"] == "exact"
+    assert summary["N"][0]["bias_floor"] == 0.0
     assert summary["sigma2"] == [[2.0, -1.0], [-1.0, 2.0]]
 
 
@@ -377,7 +390,10 @@ def test_equilibrium_downgrades_to_empirical_above_cap(sir_cfg, tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 0
     summary = json.load(open(os.path.join(out, "equilibrium.json")))
-    assert summary["N"][0]["pi_method"] == "empirical"
+    entry = summary["N"][0]
+    assert entry["pi_method"] == "empirical"
+    # the sampled pi's plug-in bias scale sits next to its TV
+    assert entry["bias_floor"] == math.sqrt(entry["states"] / 50000)
     assert "falling back" in captured.err
 
 

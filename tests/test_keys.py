@@ -2,14 +2,14 @@
 
 The dict-keyed implementations that the codec replaced are kept here as
 references: the empirical TV, the restricted generator and point
-aggregation must agree with them bit for bit, and the bootstrap must leave
-the random generator where the reference leaves it.  The reference scores
-each bootstrap draw over the whole union support, where the library scores
-it on the drawn categories plus the constant mass of ``pi`` off them, so
-the CI bounds agree to rounding only (1e-15).  ``tv_distance`` adds its
-terms in key order where the dict sum added them in set order, so the two
-agree to rounding only as well.
+aggregation must agree with them bit for bit.  The reference also works out
+the closed-form interval around the empirical TV from its own dicts; the
+interval's terms are added in the same order, so it agrees to rounding only
+(1e-15).  ``tv_distance`` adds its terms in key order where the dict sum
+added them in set order, so the two agree to rounding only as well.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 import ddjump as dj
 from ddjump import engine
 from ddjump.dist import LatticeKeys
-from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator, enumerate_ball
+from ddjump.equilibrium import (
+    TV_ALPHA,
+    _empirical_tv_with_ci,
+    build_restricted_generator,
+    enumerate_ball,
+)
 from ddjump.errors import DomainError, KeyRangeError
 from conftest import as_dict
 
@@ -47,7 +52,9 @@ def from_points_ref(points, weights=None):
     return dj.LatticeDistribution(uniq[order], m[order])
 
 
-def empirical_tv_with_ci_ref(points, pi, reps, rng, n_boot=1000):
+def empirical_tv_with_ci_ref(points, pi):
+    """Plug-in TV of the sample against ``pi`` and the half-width of its
+    interval, 1/2 sqrt(|supp pi| / n) + p_off + 2 sqrt(ln(2 / alpha) / (2 n))."""
     emp = from_points_ref(points)
     d_emp = as_dict(emp)
     d_pi = as_dict(pi)
@@ -55,18 +62,10 @@ def empirical_tv_with_ci_ref(points, pi, reps, rng, n_boot=1000):
     p_hat = np.array([d_emp.get(k, 0.0) for k in keys])
     p_ref = np.array([d_pi.get(k, 0.0) for k in keys])
     tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
-    if n_boot <= 0:
-        return tv, (tv, tv)
-    tvs = np.empty(n_boot)
-    chunk = max(1, min(n_boot, int(2e7 // max(len(keys), 1))))
-    done = 0
-    while done < n_boot:
-        b = min(chunk, n_boot - done)
-        counts = rng.multinomial(reps, p_hat, size=b)
-        tvs[done : done + b] = 0.5 * np.abs(counts / reps - p_ref).sum(axis=1)
-        done += b
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
-    return tv, (float(lo), float(hi))
+    n = len(points)
+    p_off = sum(tuple(int(v) for v in x) not in d_pi for x in points) / n
+    w = 0.5 * math.sqrt(len(d_pi) / n) + p_off + 2 * math.sqrt(math.log(2 / TV_ALPHA) / (2 * n))
+    return tv, w
 
 
 def tv_distance_ref(p, q):
@@ -222,18 +221,17 @@ def test_from_points_matches_reference(rows, weighted, seed):
 
 
 # ---------------------------------------------------------------------------
-# empirical TV and its bootstrap
+# empirical TV and its interval
 # ---------------------------------------------------------------------------
 
 
-def _assert_tv_matches_reference(points, pi, reps, n_boot, seed):
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    tv, (lo, hi) = _empirical_tv_with_ci(points, pi, reps, rng, n_boot=n_boot)
-    tv_ref, (lo_ref, hi_ref) = empirical_tv_with_ci_ref(points, pi, reps, rng_ref, n_boot=n_boot)
+def _assert_tv_matches_reference(points, pi):
+    tv, (lo, hi) = _empirical_tv_with_ci(points, pi)
+    tv_ref, w = empirical_tv_with_ci_ref(points, pi)
     assert _bits(tv) == _bits(tv_ref)
-    assert abs(lo - lo_ref) <= 1e-15 and abs(hi - hi_ref) <= 1e-15
-    # the same number of random draws was consumed
-    assert _bits(rng.random()) == _bits(rng_ref.random())
+    assert abs(lo - max(0.0, tv - w)) <= 1e-15 and abs(hi - min(1.0, tv + w)) <= 1e-15
+    # a sample wholly off pi's support can add up to a TV one ulp above 1
+    assert 0.0 <= lo <= tv and min(tv, 1.0) <= hi <= 1.0
 
 
 def _pi_on(rows, seed):
@@ -250,17 +248,16 @@ def _pi_on(rows, seed):
             st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=120),
         )
     ),
-    st.sampled_from([0, 1, 2, 7, 40]),
     st.integers(0, 2**32 - 1),
 )
-def test_empirical_tv_matches_reference(supports, n_boot, seed):
+def test_empirical_tv_matches_reference(supports, seed):
     pi_rows, sample_rows = supports
     pi = _pi_on(pi_rows, seed)
     points = np.array(sample_rows, dtype=np.int64)
-    _assert_tv_matches_reference(points, pi, len(points), n_boot, seed)
+    _assert_tv_matches_reference(points, pi)
 
 
-@pytest.mark.parametrize("n_boot", [0, 1, 25])
+@pytest.mark.parametrize("shift", [0, 1, 25])
 @pytest.mark.parametrize(
     "case",
     [
@@ -271,7 +268,9 @@ def test_empirical_tv_matches_reference(supports, n_boot, seed):
         "one_point_sample_last",
     ],
 )
-def test_empirical_tv_edge_cases_match_reference(case, n_boot):
+def test_empirical_tv_edge_cases_match_reference(case, shift):
+    # ``shift`` moves the sample and pi together, so the codec meets the same
+    # case at another offset
     rng = np.random.default_rng(11)
     pi = _pi_on([[x, y] for x in range(-3, 4) for y in range(0, 4)], 3)
     if case == "last_union_key_unsampled":
@@ -284,16 +283,18 @@ def test_empirical_tv_edge_cases_match_reference(case, n_boot):
         points = np.array([[0, 1]])
     else:
         points = np.array([[9, 9]])
-    _assert_tv_matches_reference(points, pi, len(points), n_boot, 5)
+    pi = dj.LatticeDistribution(pi.support + shift, pi.mass)
+    _assert_tv_matches_reference(points + shift, pi)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bootstrap_off_sample_mass_matches_whole_union_scoring(seed):
     # nearly all of pi's 3721 points lie off the 60-point sample, so nearly
-    # all of each draw's score is the constant off-sample mass
+    # all of the TV is pi's mass off the sample, and the interval is [0, 1]
     pi = _pi_on([[x, y] for x in range(-30, 31) for y in range(-30, 31)], seed)
     points = np.random.default_rng(seed).integers(-3, 4, size=(60, 2))
-    _assert_tv_matches_reference(points, pi, len(points), 200, seed)
+    _assert_tv_matches_reference(points, pi)
+    assert _empirical_tv_with_ci(points, pi)[1] == (0.0, 1.0)
 
 
 def test_empirical_tv_on_a_sir_sample_matches_reference(sir, cert09):
@@ -302,7 +303,7 @@ def test_empirical_tv_on_a_sir_sample_matches_reference(sir, cert09):
     opts = dj.SimOptions(N=N, seed=4, horizon=2.0, record=(0.5, 1.5))
     rec = dj.sample_states(sir, opts, np.array([N, N]), reps)
     for k in range(2):
-        _assert_tv_matches_reference(rec[:, k, :], pi, reps, 300, 9)
+        _assert_tv_matches_reference(rec[:, k, :], pi)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,7 +1,9 @@
 """The package's modules import each other only at module top, so an import
 cycle between them fails at import time instead of hiding in a function.
 scipy.sparse, by contrast, is imported only inside the functions that use it,
-and scipy.stats not at all, so a run that solves no generator loads neither.
+and scipy.stats not at all, so a run that solves no generator loads neither;
+a cutoff profile loads scipy.sparse for its stationary solve and nothing
+for its closed-form TV interval.
 
 There are two hand-written samplers of jump paths, the batched engine and
 the coupled-pair loop, and each reads its own random streams: only the
@@ -78,6 +80,30 @@ def test_simulation_only_runs_load_no_sparse_or_stats_module():
     assert int(states) > 1 and float(total) == 1.0 and sparse == "True"
 
 
+CUTOFF_ONLY = """
+import sys
+import numpy as np
+import ddjump as dj
+
+m = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
+cert = dj.certify(m, np.array([1.0, 1.0]), rho_fraction=0.5)
+pi = dj.stationary_exact(m, 20, cert, 0.4)
+prof = dj.cutoff_profile(m, cert, 20, (1.0, 1.0), (0.0, 2.0), 200, 0.4, pi, seed=1, workers=1)
+print(len(prof.tv), sorted(k for k in ("scipy.special", "scipy.stats") if k in sys.modules))
+"""
+
+
+def test_cutoff_profile_loads_no_special_or_stats_module():
+    """A cutoff profile's interval is closed-form: scoring its rows loads
+    neither scipy.special nor scipy.stats."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", CUTOFF_ONLY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "2 []"
+
+
 def _rng_reads(tree, names=("uniforms", "PATH")):
     """(function, name) of every read of ``rng.<name>``, through the alias the
     module binds ``rng`` to, or of a bare import of the name from ``rng``;
@@ -120,8 +146,8 @@ def test_only_the_engine_and_the_pair_loop_sample_paths():
         ("simulate.py", "simulate_coupled", "uniforms")
     }
     assert {r[0] for r in reads if r[2] == "PATH"} == {"engine.py"}
-    assert not hasattr(rng, "OCCUPATION")
-    assert (rng.PATH, rng.COUPLED, rng.BOOTSTRAP, rng.EXIT_START) == (0, 1, 3, 4)
+    assert not hasattr(rng, "OCCUPATION") and not hasattr(rng, "BOOTSTRAP")
+    assert (rng.PATH, rng.COUPLED, rng.EXIT_START) == (0, 1, 4)
 
 
 def test_the_guard_sees_a_third_sampler():
