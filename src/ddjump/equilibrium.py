@@ -248,7 +248,8 @@ def discrete_normal(N, c, Sigma):
 
 def tv_distance(p, q):
     """Total variation: half the L1 distance over the union support, with
-    both laws laid out on the sorted lattice keys of that support."""
+    both laws laid out on the sorted lattice keys of that support, and
+    clipped to 1 (disjoint supports can add up to one ulp above it)."""
     codec = LatticeKeys(p.support, q.support)
     p_keys, q_keys = codec.encode(p.support), codec.encode(q.support)
     keys = np.union1d(p_keys, q_keys)
@@ -256,7 +257,7 @@ def tv_distance(p, q):
     p_mass[np.searchsorted(keys, p_keys)] = p.mass
     q_mass = np.zeros(len(keys))
     q_mass[np.searchsorted(keys, q_keys)] = q.mass
-    return 0.5 * float(np.abs(p_mass - q_mass).sum())
+    return min(1.0, 0.5 * float(np.abs(p_mass - q_mass).sum()))
 
 
 def tail_mass(pi, cert, N, z):
@@ -322,7 +323,7 @@ def _empirical_tv_with_ci(points, pi):
     p_hat[np.searchsorted(keys, sample_keys)] = counts / n
     p_ref = np.zeros(len(keys))
     p_ref[np.searchsorted(keys, pi_keys)] = pi.mass
-    tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
+    tv = min(1.0, 0.5 * float(np.abs(p_hat - p_ref).sum()))
     p_off = int(counts[~np.isin(sample_keys, pi_keys)].sum()) / n
     dev = math.sqrt(math.log(2 / TV_ALPHA) / (2 * n))
     w = 0.5 * math.sqrt(len(pi) / n) + p_off + 2 * dev

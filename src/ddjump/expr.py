@@ -319,20 +319,3 @@ def codegen(node, params):
         base = codegen(node.base, params)
         return "(" + " * ".join([base] * node.exponent) + ")"
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_source(node):
-    """Human-readable rendering (parameters kept by name)."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Param):
-        return node.name
-    if type(node) in _INFIX:
-        return f"({to_source(node.left)} {_INFIX[type(node)]} {to_source(node.right)})"
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.operand)})"
-    if isinstance(node, Pow):
-        return f"{to_source(node.base)}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")

@@ -3,15 +3,16 @@
 A jump set is *spanning* when every integer vector is a finite sum of jumps
 (nonnegative integer combinations).  When it is not, either all jumps fit in
 a strict sublattice of Z^d, or some vector v has v.J >= 0 for every jump.
-Each verdict ships with a witness that re-verifies by direct arithmetic.
+Both tests are exact integer arithmetic, and each verdict ships with a
+witness that re-verifies by direct arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -139,58 +140,61 @@ def _bfs_unit_decompositions(jumps, search_radius):
     return found
 
 
+def _bareiss_det(rows):
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination (1968): every division is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def _separating_vector(jumps, d):
-    """Rational v != 0 with v.J >= 0 for all jumps, or None.
+    """Primitive integer v != 0 with v.J >= 0 for all jumps, or None.
 
-    LP feasibility: for each objective +/-e_i, maximize the objective over
-    {v : Jv >= 0, |v|_inf <= 1}; any positive optimum gives a candidate ray,
-    which is then rounded to a rational vector and re-verified exactly.
+    Exact and complete for jumps that span R^d: the cone {v : v.J >= 0} is
+    then pointed, so if it holds any v != 0 it has an extreme ray, and that
+    ray is normal to d - 1 independent jumps (Minkowski-Weyl).  Each
+    (d - 1)-subset's integer cofactor normal (generalized cross product) is
+    tried with both signs.  The cost grows like C(n, d - 1) for n jumps: on a
+    2-core VM, 1 ms at d = 3 with 12 jumps, 36 ms at d = 4 with 20 and 90 ms
+    at d = 5 with 16, where an LP takes 12-20 ms once scipy is loaded.
     """
-    from scipy.optimize import linprog
-
-    Jm = np.array(jumps, dtype=float)
-    A_ub = -Jm  # J v >= 0  <=>  -J v <= 0
-    b_ub = np.zeros(len(jumps))
-    bounds = [(-1.0, 1.0)] * d
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            cvec = np.zeros(d)
-            cvec[axis] = -sign  # linprog minimizes
-            res = linprog(cvec, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if not res.success or -res.fun < 1e-9:
-                continue
-            v = res.x
-            exact = _rationalize_separator(v, jumps)
-            if exact is not None:
-                return exact
-    return None
-
-
-def _rationalize_separator(v, jumps):
-    for denom in (1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 1024, 10**6):
-        cand = [Fraction(x).limit_denominator(denom) for x in v]
-        if all(c == 0 for c in cand):
+    for rows in itertools.combinations(jumps, d - 1):
+        normal = [
+            (-1) ** i * _bareiss_det([r[:i] + r[i + 1 :] for r in rows]) for i in range(d)
+        ]
+        g = math.gcd(*normal)
+        if g == 0:
             continue
-        if all(sum(c * j for c, j in zip(cand, J)) >= 0 for J in jumps):
-            lcm = 1
-            for c in cand:
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-            ints = [int(c * lcm) for c in cand]
-            g = 0
-            for a in ints:
-                g = math.gcd(g, abs(a))
-            return tuple(a // g for a in ints)
+        for sign in (g, -g):
+            v = tuple(x // sign for x in normal)
+            if all(sum(a * b for a, b in zip(v, J)) >= 0 for J in jumps):
+                return v
     return None
 
 
 def classify_jumps(jumps, search_radius=8, norm_matrix=None):
     """Classify a jump set as Spanning, Sublattice, or Separated.
 
-    Spanning verdicts carry explicit BFS decompositions of every signed unit
-    vector; Sublattice verdicts carry a Hermite basis; Separated verdicts an
-    exact integer vector v with v.J >= 0 for all jumps.  Raises
-    InconclusiveError when the search budget is exhausted without a witness
-    (raise ``search_radius``).
+    The verdict is exact: a Sublattice verdict carries a Hermite basis, a
+    Separated verdict a primitive integer vector v with v.J >= 0 for all
+    jumps, and a set that is neither spans Z^d.  A Spanning verdict then
+    carries BFS decompositions of every signed unit vector, at most
+    ``search_radius`` jumps long, from which ``mu`` and ``nu`` follow.
+    Raises InconclusiveError when the set spans but some unit vector has no
+    decomposition within ``search_radius`` (raise it).
     """
     jumps = tuple(tuple(int(v) for v in J) for J in jumps)
     if not jumps:
@@ -213,27 +217,6 @@ def classify_jumps(jumps, search_radius=8, norm_matrix=None):
             norm_matrix=tuple(map(tuple, M.tolist())),
         )
 
-    found = _bfs_unit_decompositions(jumps, search_radius)
-    if len(found) == 2 * d:
-        lengths = {t: len(p) for t, p in found.items()}
-        masses = {
-            t: sum(math.sqrt(np.array(q) @ M @ np.array(q)) for q in p)
-            for t, p in found.items()
-        }
-        c0 = math.sqrt(np.linalg.eigvalsh(M)[0])
-        gamma = math.sqrt(d) / c0  # ||z||_1 <= gamma * ||z||_M on Z^d
-        mu = max(lengths.values()) * gamma
-        nu = max(masses.values()) * gamma
-        return LatticeAnalysis(
-            verdict=SPANNING,
-            jumps=jumps,
-            dim=d,
-            decompositions=dict(found),
-            mu=mu,
-            nu=nu,
-            norm_matrix=tuple(map(tuple, M.tolist())),
-        )
-
     v = _separating_vector(jumps, d)
     if v is not None:
         return LatticeAnalysis(
@@ -244,9 +227,26 @@ def classify_jumps(jumps, search_radius=8, norm_matrix=None):
             norm_matrix=tuple(map(tuple, M.tolist())),
         )
 
-    raise InconclusiveError(
-        f"no witness within search_radius={search_radius}; "
-        f"found {len(found)}/{2 * d} unit decompositions - raise search_radius"
+    found = _bfs_unit_decompositions(jumps, search_radius)
+    if len(found) < 2 * d:
+        raise InconclusiveError(
+            f"the jump set spans Z^{d}, but only {len(found)}/{2 * d} unit decompositions "
+            f"lie within search_radius={search_radius} - raise search_radius"
+        )
+    lengths = {t: len(p) for t, p in found.items()}
+    masses = {
+        t: sum(math.sqrt(np.array(q) @ M @ np.array(q)) for q in p) for t, p in found.items()
+    }
+    c0 = math.sqrt(np.linalg.eigvalsh(M)[0])
+    gamma = math.sqrt(d) / c0  # ||z||_1 <= gamma * ||z||_M on Z^d
+    return LatticeAnalysis(
+        verdict=SPANNING,
+        jumps=jumps,
+        dim=d,
+        decompositions=dict(found),
+        mu=max(lengths.values()) * gamma,
+        nu=max(masses.values()) * gamma,
+        norm_matrix=tuple(map(tuple, M.tolist())),
     )
 
 

@@ -94,7 +94,7 @@ class Trajectory:
 def _check_start(m, opts, X0):
     X0 = np.asarray(X0, dtype=np.int64)
     if X0.shape != (m.d,):
-        raise ValueError(f"X0 has shape {X0.shape}, expected ({m.d},)")
+        raise ValueError(f"start has shape {X0.shape}, expected ({m.d},)")
     if not m.domain.contains(X0 / opts.N):
         raise DomainError(f"start {X0.tolist()} outside domain at N={opts.N}")
     restr = opts.engine_restriction()
@@ -312,7 +312,7 @@ def _pair_loop(m):
     hnorm += [f"qf = {mq(w, 'M')}", "H = sqrt(qf) if qf > 0.0 else 0.0"]
     ij = [f"{i}_{k}" for i in range(d) for k in range(d)]
     src = [
-        "def pair_loop(draw, N, U, V, H, K3, nuK3, horizon, rec, trace, past, M, ball):",
+        "def pair_loop(draw, N, U, V, H, K3, nuK3, horizon, rec, trace, M, ball):",
         f"    {tup(u)} = U",
         f"    {tup(v)} = V",
         f"    {tup('M' + s for s in ij)} = M",
@@ -325,7 +325,7 @@ def _pair_loop(m):
         "    i = 0",
         "    nxt = rec[0] if rec else inf",
         "    while t < horizon:",
-        "        if phase == 2 and not (trace or past):",
+        "        if phase == 2 and not trace:",
         "            break",
         *ind(rates_of(u, a) + rates_of(v, b) + valid("U", u, a) + valid("V", v, b), 2),
         "        if phase == 0:",
@@ -393,7 +393,6 @@ def simulate_coupled(
     nu=None,
     replicate=0,
     trace_states=False,
-    run_past_coalescence=False,
 ):
     """One trajectory of the two-phase coupling of a pair of copies.
 
@@ -410,17 +409,11 @@ def simulate_coupled(
     ``cert.m_norm(U0 - V0)``.
     """
     N = opts.N
-    U = np.asarray(U0, dtype=np.int64)
-    V = np.asarray(V0, dtype=np.int64)
-    for name, Z in (("U0", U), ("V0", V)):
-        if not m.domain.contains(Z / N):
-            raise DomainError(f"{name} outside domain")
+    U = _check_start(m, opts, U0)
+    V = _check_start(m, opts, V0)
     restr = opts.engine_restriction()
     ball = None
     if restr is not None:
-        for name, Z in (("U0", U), ("V0", V)):
-            if not restr.contains(Z):
-                raise DomainError(f"{name} outside the restriction ball")
         ball = (*restr.center.tolist(), restr.radius**2, *restr.M.ravel().tolist())
     k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
     K3 = max(k2, 8.0 * cert.JstarM)
@@ -429,7 +422,7 @@ def simulate_coupled(
     draw = _rng.uniforms(opts.seed, replicate, _rng.COUPLED)
     H, phases, coal, Us, Vs = _pair_loop(m)(
         draw, N, U.tolist(), V.tolist(), cert.m_norm(U - V), K3, nuK3, opts.horizon,
-        opts.record, trace_states, run_past_coalescence, cert.M.ravel().tolist(), ball,
+        opts.record, trace_states, cert.M.ravel().tolist(), ball,
     )
     shape = (len(opts.record), m.d)
     return CoupledTrace(
@@ -461,6 +454,7 @@ def coupled_ensemble(m, cert, opts, U0, V0, reps, k2=None, nu=None, workers=1, c
     Pair r is ``simulate_coupled`` at replicate r, so the results do not
     depend on ``chunk`` or ``workers``.
     """
+    U0, V0 = _check_start(m, opts, U0), _check_start(m, opts, V0)
     k2, nu = _default_k2_nu(m, cert, opts.N, opts.seed, k2, nu)
     shared = (m, cert, opts, U0, V0, k2, nu)
     parts = engine.map_chunks(_coupled_chunk, shared, reps, chunk, workers)

@@ -62,9 +62,7 @@ def _rates_at(rates, Z, N):
         return rates(*map(np.float64, y))
 
 
-def simulate_coupled_reference(
-    m, cert, opts, U0, V0, k2, nu, replicate=0, trace_states=False, run_past_coalescence=False
-):
+def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace_states=False):
     """``simulate.simulate_coupled`` with explicit ``k2`` and ``nu``, on the
     same uniforms and with the same results."""
     N = opts.N
@@ -113,7 +111,7 @@ def simulate_coupled_reference(
             rec_idx += 1
 
     while t < opts.horizon:
-        if phase == COALESCED and not (trace_states or run_past_coalescence):
+        if phase == COALESCED and not trace_states:
             flush_records(math.inf)
             break
         ru = _rates_at(rates, U, N)

@@ -200,11 +200,3 @@ def test_kernel_matches_interpreter_with_division():
     )
     rng = np.random.default_rng(1)
     _assert_kernel_matches_interpreter(m, [tuple(p) for p in rng.uniform(0.0, 5.0, size=(200, 2))])
-
-
-def test_to_source_round_trips_through_parser():
-    node = parse("a*x1*x2 - x2^2 / (1 + x1)")
-    text = ex.to_source(node)
-    node2 = ex.parse_expr(text, 2, ("a", "b"))
-    y = (0.7, 1.3)
-    assert evaluate(node, y, {"a": 2.0}) == evaluate(node2, y, {"a": 2.0})

@@ -61,7 +61,7 @@ def empirical_tv_with_ci_ref(points, pi):
     keys = sorted(d_emp.keys() | d_pi.keys())
     p_hat = np.array([d_emp.get(k, 0.0) for k in keys])
     p_ref = np.array([d_pi.get(k, 0.0) for k in keys])
-    tv = 0.5 * float(np.abs(p_hat - p_ref).sum())
+    tv = min(1.0, 0.5 * float(np.abs(p_hat - p_ref).sum()))
     n = len(points)
     p_off = sum(tuple(int(v) for v in x) not in d_pi for x in points) / n
     w = 0.5 * math.sqrt(len(d_pi) / n) + p_off + 2 * math.sqrt(math.log(2 / TV_ALPHA) / (2 * n))
@@ -72,7 +72,7 @@ def tv_distance_ref(p, q):
     dp = as_dict(p)
     dq = as_dict(q)
     keys = dp.keys() | dq.keys()
-    return 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys)
+    return min(1.0, 0.5 * sum(abs(dp.get(k, 0.0) - dq.get(k, 0.0)) for k in keys))
 
 
 def build_restricted_generator_ref(m, N, cert, delta):
@@ -230,8 +230,15 @@ def _assert_tv_matches_reference(points, pi):
     tv_ref, w = empirical_tv_with_ci_ref(points, pi)
     assert _bits(tv) == _bits(tv_ref)
     assert abs(lo - max(0.0, tv - w)) <= 1e-15 and abs(hi - min(1.0, tv + w)) <= 1e-15
-    # a sample wholly off pi's support can add up to a TV one ulp above 1
-    assert 0.0 <= lo <= tv and min(tv, 1.0) <= hi <= 1.0
+    assert 0.0 <= lo <= tv <= hi <= 1.0
+
+
+def test_tv_of_a_sample_wholly_off_pi_is_at_most_one():
+    # pi's masses and the sample's add up to one ulp above 2 over the union
+    pi = _pi_on([[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 1]], 1)
+    points = np.array([[0, 0, 1]])
+    assert _empirical_tv_with_ci(points, pi) == (1.0, (0.0, 1.0))
+    assert dj.tv_distance(pi, dj.LatticeDistribution.from_points(points)) == 1.0
 
 
 def _pi_on(rows, seed):

@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ddjump as dj
 from ddjump.errors import InconclusiveError, NotSpanningError
-from ddjump.lattice import SEPARATED, SPANNING, SUBLATTICE, decompose_vector_with, hermite_basis
+from ddjump.lattice import (
+    SEPARATED,
+    SPANNING,
+    SUBLATTICE,
+    _bareiss_det,
+    _is_strict_sublattice,
+    _separating_vector,
+    decompose_vector_with,
+    hermite_basis,
+)
+from lattice_reference import separating_vector_reference
 
 SIR_JUMPS = ((-1, 1), (1, 0), (0, -1))
 
@@ -52,8 +62,60 @@ def test_rank_deficient_jumps_are_sublattice():
 def test_inconclusive_when_radius_too_small():
     # e2 needs two jumps; radius 1 cannot certify spanning, and the set is
     # neither a sublattice nor separated
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match=r"spans Z\^2, but only 2/4 unit decompositions"):
         dj.classify_jumps(SIR_JUMPS, search_radius=1)
+
+
+def test_separated_witness_is_a_cofactor_normal():
+    # the normal of (1, 0) passes; the LP route rounded its ray to (1, 1)
+    an = dj.classify_jumps([(1, 0), (0, 1), (-1, 1)])
+    assert an.verdict == SEPARATED
+    assert an.witness_vector == (0, 1)
+
+
+def test_separating_vector_matches_the_lp_oracle():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.just(d), st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=7)
+            )
+        )
+    )
+    def check(case):
+        d, jumps = case
+        if _is_strict_sublattice(hermite_basis(jumps), d):
+            return  # the exact search is complete only for jumps spanning R^d
+        v = _separating_vector(jumps, d)
+        assert (v is None) == (separating_vector_reference(jumps, d) is None)
+        if v is not None:
+            assert all(type(x) is int for x in v) and any(v) and math.gcd(*v) == 1
+            assert all(sum(a * b for a, b in zip(v, J)) >= 0 for J in jumps)
+        seen.add(v is None)
+
+    check()
+    assert seen == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@example([])  # the empty minor behind the normal at d = 1
+@example([[0]])
+@example([[0, 1], [1, 0]])  # zero leading pivot
+@example([[0, 2, 1], [0, 1, 3], [4, -1, 2]])
+@example([[1, 2], [2, 4]])  # singular
+@example([[0, 0, 1], [0, 0, 2], [1, 1, 1]])  # singular, zero column
+def test_bareiss_det_matches_numpy(rows):
+    n = len(rows)
+    assert _bareiss_det(rows) == round(np.linalg.det(np.array(rows, dtype=float).reshape(n, n)))
 
 
 def test_hermite_basis_exact_integers():

@@ -80,6 +80,26 @@ def test_simulation_only_runs_load_no_sparse_or_stats_module():
     assert int(states) > 1 and float(total) == 1.0 and sparse == "True"
 
 
+SEPARATED_ONLY = """
+import sys
+import ddjump as dj
+
+an = dj.classify_jumps([(1, 0), (0, 1)])
+print(an.verdict, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_separated_verdict_loads_no_optimize_module():
+    """The separated test is exact integer arithmetic: it loads no LP
+    solver."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", SEPARATED_ONLY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "separated False"
+
+
 CUTOFF_ONLY = """
 import sys
 import numpy as np

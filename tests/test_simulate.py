@@ -158,6 +158,19 @@ def test_coupled_rate_dividing_by_zero_is_a_simulation_error(U0, V0, seed, messa
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("wrong", ["U0", "V0"])
+@pytest.mark.parametrize("start", [[50], [50, 50, 0]])
+def test_coupled_start_of_the_wrong_length_is_rejected(sir, cert05, start, wrong):
+    opts = dj.SimOptions(N=100, seed=0, horizon=1.0, record=(0.0, 1.0))
+    X0 = np.array([50, 50])
+    U0, V0 = (start, X0) if wrong == "U0" else (X0, start)
+    message = rf"start has shape \({len(start)},\), expected \(2,\)"
+    with pytest.raises(ValueError, match=message):
+        dj.simulate_coupled(sir, cert05, opts, U0, V0, k2=5.0, nu=2.0)
+    with pytest.raises(ValueError, match=message):
+        dj.coupled_ensemble(sir, cert05, opts, U0, V0, reps=2, k2=5.0, nu=2.0)
+
+
 def test_coalescence_is_absorbing(sir, cert05):
     N = 60
     Nc = N * cert05.c
@@ -180,10 +193,7 @@ def test_coupled_marginal_is_free_chain(sir, cert05):
     opts = dj.SimOptions(N=N, seed=31, horizon=1.5, record=(t,))
     legs = np.zeros((reps, 2), dtype=np.int64)
     for r in range(reps):
-        tr = dj.simulate_coupled(
-            sir, cert05, opts, U0, V0, k2=5.0, replicate=r, trace_states=True,
-            run_past_coalescence=True,
-        )
+        tr = dj.simulate_coupled(sir, cert05, opts, U0, V0, k2=5.0, replicate=r, trace_states=True)
         legs[r] = tr.U[0]
     free_opts = dj.SimOptions(N=N, seed=77, horizon=1.5, record=(t,))
     free = dj.sample_states(sir, free_opts, U0, reps)[:, 0, :]
@@ -458,7 +468,6 @@ def coupled_runs(draw, cases):
         "nu": draw(st.floats(1.0 + 1e-9, 3.0)),
         "replicate": draw(st.integers(0, 10**6)),
         "trace_states": draw(st.booleans()),
-        "run_past_coalescence": draw(st.booleans()),
     }
     return m, cert, opts, U0, V0, kwargs
 
