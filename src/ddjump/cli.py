@@ -191,10 +191,7 @@ def cmd_simulate(args):
     if args.delta is not None:
         cert = _certificate(m, args)
         restriction = (cert, args.delta)
-    record = _floats(args.record) if args.record else ()
-    opts = SimOptions(
-        N=N, seed=args.seed, horizon=args.horizon, restriction=restriction, record=record
-    )
+    opts = SimOptions(N=N, seed=args.seed, horizon=args.horizon, restriction=restriction)
     tr = simulate_path(m, opts, X0)
     out = _ensure_out(args)
     meta = _provenance(args, text, seed=args.seed, N=N, absorbed=tr.absorbed)
@@ -446,7 +443,6 @@ def build_parser():
     p.add_argument("--x0", required=True, help="scaled start, comma floats")
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--delta", type=float, default=None, help="restriction radius")
-    p.add_argument("--record", default=None, help="record times, comma floats")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("equilibrium", help="quasi-equilibrium distribution and checks")

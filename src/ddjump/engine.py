@@ -130,6 +130,15 @@ def _draw_ball_points(m, cert, ball, N, n, rng):
     return np.concatenate(kept)[:n]
 
 
+def lattice_rates(model, X, N):
+    """``r[n, k] = r_k(X[n] / N)`` at the lattice states ``X``, checked like the
+    step's rates: the one source of lattice rate arrays outside the step."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = compile_rates(model)(X / N)
+    _validate_rates(r, X, N)
+    return r
+
+
 def _validate_rates(r, X, N):
     # two reductions clear the common case; the element-wise checks name the state
     if r.size == 0 or (r.min() >= 0.0 and r.max() < math.inf):

@@ -37,9 +37,7 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     if out.any():
         state = states[out][0].tolist()
         raise DomainError(f"restriction ball leaves the domain at {state}; shrink delta")
-    rates_fn = engine.compile_rates(m)
-    r = rates_fn(states.astype(float) / N)
-    engine._validate_rates(r, states, N)
+    r = engine.lattice_rates(m, states, N)
     keeps = cert.ball(N, delta).keeps(states, m.jump_array)
     rows, targets, vals = [], [], []
     for k, J in enumerate(m.jump_array):
@@ -442,15 +440,12 @@ class MeanDriftReport:
     se: np.ndarray  # Monte Carlo scale of each statistic
 
 
-def mean_drift_check(m, cert, N, y0, times, reps, seed, workers=1, delta=None):
+def mean_drift_check(m, cert, N, y0, times, reps, seed, workers=1):
     """sqrt(N) max_t || mean(X(t)/N) - y(t) ||_M with y the drift flow from
     the realized lattice start X0/N."""
     times = tuple(float(t) for t in times)
     X0 = np.round(N * np.asarray(y0, dtype=float)).astype(np.int64)
-    restriction = None if delta is None else (cert, delta)
-    opts = SimOptions(
-        N=N, seed=seed, horizon=max(times) + 1.0, record=times, restriction=restriction
-    )
+    opts = SimOptions(N=N, seed=seed, horizon=max(times) + 1.0, record=times)
     rec = sample_states(m, opts, X0, reps, workers=workers)
     flow = _flow_at_times(m, X0.astype(float) / N, times, default_step(cert.rho_hat))
     stat = np.empty(len(times))
@@ -477,15 +472,14 @@ class VarianceReport:
     normalized: float  # Var / (N L^2)
 
 
-def variance_check(m, cert, N, X0, t, reps, direction, seed, workers=1, delta=None):
+def variance_check(m, cert, N, X0, t, reps, direction, seed, workers=1):
     """Variance of <direction, X(t)> and its concentration-normalized ratio.
 
     A linear f(X) = <u, X> has M-Lipschitz constant |u| / c0, so the bound
     shape is Var <= N v L^2 with L = |direction| / c0.
     """
     direction = np.asarray(direction, dtype=float)
-    restriction = None if delta is None else (cert, delta)
-    opts = SimOptions(N=N, seed=seed, horizon=t + 1.0, record=(t,), restriction=restriction)
+    opts = SimOptions(N=N, seed=seed, horizon=t + 1.0, record=(t,))
     rec = sample_states(m, opts, np.asarray(X0, dtype=np.int64), reps, workers=workers)
     v = rec[:, 0, :].astype(float) @ direction
     var = float(v.var(ddof=1))

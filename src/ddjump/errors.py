@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A rate is valid where it evaluates to a finite number >= 0.  An invalid
+rate at a point of model space (``model.eval_rates`` and the scalar
+forms built on it, the sup constants of the deviation bounds) raises
+:class:`RateError`; at a lattice state (the engine step, the coupled-pair
+loop, and ``engine.lattice_rates`` behind the restricted generator and the
+K1 and K2 scans) it raises :class:`SimulationError`.
+"""
 
 
 class DdjumpError(Exception):
@@ -38,7 +46,7 @@ class DomainError(DdjumpError):
 
 
 class RateError(DdjumpError):
-    """A rate evaluated to a negative or non-finite value."""
+    """An invalid rate at a point of model space (a scaled state y)."""
 
 
 class CertificateError(DdjumpError):
@@ -70,4 +78,4 @@ class HorizonError(DdjumpError):
 
 
 class SimulationError(DdjumpError):
-    """The stochastic simulation hit an invalid model/state combination."""
+    """An invalid rate r(X / N) at a lattice state X the chain can visit."""

@@ -251,16 +251,14 @@ def parse_model(text):
 
 
 # A model's rates and rate gradients, generated once as Python source.  The
-# scalar forms take the d coordinates as floats and return a tuple:
-# rates(y0, ..)[k] = r_k(y) and grads(y0, ..)[k * d + i] = d r_k / d y_i.  The
-# array forms take the coordinates in the last axis of Y: rates_array(Y)[..., k]
-# and grads_array(Y)[..., k, i], stored jump-major.  The entry tuples hold one
-# scalar function per rate and per gradient entry, to find the one that divides
-# by zero.  J is the read-only float jump matrix, one row per jump, and
-# rate_src the rates' source expressions, which the coupled-pair loop inlines.
-Kernel = namedtuple(
-    "Kernel", "rates grads rates_array grads_array rate_entries grad_entries J rate_src"
-)
+# scalar form is one function per entry, taking the d coordinates as floats:
+# rate_entries[k](y0, ..) = r_k(y) and grad_entries[k * d + i](y0, ..) =
+# d r_k / d y_i, so a division by zero names its entry.  The array forms take
+# the coordinates in the last axis of Y: rates_array(Y)[..., k] and
+# grads_array(Y)[..., k, i], stored jump-major.  J is the read-only float jump
+# matrix, one row per jump, and rate_src the rates' source expressions, which
+# the coupled-pair loop inlines.
+Kernel = namedtuple("Kernel", "rates_array grads_array rate_entries grad_entries J rate_src")
 
 
 def _compile_kernel(m):
@@ -279,7 +277,6 @@ def _compile_kernel(m):
     src = []
     for name, exprs, shape in (("rate", rates, (n,)), ("grad", grads, (n, d))):
         src += [
-            f"{name}s = lambda {args}: ({', '.join(exprs)},)",
             f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
             f"def {name}s_array(Y):",
             *(f"    y{i} = Y[..., {i}]" for i in range(d)),
@@ -304,29 +301,25 @@ def _point(m, y, check_domain):
     return y.tolist()
 
 
-def _rates_in_order(m, y):
+def eval_rates(m, y, check_domain=True):
+    """Rate vector (one entry per jump) at scaled state ``y``.
+
+    The rates are evaluated and checked one at a time in jump order, so the
+    RateError names the first that divides by zero, is not finite or is
+    negative.
+    """
+    y = _point(m, y, check_domain)
+    r = []
     for k, rate in enumerate(m.kernel.rate_entries):
         try:
             v = rate(*y)
         except ZeroDivisionError:
             raise RateError(f"division by zero in rate {k} at {y}") from None
-        yield v
-
-
-def eval_rates(m, y, check_domain=True):
-    """Rate vector (one entry per jump) at scaled state ``y``."""
-    y = _point(m, y, check_domain)
-    try:
-        r = m.kernel.rates(*y)
-    except ZeroDivisionError:
-        # one rate at a time, so the checks fire in jump order; some rate
-        # divides by zero, so the loop below always raises
-        r = _rates_in_order(m, y)
-    for k, v in enumerate(r):
         if not math.isfinite(v):
             raise RateError(f"non-finite rate {k} at {y}")
         if v < 0:
             raise RateError(f"negative rate {v} for jump {m.jumps[k]} at {y}")
+        r.append(v)
     return np.array(r)
 
 
@@ -364,11 +357,7 @@ def eval_drift(m, y, check_domain=True):
 def _gradients(m, y):
     """Rate gradients at the coordinate list ``y``, shape (n_jumps, d)."""
     n = len(m.jumps)
-    try:
-        g = m.kernel.grads(*y)
-    except ZeroDivisionError:
-        g = [_partial(m, k, i, y) for k in range(n) for i in range(m.d)]
-    return np.array(g).reshape(n, m.d)
+    return np.array([_partial(m, k, i, y) for k in range(n) for i in range(m.d)]).reshape(n, m.d)
 
 
 def _partial(m, k, i, y, h=1e-6):

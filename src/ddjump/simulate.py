@@ -17,10 +17,10 @@ import numpy as np
 
 from . import engine, rng as _rng
 from .dist import LatticeDistribution
-from .dynamics import _drift_slack, _lattice_rates, _m_directions, _sample_ball, _slack_threshold
+from .dynamics import _drift_slack, _m_directions, _sample_ball, _slack_threshold
 from .dynamics import integrate_ode, m_sphere_map
 from .engine import _draw_ball_points, enumerate_ball
-from .errors import CapExceededError, DomainError, SimulationError
+from .errors import CapExceededError, DomainError, RateError, SimulationError
 from .lattice import classify_jumps
 from .model import eval_jacobian
 
@@ -182,9 +182,10 @@ def _pair_slack(m, cert, ball, N, pts, i, j):
     r_J(V), and by -J at rate N (r_J(V) - r_J(U)) otherwise: ``_drift_slack``
     with the rate differences.  The slack is symmetric in U and V.  The
     pairs are scored K2_PAIR_BLOCK at a time, which bounds the memory of a
-    large ball; each pair's values do not depend on the blocks.
+    large ball; each pair's values do not depend on the blocks.  The rates
+    are ``engine.lattice_rates``.
     """
-    R = _lattice_rates(m, pts, N)
+    R = engine.lattice_rates(m, pts, N)
     H, slack = np.empty(len(i)), np.empty(len(i))
     for lo in range(0, len(i), K2_PAIR_BLOCK):
         b = slice(lo, lo + K2_PAIR_BLOCK)
@@ -271,8 +272,8 @@ def _pair_loop(m):
     def rates_of(z, r):  # rates at z / N into r, then the ball restriction
         lines = ["try:", *ind(f"y{i} = {z[i]} / N" for i in range(d))]
         lines += ind(f"{rk} = {src}" for rk, src in zip(r, m.kernel.rate_src))
-        fallback = f"{tup(r)} = rates(*[np.float64(y / N) for y in {tup(z)}])"
-        lines += ["except ZeroDivisionError:", *ind([fallback])]
+        ys = f"ys = [np.float64(y / N) for y in {tup(z)}]"
+        lines += ["except ZeroDivisionError:", *ind([ys, f"{tup(r)} = [f(*ys) for f in rate_entries]"])]
         lines.append("if ball:")
         for k, J in enumerate(m.jumps):
             lines += ind(f"{e[i]} = ({z[i]} + {J[i]}) - {c[i]}" for i in range(d))
@@ -377,7 +378,7 @@ def _pair_loop(m):
         "    return Hs, Ps, coal, Us, Vs",
     ]
     ns = {"np": np, "inf": math.inf, "nan": math.nan, "log": math.log, "sqrt": math.sqrt}
-    ns.update(rates=m.kernel.rates, _bad_rate=_bad_rate)
+    ns.update(rate_entries=m.kernel.rate_entries, _bad_rate=_bad_rate)
     exec("\n".join(src), ns)  # noqa: S102 - source generated from the model's kernel
     object.__setattr__(m, "pair_loop", ns["pair_loop"])
     return ns["pair_loop"]
@@ -478,14 +479,25 @@ def zeta_bound(z, N, T, d, Rstar, Jstar):
     return 2.0 * d * np.exp(-lin * np.minimum(1.0, quad))
 
 
-def _sup_total_rate(m, box):
-    """Sampled sup of sum_J r_J over an axis box (exact at the corners for
+def _sup_total_rate(m, pts):
+    """max of sum_J r_J over the model-space points ``pts``, one row each;
+    raises RateError naming a point where a rate is not finite and >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = engine.compile_rates(m)(pts)
+    bad = ~(np.isfinite(R) & (R >= 0.0))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise RateError(f"invalid rate {R[i, k]} for jump {m.jumps[k]} at {pts[i].tolist()}")
+    return float(R.sum(axis=1).max())
+
+
+def _box_mesh(box):
+    """The ``SUP_RATE_MESH``-point-per-axis grid of an axis box: the points
+    where the martingale bound samples its rate sup (exact at the corners for
     coordinate-monotone rates)."""
     lo, hi = box
-    axes = [np.linspace(lo[i], hi[i], SUP_RATE_MESH) for i in range(m.d)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m.d)
-    rates_fn = engine.compile_rates(m)
-    return float(rates_fn(grid).sum(axis=1).max())
+    axes = [np.linspace(a, b, SUP_RATE_MESH) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
 
 
 def _drift_box(m, N, X0, T):
@@ -530,12 +542,14 @@ def _tail_lcb99(counts, reps):
 def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
     bound, plus the componentwise mean of m(T) (zero for a martingale).
-    K is the box ``_drift_box`` draws around the drift path from X0/N."""
+    K is the box ``_drift_box`` draws around the drift path from X0/N.  With
+    ``opts.restriction`` set the paths run restricted to its ball, and m is
+    compensated by the restricted chain's drift."""
     X0 = _check_start(m, opts, X0)
     if T > opts.horizon:
         raise ValueError("T must not exceed the horizon")
     box = _drift_box(m, opts.N, X0, T)
-    Rstar = _sup_total_rate(m, box)
+    Rstar = _sup_total_rate(m, _box_mesh(box))
     Jstar = float(np.max(np.linalg.norm(m.jump_array.astype(float), axis=1)))
     out = engine.run_paths(
         m,
@@ -546,6 +560,7 @@ def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
         workers=workers,
         mode=engine.MARTINGALE,
         horizon=T,
+        restriction=opts.engine_restriction(),
         stop_box=box,
     )
     sup_m = out["sup_m"]
@@ -597,8 +612,7 @@ def _ball_sup_constants(m, cert):
     rng = np.random.default_rng(BALL_SUP_SEED)
     pts = _sample_ball(cert.c, m_sphere_map(cert.M), cert.delta0, BALL_SUP_SAMPLES, rng)
     pts = pts[m.domain._inside(pts)]
-    rates_fn = engine.compile_rates(m)
-    Rstar = float(rates_fn(pts).sum(axis=1).max())
+    Rstar = _sup_total_rate(m, pts)
     L = max(float(np.linalg.norm(eval_jacobian(m, p, check_domain=False), 2)) for p in pts[:128])
     return Rstar, L
 

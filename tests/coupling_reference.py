@@ -52,14 +52,15 @@ def _pick(rates, acc):
     return j
 
 
-def _rates_at(rates, Z, N):
-    """Scalar kernel ``rates`` at Z / N on Python floats; where they divide
-    by zero, again on numpy scalars, whose inf or nan the rate check reports."""
+def _rates_at(entries, Z, N):
+    """The kernel's scalar rate ``entries`` at Z / N on Python floats; where
+    one divides by zero, all again on numpy scalars, whose inf or nan the rate
+    check reports."""
     y = [z / N for z in Z.tolist()]
     try:
-        return rates(*y)
+        return tuple(rate(*y) for rate in entries)
     except ZeroDivisionError:
-        return rates(*map(np.float64, y))
+        return tuple(rate(*map(np.float64, y)) for rate in entries)
 
 
 def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace_states=False):
@@ -72,7 +73,7 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
 
-    rates = m.kernel.rates
+    rates = m.kernel.rate_entries
     jumps = list(m.jump_array)
     M = cert.M.tolist()
     d = m.d

@@ -497,7 +497,7 @@ SUBCOMMAND_OPTIONS = {
     "analyze": {"--model", "--out", "--rho-fraction", "--guess", "--search-radius"},
     "simulate": {
         "--model", "--out", "--seed", "--rho-fraction", "--cert", "--guess",
-        "--N", "--x0", "--horizon", "--delta", "--record",
+        "--N", "--x0", "--horizon", "--delta",
     },
     "equilibrium": {
         "--model", "--out", "--seed", "--rho-fraction", "--cert", "--guess", "--state-cap",
@@ -524,7 +524,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         for name, p in sub.choices.items()
     }
     assert declared == SUBCOMMAND_OPTIONS
-    assert sum(map(len, declared.values())) == 62
+    assert sum(map(len, declared.values())) == 61
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ddjump as dj
+import ddjump.dynamics as dynamics
 from ddjump.dynamics import _ball_passes, _sample_ball, _shell_samples, m_sphere_map
 from ddjump.equilibrium import _flow_at_times
 from ddjump.errors import CertificateError, ConvergenceError, RateError
@@ -137,6 +138,21 @@ def test_construct_M_contraction_property_random_hurwitz():
             "ni,ij,nj->n", X, M, X
         )
         assert slack.max() <= 1e-9
+
+
+def test_construct_M_rejects_a_positive_slack_in_a_narrow_cone(monkeypatch):
+    # an M whose slack form (MA + (MA)^T)/2 + rho M is -1/2 off one direction
+    # e and 1e-8 (above the 1e-9 gate) along it: the slack is positive only
+    # within about 1e-4 rad of +-e, which 1000 random unit vectors miss
+    A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    rho = 0.5
+    e = np.array([0.6, 0.8])
+    target = -0.5 * np.eye(2) + (0.5 + 1e-8) * np.outer(e, e)
+    bad_M = dynamics._lyapunov_lift((A + rho * np.eye(2)).T, 2.0 * target)
+    assert np.linalg.eigvalsh(bad_M)[0] > 0
+    monkeypatch.setattr(dynamics, "_lyapunov_lift", lambda B, rhs: bad_M)
+    with pytest.raises(CertificateError, match="M verification failed, max slack 1e-08"):
+        dj.construct_M(A, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import ddjump as dj
 import ddjump.engine as engine
+from ddjump.equilibrium import build_restricted_generator
+from ddjump.errors import SimulationError
 from conftest import identity_certificate
 from coupling_reference import _mq
 from engine_reference import _drift, _restriction_mask, _running_sums, simulate_chunk_reference
@@ -306,6 +308,30 @@ def test_unknown_mode_is_rejected():
 def test_run_paths_rejects_empty_splits(reps, chunk, message):
     with pytest.raises(ValueError, match=message):
         engine.run_paths(SIR, 10, np.array([10, 10]), 0, reps, chunk=chunk, record_times=(1.0,))
+
+
+# every array of lattice rates is checked by one rule: a rate that is not
+# finite and >= 0 at a lattice state raises SimulationError naming the state;
+# jump +1's rate is negative or NaN at every state, jump -1's is valid
+INVALID_RATES = [("x1 - 9", "negative"), ("1 + 0 / (x1 - x1)", "non-finite")]
+LATTICE_RATE_CALLERS = {
+    "engine step": lambda m, cert: dj.sample_states(
+        m, dj.SimOptions(N=10, seed=0, horizon=1.0, record=(1.0,)), np.array([12]), reps=4
+    ),
+    "restricted generator": lambda m, cert: build_restricted_generator(m, 10, cert, 0.5),
+    "K1 scan": lambda m, cert: dj.check_drift_condition(m, cert, 10, sample_count=50),
+    "K2 pairs": lambda m, cert: dj.estimate_K2(m, cert, 10),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(LATTICE_RATE_CALLERS))
+@pytest.mark.parametrize("rate,kind", INVALID_RATES)
+def test_an_invalid_rate_at_a_lattice_state_is_a_simulation_error(caller, rate, kind):
+    m = dj.parse_model(f"[dimension]\n1\n[jumps]\n1 : {rate}\n-1 : x1\n")
+    cert = identity_certificate(d=1, c=(1.0,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match=rf"^{kind} rate at state \[\d+\] \(N=10\)$"):
+            LATTICE_RATE_CALLERS[caller](m, cert)
 
 
 @st.composite

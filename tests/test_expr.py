@@ -136,6 +136,15 @@ def _bits(v):
     return float(v).hex()
 
 
+def _scalar_forms(m, y):
+    """Every rate and every gradient entry at ``y`` from the kernel's scalar
+    entries, as float arrays of shape (k,) and (k, d)."""
+    k = len(m.rate_exprs)
+    rates = np.array([rate(*y) for rate in m.kernel.rate_entries], dtype=float)
+    grads = np.array([grad(*y) for grad in m.kernel.grad_entries], dtype=float)
+    return rates, grads.reshape(k, m.d)
+
+
 def _assert_kernel_matches_interpreter(m, points):
     """Scalar form, array form and the interpreter agree bit for bit on every
     rate and every gradient entry (derivatives taken by ``ex.differentiate``)."""
@@ -143,14 +152,13 @@ def _assert_kernel_matches_interpreter(m, points):
     R = m.kernel.rates_array(np.array(points, dtype=float))
     G = m.kernel.grads_array(np.array(points, dtype=float))
     for y, r_row, g_row in zip(points, R, G):
-        rates = m.kernel.rates(*y)
-        grads = m.kernel.grads(*y)
+        rates, grads = _scalar_forms(m, y)
         for k, node in enumerate(m.rate_exprs):
             ref = _bits(evaluate(node, y, m.params))
             assert _bits(rates[k]) == _bits(r_row[k]) == ref
             for i in range(d):
                 ref = _bits(evaluate(ex.differentiate(node, i), y, m.params))
-                assert _bits(grads[k * d + i]) == _bits(g_row[k, i]) == ref
+                assert _bits(grads[k, i]) == _bits(g_row[k, i]) == ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,9 +196,9 @@ def test_kernel_array_forms_match_scalar_forms_on_every_layout(rate_nodes, batch
     R, G = m.kernel.rates_array(Y), m.kernel.grads_array(Y)
     assert R.shape == batch + (k,) and G.shape == batch + (k, d)
     for idx in np.ndindex(batch):
-        y = [float(v) for v in pts[idx]]
-        assert R[idx].tobytes() == np.array(m.kernel.rates(*y), dtype=float).tobytes()
-        assert G[idx].tobytes() == np.array(m.kernel.grads(*y), dtype=float).reshape(k, d).tobytes()
+        rates, grads = _scalar_forms(m, [float(v) for v in pts[idx]])
+        assert R[idx].tobytes() == rates.tobytes()
+        assert G[idx].tobytes() == grads.tobytes()
 
 
 def test_kernel_matches_interpreter_with_division():

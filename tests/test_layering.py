@@ -8,7 +8,8 @@ for its closed-form TV interval.
 There are two hand-written samplers of jump paths, the batched engine and
 the coupled-pair loop, and each reads its own random streams: only the
 engine reads the ``PATH`` streams, and only ``simulate_coupled`` draws
-scalar uniforms.  A third sampler fails the guard below."""
+scalar uniforms.  A third sampler fails the guard below.  Likewise, only the
+engine reads the kernel's array rates, apart from ``certify``'s radius check."""
 
 import ast
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import ddjump
 from ddjump import rng
+from ddjump.model import Kernel
 
 SRC = Path(ddjump.__file__).parent
 
@@ -178,3 +180,40 @@ def test_the_guard_sees_a_third_sampler():
     assert sorted(_rng_reads(ast.parse(src))) == [
         ("", "PATH"), ("walk", "PATH"), ("walk", "uniforms")
     ]
+
+
+def _attribute_reads(tree, attr):
+    """The innermost function ("" at module top) around every read of
+    ``<expr>.<attr>``."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_engine_and_the_radius_check_read_the_array_rates():
+    """Rates on an array of lattice states come from the engine, which checks
+    them (``engine.lattice_rates``); the radius check in ``certify`` reads
+    the array form itself, because an invalid rate there fails a radius
+    instead of raising.  The kernel's scalar form is its entries alone."""
+    reads = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "engine.py"
+        for fn in _attribute_reads(ast.parse(path.read_text()), "rates_array")
+    }
+    assert reads == {("dynamics.py", "_ball_passes")}
+    assert not {"rates", "grads"} & set(Kernel._fields)
+
+
+def test_the_guard_sees_an_array_rate_read():
+    src = "R = m.kernel.rates_array(Y)\ndef f(m):\n    return m.kernel.rates_array\n"
+    assert _attribute_reads(ast.parse(src), "rates_array") == ["", "f"]

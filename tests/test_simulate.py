@@ -14,7 +14,7 @@ import ddjump.engine as engine
 import ddjump.simulate as simulate
 from ddjump.dynamics import m_sphere_map
 from ddjump.equilibrium import enumerate_ball
-from ddjump.errors import CapExceededError, DomainError, SimulationError
+from ddjump.errors import CapExceededError, DomainError, RateError, SimulationError
 from ddjump.simulate import K2_CAP_FACTOR, K2_EXACT_POINTS, _exit_starts
 from conftest import as_dict, identity_certificate
 from coupling_reference import simulate_coupled_reference
@@ -220,7 +220,7 @@ def test_contractive_generator_identity_and_negativity(sir, cert05):
     Nc = N * cert05.c
     L = np.linalg.cholesky(cert05.M)
     LinvT = np.linalg.inv(L).T
-    rates = sir.kernel.rates
+    rates = sir.kernel.rate_entries
     checked = 0
     for _ in range(400):
         r1, r2 = cert05.delta0 * np.sqrt(rng.random(2))
@@ -233,8 +233,8 @@ def test_contractive_generator_identity_and_negativity(sir, cert05):
             continue
         if cert05.m_norm(V / N - cert05.c) > cert05.delta0:
             continue
-        ru = np.array(rates(*(U / N)))
-        rv = np.array(rates(*(V / N)))
+        ru = np.array([rate(*(U / N)) for rate in rates])
+        rv = np.array([rate(*(V / N)) for rate in rates])
         w = (U - V).astype(float)
         # route 1: per-jump split into joint + unilateral events
         total = 0.0
@@ -597,6 +597,44 @@ def test_martingale_tail_below_bound(sir):
     rep = dj.martingale_deviation(sir, opts, np.array([100, 100]), T=2.0, reps=3000, z_grid=z_grid)
     assert rep.violations == 0
     assert np.all(rep.tail[:-1] >= rep.tail[1:])  # tail nonincreasing in z
+
+
+def test_martingale_rate_sup_with_a_nan_on_its_mesh_is_a_rate_error():
+    # x2 * x2 / x1 is 0 / 0 at the mesh corner (0, 0) on the domain face; a
+    # NaN sup made the bound drop its quadratic regime and report violations
+    m = dj.parse_model(
+        "[dimension]\n2\n[jumps]\n1 0 : 1.0\n-1 0 : x1\n0 1 : x1 + 0.1\n0 -1 : x2 * x2 / x1\n"
+    )
+    opts = dj.SimOptions(N=500, seed=0, horizon=1.0)
+    message = r"^invalid rate nan for jump \(0, -1\) at \[0\.0, 0\.0\]$"
+    with pytest.raises(RateError, match=message):
+        dj.martingale_deviation(m, opts, np.array([50, 20]), T=1.0, reps=500, z_grid=(0.1, 0.5))
+
+
+def test_exit_rate_sup_with_a_nan_in_the_ball_is_a_rate_error():
+    # at T = 0 no path runs, so only the bound's sup constants see the rates
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1 + 0 / (x1 - x1)\n-1 : x1\n")
+    cert = identity_certificate(d=1, c=(1.0,))
+    with pytest.raises(RateError, match=r"^invalid rate nan for jump \(1,\) at \["):
+        dj.exit_probability(m, cert, 20, 0.3, 0.6, T=0.0, reps=10, seed=0)
+
+
+def test_martingale_deviation_runs_the_restricted_chain(sir, cert05):
+    # most free paths leave the ball B_M(Nc, N delta0) by t = 0.5, so the
+    # restricted and the free chain's martingales differ
+    N, T, reps, seed = 1000, 0.5, 64, 3
+    X0 = np.round(N * cert05.c).astype(np.int64)
+    held = dj.SimOptions(N=N, seed=seed, horizon=T, restriction=(cert05, cert05.delta0))
+    free = dj.SimOptions(N=N, seed=seed, horizon=T)
+    rep = dj.martingale_deviation(sir, held, X0, T=T, reps=reps, z_grid=(0.01, 0.05))
+    out = engine.run_paths(
+        sir, N, X0, seed, reps, mode=engine.MARTINGALE, horizon=T,
+        restriction=held.engine_restriction(), stop_box=simulate._drift_box(sir, N, X0, T),
+    )
+    assert rep.mean_final.tobytes() == out["final_m"].mean(axis=0).tobytes()
+    assert rep.tail.tolist() == [(out["sup_m"] >= z).mean() for z in (0.01, 0.05)]
+    rep_free = dj.martingale_deviation(sir, free, X0, T=T, reps=reps, z_grid=(0.01, 0.05))
+    assert not np.array_equal(rep.mean_final, rep_free.mean_final)
 
 
 @pytest.mark.parametrize("reps", [1, 2, 100, 8192])
