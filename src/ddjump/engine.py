@@ -51,8 +51,9 @@ class Restriction:
     """The ball B_M(center, radius) of lattice points; a restricted chain
     switches off every jump that leaves it.
 
-    Every lattice ball test goes through ``contains`` and ``keeps``, so the
-    stationary solve and every restricted simulator drop the same jumps.
+    Only the engine step calls ``keeps``; the generator keeps a jump whose
+    target is one of the ball's states (``contains``), and the coupled-pair
+    loop forms ``keeps``'s targets on Python floats.
     """
 
     M: np.ndarray

@@ -26,37 +26,35 @@ BURNIN_RELAXATIONS = 10  # its burn-in, in relaxation times 1/rho_hat
 TV_ALPHA = 0.05  # a cutoff row's interval misses its true TV with probability at most this
 
 
-def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
-    """States of the ball and the sparse generator Q with out-of-ball
-    transitions deleted.  Rates are evaluated at X/N and must be valid there."""
+def build_generator(m, N, states):
+    """Sparse generator Q of the chain held in ``states`` (distinct lattice
+    points in canonical order): jump J from X is kept iff X + J is one of the
+    states, and every other jump is deleted.  Rates are evaluated at X/N and
+    must be valid there, kept or not."""
     import scipy.sparse as sp
 
+    n, k = len(states), len(m.jump_array)
+    r = engine.lattice_rates(m, states, N)
+    targets = (m.jump_array[:, None, :] + states[None, :, :]).reshape(-1, m.d)  # jump-major
+    codec = LatticeKeys(states, targets)
+    keys = codec.encode(states)  # ascending: the states are in canonical order
+    target_keys = codec.encode(targets)
+    cols = np.searchsorted(keys, target_keys)
+    kept = keys[np.minimum(cols, n - 1)] == target_keys
+    rows = np.tile(np.arange(n), k)[kept]
+    Q = sp.coo_matrix(((N * r.T).ravel()[kept], (rows, cols[kept])), shape=(n, n)).tocsr()
+    return (Q - sp.diags(np.asarray(Q.sum(axis=1)).ravel())).tocsr()
+
+
+def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
+    """States of the ball B_M(N c, N delta) and the generator of the chain
+    held in it (``build_generator``)."""
     states = enumerate_ball(N, cert, delta, cap=cap)
-    n = len(states)
     out = ~m.domain._inside(states / N)
     if out.any():
         state = states[out][0].tolist()
         raise DomainError(f"restriction ball leaves the domain at {state}; shrink delta")
-    r = engine.lattice_rates(m, states, N)
-    keeps = cert.ball(N, delta).keeps(states, m.jump_array)
-    rows, targets, vals = [], [], []
-    for k, J in enumerate(m.jump_array):
-        ok = np.flatnonzero(keeps[:, k])
-        rows.append(ok)
-        targets.append(states[ok] + J)
-        vals.append(N * r[ok, k])
-    codec = LatticeKeys(states, *targets)
-    keys = codec.encode(states)  # ascending: the states are in canonical order
-    target_keys = codec.encode(np.concatenate(targets))
-    cols = np.searchsorted(keys, target_keys)
-    if not np.array_equal(keys[np.minimum(cols, n - 1)], target_keys):
-        raise DdjumpError("a transition target inside the ball is missing from its enumeration")
-    Q = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(n, n)
-    ).tocsr()
-    diag = np.asarray(Q.sum(axis=1)).ravel()
-    Q = Q - sp.diags(diag)
-    return states, Q.tocsr()
+    return states, build_generator(m, N, states)
 
 
 def _pi_direct(Q):

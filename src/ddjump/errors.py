@@ -5,7 +5,8 @@ rate at a point of model space (``model.eval_rates`` and the scalar
 forms built on it, the sup constants of the deviation bounds) raises
 :class:`RateError`; at a lattice state (the engine step, the coupled-pair
 loop, and ``engine.lattice_rates`` behind the restricted generator and the
-K1 and K2 scans) it raises :class:`SimulationError`.
+K1 and K2 scans) it raises :class:`SimulationError`, also on a jump that a
+restriction switches off there.
 """
 
 

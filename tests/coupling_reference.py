@@ -2,7 +2,7 @@
 test oracle for ``ddjump.simulate.simulate_coupled``.
 
 It steps numpy state vectors, evaluates the rates through the model's scalar
-kernel and draws its uniforms through ``rng.uniforms``.  Three things
+kernel and draws its uniforms through ``rng.uniforms``.  Four things
 changed from that version, to the generated loop's definitions:
 
 * H and the restriction ball check use the explicit quadratic form ``_mq``,
@@ -11,6 +11,11 @@ changed from that version, to the generated loop's definitions:
 * H(0) is ``cert.m_norm(U0 - V0)``, the value callers compare against.
 * Rate totals are added left to right from the first rate, where ``sum``
   started from 0 (the two differ at most in the sign of a zero total).
+* Each chain's rates are checked as soon as they are evaluated (U's before
+  V's are evaluated), and only then does the restriction ball zero the
+  jumps that leave it, as in the engine step and the generator: an invalid
+  rate on a jump the ball switches off raises.  That version zeroed first
+  and checked after, so it ran on past such a rate.
 """
 
 import math
@@ -84,6 +89,14 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
         w = (Z + J - restr.center).tolist()
         return _mq(w, restr.M.tolist()) <= restr.radius**2
 
+    def held_rates(name, Z):
+        """The rates at Z, checked, then zero on the jumps that leave the ball."""
+        rr = _rates_at(rates, Z, N)
+        for v in rr:
+            if not (v >= 0.0) or math.isinf(v):
+                raise SimulationError(f"invalid rate {v} for chain {name} at {Z.tolist()}")
+        return tuple(r if ball_ok(Z, J) else 0.0 for r, J in zip(rr, jumps))
+
     def Hnorm(w):
         return math.sqrt(max(0.0, _mq(w.tolist(), M)))
 
@@ -115,15 +128,7 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
         if phase == COALESCED and not trace_states:
             flush_records(math.inf)
             break
-        ru = _rates_at(rates, U, N)
-        rv = _rates_at(rates, V, N)
-        if restr is not None:
-            ru = tuple(r if ball_ok(U, J) else 0.0 for r, J in zip(ru, jumps))
-            rv = tuple(r if ball_ok(V, J) else 0.0 for r, J in zip(rv, jumps))
-        for name, rr, Z in (("U", ru, U), ("V", rv, V)):
-            for v in rr:
-                if not (v >= 0.0) or math.isinf(v):
-                    raise SimulationError(f"invalid rate {v} for chain {name} at {Z.tolist()}")
+        ru, rv = (held_rates(name, Z) for name, Z in (("U", U), ("V", V)))
 
         if phase == COALESCED:
             tot = _total(ru)

@@ -12,7 +12,7 @@ import ddjump.engine as engine
 from ddjump.equilibrium import build_restricted_generator
 from ddjump.errors import SimulationError
 from conftest import identity_certificate
-from coupling_reference import _mq
+from coupling_reference import _mq, simulate_coupled_reference
 from engine_reference import _drift, _restriction_mask, _running_sums, simulate_chunk_reference
 from path_reference import simulate_path_reference
 
@@ -332,6 +332,32 @@ def test_an_invalid_rate_at_a_lattice_state_is_a_simulation_error(caller, rate, 
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(SimulationError, match=rf"^{kind} rate at state \[\d+\] \(N=10\)$"):
             LATTICE_RATE_CALLERS[caller](m, cert)
+
+
+# the same rule under a restriction: the ball [5, 15] (N=10, delta 0.5)
+# switches off the +1 jump from 15, whose rate 1 + 0 / 0 is NaN there; each
+# sampler checks the rates before the ball zeroes that jump, so each raises
+OFF_JUMP_NAN = "[dimension]\n1\n[jumps]\n1 : 1 + 0 / (x1 - 1.5)\n-1 : x1\n"
+RESTRICTED_RATE_CALLERS = {
+    "engine step": lambda m, cert, opts: dj.sample_states(m, opts, np.array([15]), reps=4),
+    "restricted generator": lambda m, cert, opts: build_restricted_generator(m, 10, cert, 0.5),
+    "pair loop": lambda m, cert, opts: dj.simulate_coupled(
+        m, cert, opts, np.array([15]), np.array([6]), k2=1.0, nu=2.0
+    ),
+    "pair oracle": lambda m, cert, opts: simulate_coupled_reference(
+        m, cert, opts, np.array([15]), np.array([6]), k2=1.0, nu=2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(RESTRICTED_RATE_CALLERS))
+def test_an_invalid_rate_on_a_jump_the_ball_switches_off_raises(caller):
+    m = dj.parse_model(OFF_JUMP_NAN)
+    cert = identity_certificate(d=1, c=(1.0,))
+    opts = dj.SimOptions(N=10, seed=0, horizon=5.0, record=(0.0, 5.0), restriction=(cert, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match=r" at (state )?\[15\]( \(N=10\))?$"):
+            RESTRICTED_RATE_CALLERS[caller](m, cert, opts)
 
 
 @st.composite

@@ -9,7 +9,11 @@ from scipy.stats import norm
 
 import ddjump as dj
 from ddjump import engine
-from ddjump.equilibrium import _empirical_tv_with_ci, build_restricted_generator
+from ddjump.equilibrium import (
+    _empirical_tv_with_ci,
+    build_generator,
+    build_restricted_generator,
+)
 from ddjump.errors import CapExceededError, ConvergenceError, DomainError
 from conftest import as_dict, identity_certificate
 
@@ -180,6 +184,40 @@ def test_stationary_solves_with_a_transient_state():
     rest = pi.mass[1:]
     for k in range(5):
         assert rest[k] == pytest.approx(rest[k + 1] * ((k + 1) / 10) ** 2, rel=1e-8)
+
+
+# a diagonal jump and a double step, so a held set drops jumps that do not
+# just cross its edge
+HOLD_MODEL = dj.parse_model(
+    "[dimension]\n2\n[jumps]\n1 0 : 1 + x2\n-1 0 : x1\n0 1 : 0.5\n0 -1 : x2\n"
+    "-1 1 : x1 * x2\n2 0 : 0.25\n"
+)
+
+
+def _dense_hold_generator(m, N, states):
+    """Q[i, j] = N r_J(X_i / N) summed over the jumps J from X_i to X_j, for
+    targets in ``states``, by a dict of tuples and the scalar rates."""
+    index = {X: i for i, X in enumerate(map(tuple, states.tolist()))}
+    Q = np.zeros((len(states), len(states)))
+    for i, X in enumerate(states.tolist()):
+        for J, r in zip(m.jumps, dj.eval_rates(m, np.array(X) / N)):
+            j = index.get(tuple(a + b for a, b in zip(X, J)))
+            if j is not None:
+                Q[i, j] += N * r
+    return Q - np.diag(Q.sum(axis=1))
+
+
+@pytest.mark.parametrize("shape", ["box", "L"])
+def test_build_generator_holds_any_state_set(shape):
+    box = np.stack(np.meshgrid(np.arange(5), np.arange(5), indexing="ij"), -1).reshape(-1, 2)
+    states = box if shape == "box" else box[(box < 2).any(axis=1)]  # canonical order kept
+    Q = build_generator(HOLD_MODEL, 4, states).toarray()
+    ref = _dense_hold_generator(HOLD_MODEL, 4, states)
+    off = ~np.eye(len(states), dtype=bool)
+    assert np.array_equal(Q[off], ref[off])
+    assert np.abs(Q.sum(axis=1)).max() <= 1e-12 * np.abs(Q).max()
+    # some jumps leave the set and are dropped, the others are kept
+    assert 0 < np.count_nonzero(Q[off]) < len(HOLD_MODEL.jumps) * len(states)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ There are two hand-written samplers of jump paths, the batched engine and
 the coupled-pair loop, and each reads its own random streams: only the
 engine reads the ``PATH`` streams, and only ``simulate_coupled`` draws
 scalar uniforms.  A third sampler fails the guard below.  Likewise, only the
-engine reads the kernel's array rates, apart from ``certify``'s radius check."""
+engine reads the kernel's array rates, apart from ``certify``'s radius check,
+and only the engine step asks the restriction ball jump by jump
+(``Restriction.keeps``): the generator reads its held chain by membership in
+the enumerated states, so the ball is not read a second time there."""
 
 import ast
 import os
@@ -217,3 +220,17 @@ def test_only_the_engine_and_the_radius_check_read_the_array_rates():
 def test_the_guard_sees_an_array_rate_read():
     src = "R = m.kernel.rates_array(Y)\ndef f(m):\n    return m.kernel.rates_array\n"
     assert _attribute_reads(ast.parse(src), "rates_array") == ["", "f"]
+
+
+def test_only_the_engine_step_asks_the_ball_which_jumps_it_keeps():
+    reads = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in _attribute_reads(ast.parse(path.read_text()), "keeps")
+    }
+    assert reads == {("engine.py", "simulate_chunk")}
+
+
+def test_the_guard_sees_a_second_ball_reading():
+    src = "def build_generator(m, N, states, ball):\n    return ball.keeps(states, m.jump_array)\n"
+    assert _attribute_reads(ast.parse(src), "keeps") == ["build_generator"]
