@@ -23,6 +23,7 @@ from .equilibrium import (
     cutoff_profile,
     discrete_normal,
     equilibrium_sigma2,
+    plugin_floor,
     solve_lyapunov_sigma,
     stationary_empirical,
     stationary_exact,
@@ -229,8 +230,7 @@ def cmd_equilibrium(args):
             "N": N,
             "pi_method": method,
             "states": len(pi),
-            # the plug-in TV's own bias scale on a sampled pi
-            "bias_floor": math.sqrt(len(pi) / args.samples) if method == "empirical" else 0.0,
+            "bias_floor": plugin_floor(len(pi), args.samples) if method == "empirical" else 0.0,
             "tail_mass_half_delta": tail_mass(pi, cert, N, delta / 2),
             "tv_vs_discrete_normal": tv_distance(pi, dn),
         }

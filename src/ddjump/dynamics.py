@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import Restriction, lattice_rates
+from .engine import Restriction, lattice_rates, m_form
 from .errors import CertificateError, ConvergenceError, DomainError, HorizonError
 from .model import eval_drift, eval_jacobian, eval_rates, rate_gradients
 
@@ -225,7 +225,7 @@ class StabilityCertificate:
 
     def m_norms(self, X):
         X = np.asarray(X, dtype=float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", X, self.M, X))
+        return np.sqrt(m_form(self.M, np.moveaxis(X, -1, 0)))
 
     def ball(self, N, delta):
         """The lattice ball B_M(N c, N delta)."""
@@ -316,7 +316,7 @@ def certify(m, guess, rho_fraction=0.9):
     w = np.linalg.eigvalsh(M)
     c0, c1 = math.sqrt(w[0]), math.sqrt(w[-1])
     Jm = m.jump_array.astype(float)
-    JM = np.sqrt(np.einsum("ji,ik,jk->j", Jm, M, Jm))
+    JM = np.sqrt(m_form(M, Jm.T))
     sum_JM = float(JM.sum())
     JstarM = float(JM.max())
     eps = 0.5 * (rho_prime - rho) / sum_JM
@@ -421,22 +421,21 @@ def _slack_threshold(levels, slack):
     return levels, slack, int(bad[-1]) + 1 if len(bad) else 0
 
 
-def _drift_slack(ball, J, W, R, N, rho):
+def _drift_slack(M, J, W, R, N, rho):
     """H = ||W||_M and the slack A H + rho H for the columns of ``W`` (shape
     (d, n), lattice units) under the generator A in which jump k moves W by
     +J[k] at rate N R[:, k] where R[:, k] >= 0, and by -J[k] at rate
     -N R[:, k] elsewhere.
 
-    The jumps are added left to right and the norms take ``ball.form``
-    (only the ball's M is read), the scalar ``m_norm``'s order at d <= 2.
+    The jumps are added left to right and the norms take ``m_form``.
     """
-    H = np.sqrt(ball.form(W))
+    H = np.sqrt(m_form(M, W))
     AH = np.zeros(W.shape[1])
     for k, Jk in enumerate(J):
         r = R[:, k]
         up = r >= 0.0
         T = np.where(up, W + Jk[:, None], W - Jk[:, None])
-        AH += (np.sqrt(ball.form(T)) - H) * N * np.abs(r)
+        AH += (np.sqrt(m_form(M, T)) - H) * N * np.abs(r)
     return H, AH + rho * H
 
 
@@ -476,9 +475,8 @@ def check_drift_condition(m, cert, N, sample_count=2000, seed=0, k1_floor=0.05):
     if g_lo >= g_hi:
         raise ValueError("k1 floor exceeds delta0; N too small for the scan")
     X = _shell_samples(m, cert, N, sample_count, seed, g_lo, g_hi)
-    ball = cert.ball(N, g_hi)
     R = lattice_rates(m, X, N)
-    H, slack = _drift_slack(ball, m.kernel.J, (X - ball.center).T, R, N, cert.rho)
+    H, slack = _drift_slack(cert.M, m.kernel.J, (X - N * cert.c).T, R, N, cert.rho)
     gs, slack, g_star_idx = _slack_threshold(H / N, slack / N)
     n, failed = len(gs), g_star_idx >= len(gs)
     return DriftConditionReport(

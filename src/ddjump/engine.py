@@ -17,8 +17,8 @@ coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
 ``np.add.reduce`` adds pairwise along a contiguous axis (one live replicate's
 (k, 1) rates) and from 8 terms on moved the last bit in 60-200 of 200 cases.
 
-The lattice ball ``Restriction`` sits here with its box, its enumeration and
-its uniform point draw, below every module that uses them.
+The M-form ``m_form`` and the lattice ball ``Restriction`` sit here with the
+ball's box, enumeration and uniform point draw, below every module using them.
 """
 
 from __future__ import annotations
@@ -46,38 +46,35 @@ def compile_rates(model):
     return model.kernel.rates_array
 
 
+def m_form(M, W):
+    """``sum_i (sum_k (w_i M_ik) w_k)`` over the first axis of ``W``, each sum
+    added left to right: the package's one M-quadratic form, and the coupled-pair
+    loop's, term for term."""
+    W2 = W.reshape(len(W), -1)
+    T = W2[:, None] * M[:, :, None]
+    T *= W2  # T[i, k] = (w_i M_ik) w_k
+    S = _running_sums(T.swapaxes(0, 1))[-1]  # S[i] = sum_k T[i, k]
+    return _running_sums(S)[-1].reshape(W.shape[1:])
+
+
 @dataclass(frozen=True)
 class Restriction:
     """The ball B_M(center, radius) of lattice points; a restricted chain
     switches off every jump that leaves it.
 
+    Membership is ``m_form``, and the coupled-pair loop's check its scalar twin.
     Only the engine step calls ``keeps``; the generator keeps a jump whose
-    target is one of the ball's states (``contains``), and the coupled-pair
-    loop forms ``keeps``'s targets on Python floats.
+    target is one of the ball's states.
     """
 
     M: np.ndarray
     center: np.ndarray  # in lattice units (N c)
     radius: float  # in lattice units (N delta)
 
-    def form(self, W):
-        """``sum_i (sum_k (w_i M_ik) w_k)`` over the first axis of ``W``, each
-        sum added left to right: the coupled-pair loop's form, term for term."""
-        W2 = W.reshape(len(W), -1)
-        T = W2[:, None] * self.M[:, :, None]
-        T *= W2  # T[i, k] = (w_i M_ik) w_k
-        S = T[:, 0]
-        for k in range(1, len(T)):
-            S = S + T[:, k]
-        q = S[0]
-        for i in range(1, len(S)):
-            q = q + S[i]
-        return q.reshape(W.shape[1:])
-
     def contains(self, X):
         """Whether the lattice point ``X`` (shape (d,)), or each row of ``X``
         (shape (n, d)), lies in the ball; a transposed (d, n) array is read by rows."""
-        return self.form((np.asarray(X) - self.center).T) <= self.radius**2
+        return m_form(self.M, (np.asarray(X) - self.center).T) <= self.radius**2
 
     def keeps(self, X, jumps):
         """``keeps(X, jumps)[n, k]``: jump k from the lattice point ``X[n]`` lands
@@ -85,7 +82,7 @@ class Restriction:
         # the targets (X + J) - center, integer add first, laid out (coordinate,
         # jump, row) so that every product runs over all jumps and rows at once
         W = np.add(X.T[:, None, :], jumps.T[:, :, None], order="C") - self.center[:, None, None]
-        return (self.form(W) <= self.radius**2).T
+        return (m_form(self.M, W) <= self.radius**2).T
 
 
 def ball_box(cert, ball):

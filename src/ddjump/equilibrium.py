@@ -50,6 +50,8 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     """States of the ball B_M(N c, N delta) and the generator of the chain
     held in it (``build_generator``)."""
     states = enumerate_ball(N, cert, delta, cap=cap)
+    if not len(states):
+        raise DomainError("no lattice state inside the restriction ball")
     out = ~m.domain._inside(states / N)
     if out.any():
         state = states[out][0].tolist()
@@ -137,9 +139,9 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     """Stationary law of the restricted chain, solved on the enumerated ball.
 
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
-    primary route, warm-started from the discrete-normal approximation; a
-    sparse direct solve cross-checks it (TV <= 1e-8) when the ball holds at
-    most 5000 states.
+    primary route, warm-started from the discrete-normal weights; a sparse
+    direct solve cross-checks it (TV <= 1e-8) when the ball holds at most
+    5000 states.
     """
     states, Q = build_restricted_generator(m, N, cert, delta, cap=cap)
     if method == "direct":
@@ -147,9 +149,7 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     else:
         try:
             Sigma = solve_lyapunov_sigma(cert.A, equilibrium_sigma2(m, cert.c))
-            W = states.astype(float) - N * cert.c
-            qf = np.einsum("ni,ij,nj->n", W, np.linalg.inv(N * Sigma), W)
-            pi0 = np.exp(-0.5 * np.minimum(qf, 700.0))
+            pi0 = _normal_weights(states, N, cert.c, Sigma)
         except (DdjumpError, np.linalg.LinAlgError):
             pi0 = None
         pi = _pi_power(Q, pi0=pi0)
@@ -214,6 +214,13 @@ def solve_lyapunov_sigma(A, sigma2):
     return Sigma
 
 
+def _normal_weights(X, N, c, Sigma):
+    """Unnormalized N(Nc, N Sigma) density at ``X``; the form is capped at 1400, so none is 0."""
+    W = X.astype(float) - N * c
+    q = np.einsum("ni,ij,nj->n", W, np.linalg.inv(N * Sigma), W)
+    return np.exp(-0.5 * np.minimum(q, 1400.0))
+
+
 def discrete_normal(N, c, Sigma):
     """Lattice Gaussian: mass(X) proportional to the N(Nc, N Sigma) density.
 
@@ -227,33 +234,36 @@ def discrete_normal(N, c, Sigma):
     if w[0] <= 0:
         raise np.linalg.LinAlgError("Sigma must be positive definite")
     mean = N * c
-    cov = N * Sigma
-    half = np.ceil(8.0 * np.sqrt(np.diag(cov))).astype(int)
+    half = np.ceil(8.0 * np.sqrt(np.diag(N * Sigma))).astype(int)
     lo = np.floor(mean).astype(int) - half
     hi = np.ceil(mean).astype(int) + half
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(d)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    W = grid.astype(float) - mean
-    q = np.einsum("ni,ij,nj->n", W, np.linalg.inv(cov), W)
-    mass = np.exp(-0.5 * np.minimum(q, 1400.0))
-    keep = mass > 0.0
-    grid, mass = grid[keep], mass[keep]
+    mass = _normal_weights(grid, N, c, Sigma)
     # the "ij" scan lists the grid in canonical order (first coordinate major)
     return LatticeDistribution(grid.astype(np.int64), mass / mass.sum())
 
 
-def tv_distance(p, q):
-    """Total variation: half the L1 distance over the union support, with
-    both laws laid out on the sorted lattice keys of that support, and
-    clipped to 1 (disjoint supports can add up to one ulp above it)."""
-    codec = LatticeKeys(p.support, q.support)
-    p_keys, q_keys = codec.encode(p.support), codec.encode(q.support)
+def _tv_on_keys(p_keys, p_mass, q_keys, q_mass):
+    """Total variation of two laws on distinct lattice keys: half the L1
+    distance on the sorted union of the keys, clipped to 1 (disjoint
+    supports can add up to one ulp above it)."""
     keys = np.union1d(p_keys, q_keys)
-    p_mass = np.zeros(len(keys))
-    p_mass[np.searchsorted(keys, p_keys)] = p.mass
-    q_mass = np.zeros(len(keys))
-    q_mass[np.searchsorted(keys, q_keys)] = q.mass
-    return min(1.0, 0.5 * float(np.abs(p_mass - q_mass).sum()))
+    p, q = np.zeros((2, len(keys)))
+    p[np.searchsorted(keys, p_keys)] = p_mass
+    q[np.searchsorted(keys, q_keys)] = q_mass
+    return min(1.0, 0.5 * float(np.abs(p - q).sum()))
+
+
+def tv_distance(p, q):
+    """Total variation over the union support (``_tv_on_keys``)."""
+    codec = LatticeKeys(p.support, q.support)
+    return _tv_on_keys(codec.encode(p.support), p.mass, codec.encode(q.support), q.mass)
+
+
+def plugin_floor(states, n):
+    """The plug-in TV's bias scale, ``n`` samples against a law on ``states`` points."""
+    return math.sqrt(states / n)
 
 
 def tail_mass(pi, cert, N, z):
@@ -314,15 +324,10 @@ def _empirical_tv_with_ci(points, pi):
     codec = LatticeKeys(points, pi.support)
     sample_keys, counts = np.unique(codec.encode(points), return_counts=True)
     pi_keys = codec.encode(pi.support)
-    keys = np.union1d(sample_keys, pi_keys)
-    p_hat = np.zeros(len(keys))
-    p_hat[np.searchsorted(keys, sample_keys)] = counts / n
-    p_ref = np.zeros(len(keys))
-    p_ref[np.searchsorted(keys, pi_keys)] = pi.mass
-    tv = min(1.0, 0.5 * float(np.abs(p_hat - p_ref).sum()))
+    tv = _tv_on_keys(sample_keys, counts / n, pi_keys, pi.mass)
     p_off = int(counts[~np.isin(sample_keys, pi_keys)].sum()) / n
     dev = math.sqrt(math.log(2 / TV_ALPHA) / (2 * n))
-    w = 0.5 * math.sqrt(len(pi) / n) + p_off + 2 * dev
+    w = 0.5 * plugin_floor(len(pi), n) + p_off + 2 * dev
     return tv, (max(0.0, tv - w), min(1.0, tv + w))
 
 
@@ -375,7 +380,7 @@ def cutoff_profile(
         tv=np.array(tvs),
         ci_lo=clo,
         ci_hi=chi,
-        bias_floor=math.sqrt(len(pi) / reps),
+        bias_floor=plugin_floor(len(pi), reps),
     )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import m_form
 from .errors import InconclusiveError, NotSpanningError
 
 SPANNING = "spanning"
@@ -234,9 +235,8 @@ def classify_jumps(jumps, search_radius=8, norm_matrix=None):
             f"lie within search_radius={search_radius} - raise search_radius"
         )
     lengths = {t: len(p) for t, p in found.items()}
-    masses = {
-        t: sum(math.sqrt(np.array(q) @ M @ np.array(q)) for q in p) for t, p in found.items()
-    }
+    norm = dict(zip(jumps, np.sqrt(m_form(M, np.array(jumps, dtype=float).T)).tolist()))
+    masses = {t: sum(norm[q] for q in p) for t, p in found.items()}
     c0 = math.sqrt(np.linalg.eigvalsh(M)[0])
     gamma = math.sqrt(d) / c0  # ||z||_1 <= gamma * ||z||_M on Z^d
     return LatticeAnalysis(
@@ -271,7 +271,6 @@ def decompose_vector_with(analysis, z):
         e = [0] * d
         e[i] = 1 if zi > 0 else -1
         out.extend(analysis.decompositions[tuple(e)] * abs(zi))
-    M = analysis.M
-    mass = sum(math.sqrt(np.array(q) @ M @ np.array(q)) for q in out)
-    return tuple(out), len(out), mass
+    W = np.array(out, dtype=float).reshape(-1, d).T
+    return tuple(out), len(out), sum(np.sqrt(m_form(analysis.M, W)).tolist())
 

@@ -176,7 +176,7 @@ class CoupledTrace:
     V: np.ndarray = None
 
 
-def _pair_slack(m, cert, ball, N, pts, i, j):
+def _pair_slack(m, cert, N, pts, i, j):
     """H = ||U - V||_M and the slack A H + rho H of the exact coupling
     generator, for the pairs U = pts[i], V = pts[j].
 
@@ -193,7 +193,7 @@ def _pair_slack(m, cert, ball, N, pts, i, j):
         b = slice(lo, lo + K2_PAIR_BLOCK)
         ib, jb = i[b], j[b]
         W = (pts[ib] - pts[jb]).astype(float).T
-        H[b], slack[b] = _drift_slack(ball, m.kernel.J, W, R[ib] - R[jb], N, cert.rho)
+        H[b], slack[b] = _drift_slack(cert.M, m.kernel.J, W, R[ib] - R[jb], N, cert.rho)
     return H, slack
 
 
@@ -210,17 +210,17 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
     larger ball is scored on ``samples`` pairs of points drawn with ``seed``,
     uniformly from its in-domain lattice points.
     """
-    ball = cert.ball(N, cert.delta0)
     try:
         pts = enumerate_ball(N, cert, cert.delta0, cap=K2_EXACT_POINTS)
         pts = pts[m.domain._inside(pts / N)]
         i, j = np.triu_indices(len(pts), k=1)
     except CapExceededError:
+        ball = cert.ball(N, cert.delta0)
         pts = _draw_ball_points(m, cert, ball, N, 2 * samples, np.random.default_rng(seed))
         i, j = np.arange(0, 2 * samples, 2), np.arange(1, 2 * samples, 2)
         distinct = (pts[i] != pts[j]).any(axis=1)
         i, j = i[distinct], j[distinct]
-    hs, _, k = _slack_threshold(*_pair_slack(m, cert, ball, N, pts, i, j))
+    hs, _, k = _slack_threshold(*_pair_slack(m, cert, N, pts, i, j))
     cap = K2_CAP_FACTOR * cert.JstarM
     return float(min(hs[k], cap)) if k < len(hs) else cap
 
@@ -248,8 +248,8 @@ def _pair_loop(m):
     The loop runs on Python ints and floats, with the coordinates and jumps
     unrolled and the kernel's rate expressions inlined.  H and the ball
     check both take ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right:
-    the scalar twin of ``engine.Restriction.form``, on the targets
-    ``(z + J) - center`` that the engine step's ``Restriction.keeps`` forms.
+    the twin of ``engine.m_form``, on the targets ``(z + J) - center`` that
+    the engine step's ``Restriction.keeps`` forms.
     Rates that divide by zero on floats are evaluated again on numpy
     scalars.  Each chain's rates are checked as evaluated, so any inf, nan or
     negative rate raises, and then the ball zeroes the jumps leaving it: the

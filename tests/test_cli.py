@@ -9,6 +9,7 @@ import pytest
 
 import ddjump as dj
 from ddjump.cli import build_parser, main
+from conftest import identity_certificate
 
 SIR = """
 [dimension]
@@ -362,6 +363,16 @@ def test_equilibrium_outputs(sir_cfg, tmp_path):
     assert summary["N"][0]["pi_method"] == "exact"
     assert summary["N"][0]["bias_floor"] == 0.0
     assert summary["sigma2"] == [[2.0, -1.0], [-1.0, 2.0]]
+
+
+def test_equilibrium_on_a_ball_with_no_lattice_state_is_a_validation_error(tmp_path, capsys):
+    cfg, cert_path = tmp_path / "bd.cfg", tmp_path / "cert.json"
+    cfg.write_text("[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1\n")
+    identity_certificate(d=1, c=(1.05,)).dump(cert_path)
+    args = ["--model", str(cfg), "--cert", str(cert_path), "--N", "10", "--delta", "0.04"]
+    code = main(["equilibrium", *args, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().endswith("no lattice state inside the restriction ball")
 
 
 def test_equilibrium_downgrades_to_empirical_above_cap(sir_cfg, tmp_path, capsys):

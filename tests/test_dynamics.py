@@ -14,6 +14,7 @@ from ddjump.equilibrium import _flow_at_times
 from ddjump.errors import CertificateError, ConvergenceError, RateError
 from ddjump.model import rate_gradients
 from conftest import batch_flow, identity_certificate
+from coupling_reference import _mq
 from drift_reference import check_drift_reference, shell_samples_reference
 from flow_reference import cutoff_time_reference, flow_at_times_reference, integrate_ode_reference
 
@@ -256,6 +257,34 @@ def test_m_norm_zero():
 def test_m_norm_euclidean_for_identity():
     cert = identity_certificate()
     assert cert.m_norm((3.0, 4.0)) == pytest.approx(5.0)
+
+
+def test_batched_m_norms_equal_the_scalar_m_norm_bit_for_bit(cert05):
+    # one form for both: an einsum over the batch rounded some rows differently
+    W = np.random.default_rng(5).normal(scale=30.0, size=(4000, 2))
+    norms = cert05.m_norms(W)
+    assert [v.hex() for v in norms.tolist()] == [cert05.m_norm(w).hex() for w in W]
+    assert cert05.m_norms(W.reshape(40, 100, 2)).tobytes() == norms.tobytes()
+
+
+def _certificate_with_M(M):
+    w = np.linalg.eigvalsh(M)
+    cert = identity_certificate(d=len(M), c=np.ones(len(M)))
+    return dataclasses.replace(cert, M=M, c0=math.sqrt(w[0]), c1=math.sqrt(w[-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+    st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+)
+def test_m_norm_at_d3_is_the_pair_loop_form(entries, w):
+    # H(0) of a coupled pair and its loop's later H take the same arithmetic
+    A = np.array(entries).reshape(3, 3)
+    M = A @ A.T + np.array([[1.0, 0.4, -0.2], [0.4, 1.5, 0.3], [-0.2, 0.3, 0.8]])
+    cert = _certificate_with_M(M)
+    ref = math.sqrt(_mq([float(v) for v in w], M.tolist()))
+    assert cert.m_norm(np.array(w)).hex() == ref.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,7 @@ def test_ball_form_is_the_pair_loop_form_bit_for_bit(case):
     # ties its H and ball check to the ball's arithmetic
     ball, X, J = case
     M, centre, r2 = ball.M.tolist(), ball.center.tolist(), ball.radius**2
-    q = ball.form((X - ball.center).T)
+    q = engine.m_form(ball.M, (X - ball.center).T)
     keeps, inside = ball.keeps(X, J), ball.contains(X)
     # a transposed (d, n) array, as the engine passes its state, reads the same
     XT = np.ascontiguousarray(X.T).T
@@ -391,7 +391,8 @@ def test_ball_form_is_the_pair_loop_form_bit_for_bit(case):
     assert np.ndim(ball.contains(X[0])) == 0 and type(ball.contains(X[0])) is np.bool_
     for n, x in enumerate(X.tolist()):
         ref = np.float64(_mq([a - c for a, c in zip(x, centre)], M)).tobytes()
-        assert q[n].tobytes() == np.float64(ball.form(X[n] - ball.center)).tobytes() == ref
+        one = np.float64(engine.m_form(ball.M, X[n] - ball.center))
+        assert q[n].tobytes() == one.tobytes() == ref
         assert inside[n] == ball.contains(X[n]) == (q[n] <= r2)
         for k, j in enumerate(J.tolist()):
             assert keeps[n, k] == (_mq([(a + b) - c for a, b, c in zip(x, j, centre)], M) <= r2)

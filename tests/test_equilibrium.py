@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,20 @@ from conftest import as_dict, identity_certificate
 # ---------------------------------------------------------------------------
 # enumerate_ball
 # ---------------------------------------------------------------------------
+
+
+EMPTY_BALL_MODEL = "[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1\n"
+
+
+def test_a_ball_with_no_lattice_state_is_a_domain_error():
+    # B_M(10.5, 0.4) holds no integer point; estimate_K2 keeps its cap there
+    m = dj.parse_model(EMPTY_BALL_MODEL)
+    cert = identity_certificate(d=1, c=(1.05,))
+    assert len(dj.enumerate_ball(10, cert, 0.04)) == 0
+    for solve in (dj.stationary_exact, build_restricted_generator):
+        with pytest.raises(DomainError, match="^no lattice state inside the restriction ball$"):
+            solve(m, 10, cert, 0.04)
+    assert dj.estimate_K2(m, dataclasses.replace(cert, delta0=0.04), 10) == 16.0 * cert.JstarM
 
 
 def test_ball_euclidean_disk():

@@ -264,6 +264,24 @@ def test_empirical_tv_matches_reference(supports, seed):
     _assert_tv_matches_reference(points, pi)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=1, max_size=50),
+            st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=120),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_empirical_tv_is_tv_distance_of_the_sample_law(supports, seed):
+    # both score on one layout, so the plug-in TV is the TV of the sample's law
+    pi = _pi_on(supports[0], seed)
+    points = np.array(supports[1], dtype=np.int64)
+    tv = _empirical_tv_with_ci(points, pi)[0]
+    assert _bits(tv) == _bits(dj.tv_distance(dj.LatticeDistribution.from_points(points), pi))
+
+
 @pytest.mark.parametrize("shift", [0, 1, 25])
 @pytest.mark.parametrize(
     "case",

@@ -12,7 +12,11 @@ scalar uniforms.  A third sampler fails the guard below.  Likewise, only the
 engine reads the kernel's array rates, apart from ``certify``'s radius check,
 and only the engine step asks the restriction ball jump by jump
 (``Restriction.keeps``): the generator reads its held chain by membership in
-the enumerated states, so the ball is not read a second time there."""
+the enumerated states, so the ball is not read a second time there.
+
+There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
+as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
+alike."""
 
 import ast
 import os
@@ -234,3 +238,53 @@ def test_only_the_engine_step_asks_the_ball_which_jumps_it_keeps():
 def test_the_guard_sees_a_second_ball_reading():
     src = "def build_generator(m, N, states, ball):\n    return ball.keeps(states, m.jump_array)\n"
     assert _attribute_reads(ast.parse(src), "keeps") == ["build_generator"]
+
+
+def _is_M(node):
+    return (isinstance(node, ast.Name) and node.id == "M") or (
+        isinstance(node, ast.Attribute) and node.attr == "M"
+    )
+
+
+def _is_matmul(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+
+def _m_forms(tree):
+    """Lines of every ``einsum`` call with an operand ``M`` (a name or an
+    attribute) and of every chain ``a @ M @ b``, grouped either way."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "einsum" and any(_is_M(a) for a in node.args):
+                found.append(node.lineno)
+        elif _is_matmul(node) and (
+            (_is_matmul(node.left) and _is_M(node.left.right))
+            or (_is_matmul(node.right) and _is_M(node.right.left))
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_engine_m_form_is_the_only_m_quadratic_form():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _m_forms(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+    assert not hasattr(ddjump.engine.Restriction, "form")
+
+
+def test_the_guard_sees_a_second_m_form():
+    src = (
+        "q = np.einsum('i,ij,j', w, cert.M, w)\n"
+        "r = einsum('...i,ij,...j', X, M, X)\n"
+        "s = x @ M @ x\n"
+        "t = x @ (self.M @ x)\n"
+        "MA = M @ A\n"
+        "u = np.trace(cert.M @ C)\n"
+        "v = np.einsum('ni,ij,nj->n', W, np.linalg.inv(S), W)\n"
+    )
+    assert sorted(_m_forms(ast.parse(src))) == [1, 2, 3, 4]
