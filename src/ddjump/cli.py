@@ -46,7 +46,7 @@ from .errors import (
 )
 from .lattice import SPANNING, classify_jumps
 from .model import domain_exits, eval_rates, parse_model
-from .simulate import SimOptions, coupled_ensemble, estimate_K2, simulate_coupled, simulate_path
+from .simulate import K2_CAP_FACTOR, SimOptions, coupled_ensemble, estimate_K2, simulate_coupled, simulate_path
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -203,6 +203,11 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _regime(cert, delta):
+    """The restriction radius, the certified radius, and whether it is within."""
+    return {"delta": delta, "delta0": cert.delta0, "certified": bool(delta <= cert.delta0)}
+
+
 def _pi_for(m, N, cert, delta, args):
     """Exact stationary law when the ball fits the cap, else the sampled
     estimate (downgrade logged as a warning, not fatal)."""
@@ -220,7 +225,7 @@ def cmd_equilibrium(args):
     cert = _certificate(m, args)
     out = _ensure_out(args)
     delta = args.delta if args.delta is not None else cert.delta0 / 2
-    summary = {"provenance": _provenance(args, text, seed=args.seed), "N": [], "delta": delta}
+    summary = {"provenance": _provenance(args, text, seed=args.seed), "N": [], **_regime(cert, delta)}
     sigma2 = equilibrium_sigma2(m, cert.c)
     Sigma = solve_lyapunov_sigma(cert.A, sigma2)
     for N in args.N:
@@ -253,7 +258,7 @@ def cmd_cutoff(args):
     out = _ensure_out(args)
     s_grid = _floats(args.s_grid)
     delta = args.delta if args.delta is not None else cert.delta0 / 2
-    summary = {"provenance": _provenance(args, text, seed=args.seed), "runs": []}
+    summary = {"provenance": _provenance(args, text, seed=args.seed), "runs": [], **_regime(cert, delta)}
     for N in args.N:
         pi, method = _pi_for(m, N, cert, delta, args)
         prof = cutoff_profile(
@@ -331,7 +336,8 @@ def cmd_couple(args):
     )
     _io.write_csv(os.path.join(out, "couple_trace.csv"), meta, header, rows)
 
-    summary = {"provenance": _provenance(args, text, seed=args.seed), "N": N, "K3": trace.K3}
+    summary = {"provenance": _provenance(args, text, seed=args.seed), "N": N, "K3": trace.K3, "K2": k2}
+    summary["K2_at_cap"] = k2 == K2_CAP_FACTOR * cert.JstarM
     if args.reps != 1:  # coupled_ensemble rejects reps < 1
         H, coal = coupled_ensemble(
             m, cert, opts, U0, V0, args.reps, k2=k2, nu=nu, workers=args.workers

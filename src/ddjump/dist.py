@@ -53,6 +53,8 @@ class LatticeDistribution:
         mass = np.asarray(self.mass, dtype=float)
         if support.ndim != 2 or len(support) != len(mass):
             raise ValueError("support and mass must be parallel")
+        if not np.isfinite(mass).all():
+            raise ValueError("non-finite mass")
         if np.any(mass < 0):
             raise ValueError("negative mass")
         if abs(mass.sum() - 1.0) > 1e-12:

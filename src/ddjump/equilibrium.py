@@ -89,12 +89,6 @@ def _pi_power(Q, pi0=None):
     import scipy.sparse as sp
 
     n = Q.shape[0]
-    closed = _closed_classes(Q)
-    if closed > 1:
-        raise ConvergenceError(
-            f"the restricted chain has {closed} closed communicating classes, "
-            "so its stationary law is not unique"
-        )
     diag = -Q.diagonal()
     lam = float(diag.max())
     if lam <= 0:
@@ -144,6 +138,12 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     5000 states.
     """
     states, Q = build_restricted_generator(m, N, cert, delta, cap=cap)
+    closed = _closed_classes(Q)
+    if closed > 1:
+        raise ConvergenceError(
+            f"the restricted chain has {closed} closed communicating classes, "
+            "so its stationary law is not unique"
+        )
     if method == "direct":
         pi = _pi_direct(Q)
     else:

@@ -2,11 +2,7 @@
 
 Expressions are built from variables ``x1 .. xd``, named scalar parameters,
 float literals, and the operators ``+ - * /`` plus nonnegative integer powers
-(``^`` or ``**``).  No user code is ever executed: the parser only produces
-the node types below, and the numpy code generator only emits arithmetic on
-those nodes.
-
-Grammar (used by :func:`parse_expr`)::
+(``^`` or ``**``).  Grammar (used by :func:`parse_expr`)::
 
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
@@ -17,15 +13,25 @@ Grammar (used by :func:`parse_expr`)::
 ``x<k>`` names (k = 1..d, no leading zero) are variables; every other name
 must be a bound parameter.
 
+Python's own parser, whose precedence is this grammar's, reads a stand-in
+text: ``_TOKEN_RE`` lexes ``text``, each number or name becomes ``_<i>``
+between spaces, ``^`` becomes ``**`` and whitespace ASCII spaces, so Python
+sees no keyword and no literal.  Its tree is converted node by node into the
+closed node set below (``+ - * /``, unary ``-``, a power with a bare integer
+literal, a number or name); any other node is a syntax error.  No user code
+is ever executed: nothing is evaluated, and :func:`codegen` emits only
+arithmetic on those nodes.
+
 Rates, drift and rate gradients are compiled once per model from
 :func:`codegen` output, in ``model._compile_kernel``, the only caller of
 :func:`differentiate`.  Integer exponents are chained multiplications.  The
-tests check the generated code bit for bit against a tree interpreter kept
-as their oracle (``tests/expr_reference.py``).
+tests check the generated code bit for bit against a tree interpreter
+(``tests/expr_reference.py``).
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -96,130 +102,68 @@ _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 MAX_EXPONENT = 999
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", col=col)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num") + 1))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+_BINARY = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}
 
 
-class _Parser:
-    def __init__(self, text, dim, param_names):
-        self.text = text
-        self.dim = dim
-        self.param_names = frozenset(param_names)
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _bind(kind, tok, col, dim, param_names):
+    """The leaf node of a number or name token at column ``col``."""
+    if kind == "num":
+        return Const(float(tok))
+    if m := _VAR_RE.match(tok):
+        if int(m.group(1)) > dim:
+            raise DimensionMismatchError(f"variable {tok} out of range for dimension {dim}", col=col)
+        return Var(int(m.group(1)) - 1)
+    if tok in param_names:
+        return Param(tok)
+    raise UnknownParameterError(f"unknown parameter {tok!r}", col=col)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, col = self.peek()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", col=col)
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, col = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input {val!r}", col=col)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, col = self.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.advance()
-            nkind, nval, ncol = self.peek()
-            if nkind != "num":
-                raise ExprSyntaxError("exponent must be a nonnegative integer literal", col=ncol)
-            self.advance()
-            as_float = float(nval)
-            if as_float != int(as_float):
-                raise ExprSyntaxError("exponent must be an integer", col=ncol)
-            n = int(as_float)
-            if n > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent {n} exceeds the maximum {MAX_EXPONENT}", col=ncol)
-            return Pow(node, n)
-        return node
-
-    def atom(self):
-        kind, val, col = self.advance()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "name":
-            m = _VAR_RE.match(val)
-            if m:
-                k = int(m.group(1))
-                if k > self.dim:
-                    raise DimensionMismatchError(
-                        f"variable {val} out of range for dimension {self.dim}", col=col
-                    )
-                return Var(k - 1)
-            if val in self.param_names:
-                return Param(val)
-            raise UnknownParameterError(f"unknown parameter {val!r}", col=col)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of expression", col=col)
+def _tree(node, ctx):
+    """The expression node of ``node``, a node of Python's tree of a stand-in
+    text; ``ctx`` is (stand-in text, columns, atoms, dim, param_names)."""
+    stand_in, cols, atoms, dim, param_names = ctx
+    if isinstance(node, ast.Name):
+        return _bind(*atoms[int(node.id[1:])], dim, param_names)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(_tree(node.operand, ctx))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_tree(node.left, ctx), _tree(node.right, ctx))
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        raise ExprSyntaxError("invalid syntax", col=cols[node.col_offset])
+    base, e = _tree(node.left, ctx), node.right
+    kind, tok, col = atoms[int(e.id[1:])] if isinstance(e, ast.Name) else (None, "", cols[e.col_offset])
+    # a bare number: no '(' between it and its '**'
+    if kind != "num" or stand_in[: e.col_offset].rstrip()[-1] != "*":
+        raise ExprSyntaxError("exponent must be a nonnegative integer literal", col=col)
+    if not (float(tok).is_integer() and float(tok) <= MAX_EXPONENT):
+        raise ExprSyntaxError(f"exponent {tok} is not an integer in 0..{MAX_EXPONENT}", col=col)
+    return Pow(base, int(float(tok)))
 
 
 def parse_expr(text, dim, param_names):
     """Parse ``text`` into an expression tree, binding names eagerly."""
-    return _Parser(text, dim, param_names).parse()
+    # the stand-in text, the column of ``text`` behind each of its characters
+    # and behind its end, and each number's or name's (kind, token, column)
+    parts, cols, atoms, pos = [], [], [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        kind, tok, start = m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
+        if kind != "op":
+            atoms.append((kind, tok, start + 1))
+        piece = f" _{len(atoms) - 1} " if kind != "op" else "**" if tok == "^" else tok
+        parts += [" " * (start - pos), piece]
+        cols += [pos + 1] * (start - pos) + [start + 1] * len(piece)
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ExprSyntaxError(f"unexpected character {rest[0]!r}", col=len(text) - len(rest) + 1)
+    stand_in = "".join(parts).lstrip()
+    cols = cols[len(cols) - len(stand_in) :] + [len(text) + 1]
+    try:
+        return _tree(ast.parse(stand_in, mode="eval").body, (stand_in, cols, atoms, dim, param_names))
+    except SyntaxError as e:
+        raise ExprSyntaxError(e.msg, col=cols[min(e.offset or 1, len(cols)) - 1]) from None
+    except (RecursionError, MemoryError):  # Python's parser stack or _tree() ran out
+        raise ExprSyntaxError("expression nested too deeply") from None
 
 
 def _const(v):

@@ -272,20 +272,23 @@ def _compile_kernel(m):
     """
     d, n = m.d, len(m.jumps)
     args = ", ".join(f"y{i}" for i in range(d))
-    rates = [ex.codegen(r, m.params) for r in m.rate_exprs]
-    grads = [ex.codegen(ex.differentiate(r, i), m.params) for r in m.rate_exprs for i in range(d)]
-    src = []
-    for name, exprs, shape in (("rate", rates, (n,)), ("grad", grads, (n, d))):
-        src += [
-            f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
-            f"def {name}s_array(Y):",
-            *(f"    y{i} = Y[..., {i}]" for i in range(d)),
-            f"    out = np.empty({shape} + Y.shape[:-1])",
-            *(f"    out[{', '.join(map(str, i))}] = {e}" for i, e in zip(np.ndindex(shape), exprs)),
-            f"    return out.transpose((*range({len(shape)}, out.ndim), *{tuple(range(len(shape)))}))",
-        ]
-    ns = {"np": np, "inf": math.inf, "nan": math.nan}
-    exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
+    try:  # every node is parenthesized, and codegen recurses
+        rates = [ex.codegen(r, m.params) for r in m.rate_exprs]
+        grads = [ex.codegen(ex.differentiate(r, i), m.params) for r in m.rate_exprs for i in range(d)]
+        src = []
+        for name, exprs, shape in (("rate", rates, (n,)), ("grad", grads, (n, d))):
+            src += [
+                f"{name}_entries = ({''.join(f'lambda {args}: {e}, ' for e in exprs)})",
+                f"def {name}s_array(Y):",
+                *(f"    y{i} = Y[..., {i}]" for i in range(d)),
+                f"    out = np.empty({shape} + Y.shape[:-1])",
+                *(f"    out[{', '.join(map(str, i))}] = {e}" for i, e in zip(np.ndindex(shape), exprs)),
+                f"    return out.transpose((*range({len(shape)}, out.ndim), *{tuple(range(len(shape)))}))",
+            ]
+        ns = {"np": np, "inf": math.inf, "nan": math.nan}
+        exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
+    except (SyntaxError, RecursionError) as e:
+        raise ConfigError(f"a rate is nested too deeply to compile: {getattr(e, 'msg', e)}") from None
     J = np.array(m.jumps, dtype=np.int64).astype(float)
     J.setflags(write=False)
     return Kernel(*(ns[name] for name in Kernel._fields[:-2]), J, tuple(rates))

@@ -143,6 +143,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "rate",
+    [
+        "x1^1e400",
+        "(" * 600 + "x1" + ")" * 600,
+        "+".join(["x1"] * 201),  # 200 nested parentheses in the generated kernel
+        "+".join(["x1"] * 1500),
+    ],
+    ids=["huge-exponent", "600-parentheses", "201-terms", "1500-terms"],
+)
+def test_a_rate_past_the_language_limits_is_one_parse_error_line(tmp_path, capsys, rate):
+    p = tmp_path / "deep.cfg"
+    p.write_text(f"[dimension]\n1\n[jumps]\n1 : {rate}\n-1 : x1\n")
+    assert main(["validate", "--model", str(p)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "parse error" in err[0], err
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["validate", "--model", str(tmp_path / "nope.cfg")]) == 1
 
@@ -306,6 +324,9 @@ def test_cutoff_single_row_grid(sir_cfg, tmp_path):
         if ln and not ln.startswith("#")
     ]
     assert len(rows) == 2  # header + single profile row
+    summary = json.load(open(os.path.join(out, "cutoff.json")))
+    assert summary["delta"] == 0.6 and 0.0 < summary["delta0"] < 0.6
+    assert summary["certified"] is False
 
 
 def test_couple_outputs(sir_cfg, tmp_path, capsys):
@@ -339,6 +360,19 @@ def test_couple_outputs(sir_cfg, tmp_path, capsys):
     assert header == "t,U1,U2,V1,V2,phase,H"
     summary = json.load(open(os.path.join(out, "couple.json")))
     assert "coalesced_frac" in summary
+    assert summary["K2"] == 5.0 and summary["K2_at_cap"] is False
+
+
+def test_couple_json_says_when_k2_is_the_cap(sir_cfg, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["analyze", "--model", sir_cfg, "--out", out]) == 0
+    cert_path = os.path.join(out, "certificate.json")
+    cmd = ["couple", "--model", sir_cfg, "--cert", cert_path, "--N", "100", "--reps", "1"]
+    assert main(cmd + ["--horizon", "1", "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "couple.json")))
+    cap = dj.simulate.K2_CAP_FACTOR * dj.StabilityCertificate.load(cert_path).JstarM
+    # the ball B_M(N c, N delta0) at N=100 is too small for a working threshold
+    assert summary["K2"] == cap and summary["K2_at_cap"] is True
 
 
 def test_equilibrium_outputs(sir_cfg, tmp_path):
@@ -363,6 +397,15 @@ def test_equilibrium_outputs(sir_cfg, tmp_path):
     assert summary["N"][0]["pi_method"] == "exact"
     assert summary["N"][0]["bias_floor"] == 0.0
     assert summary["sigma2"] == [[2.0, -1.0], [-1.0, 2.0]]
+    assert summary["delta"] == 0.6 and 0.0 < summary["delta0"] < 0.6
+    assert summary["certified"] is False
+
+
+def test_equilibrium_at_the_default_delta_is_certified(sir_cfg, tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["equilibrium", "--model", sir_cfg, "--N", "2000", "--out", out]) == 0
+    summary = json.load(open(os.path.join(out, "equilibrium.json")))
+    assert summary["delta"] == summary["delta0"] / 2 and summary["certified"] is True
 
 
 def test_equilibrium_on_a_ball_with_no_lattice_state_is_a_validation_error(tmp_path, capsys):

@@ -185,6 +185,21 @@ def test_stationary_counts_closed_classes():
         dj.stationary_exact(m, 10, cert, 0.8)
 
 
+@pytest.mark.parametrize("method", ["direct", "power"])
+def test_both_routes_refuse_a_chain_with_two_closed_classes(method):
+    # jumps of +-2 keep the parity of X: two closed classes in the ball
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n2 : 1\n-2 : x1\n")
+    cert = identity_certificate(d=1, c=(1.0,))
+    with pytest.raises(ConvergenceError, match=r"\b2 closed communicating classes"):
+        dj.stationary_exact(m, 10, cert, 0.3, method=method)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_lattice_law_with_non_finite_mass_is_refused(bad):
+    with pytest.raises(ValueError, match="non-finite mass"):
+        dj.LatticeDistribution(np.array([[0], [1]]), np.array([bad, bad]))
+
+
 def test_stationary_solves_with_a_transient_state():
     # states -1..5; the down-rate x1^2 vanishes at 0, so -1 is never entered
     # and {0, ..., 5} is the one closed class

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expr_parser_reference as oracle
 from ddjump import expr as ex
-from ddjump.errors import DimensionMismatchError, ExprSyntaxError, UnknownParameterError
+from ddjump.errors import ConfigError, DimensionMismatchError, ExprSyntaxError, UnknownParameterError
 from ddjump.model import Domain, Model, parse_model
 from expr_reference import evaluate
 
@@ -208,3 +211,144 @@ def test_kernel_matches_interpreter_with_division():
     )
     rng = np.random.default_rng(1)
     _assert_kernel_matches_interpreter(m, [tuple(p) for p in rng.uniform(0.0, 5.0, size=(200, 2))])
+
+
+# The parser against the hand-written recursive-descent parser it replaced
+# (tests/expr_parser_reference.py): the same tree for every input that the
+# oracle accepts, and a ConfigError for every input that it rejects.
+
+KEYWORD_PARAMS = ("a", "lambda", "in", "True")
+# (spelling, value) of number literals, exponents included
+LITERALS = (("05", 5.0), ("1.", 1.0), (".25", 0.25), ("3e2", 300.0), ("\u0663", 3.0), ("2.5E-1", 0.25))
+EXPONENTS = (("0", 0), ("2", 2), ("03", 3), ("2.", 2), ("1e1", 10), ("\u0662", 2))
+SPACES = ("", " ", "  ", "\t", "\n", "\u00a0", " \r\n ")
+# binding level of each node: a child below the level its place needs is
+# parenthesized (Add/Sub 1, Mul/Div 2, Neg 3, Pow and leaves 4)
+_LEVEL = {ex.Add: 1, ex.Sub: 1, ex.Mul: 2, ex.Div: 2, ex.Neg: 3}
+_OPS = {ex.Add: "+", ex.Sub: "-", ex.Mul: "*", ex.Div: "/"}
+
+
+def _printed(draw, depth=0):
+    """A random tree and the tokens that spell it."""
+    branch = draw(st.integers(0, 6)) if depth < 4 else 0
+    if branch == 0:
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            spelling, value = draw(st.sampled_from(LITERALS))
+            return ex.Const(value), [spelling]
+        if kind == 1:
+            i = draw(st.integers(0, 1))
+            return ex.Var(i), [f"x{i + 1}"]
+        name = draw(st.sampled_from(KEYWORD_PARAMS))
+        return ex.Param(name), [name]
+
+    def child(need):
+        node, toks = _printed(draw, depth + 1)
+        if _LEVEL.get(type(node), 4) < need or draw(st.integers(0, 5)) == 0:
+            toks = ["(", *toks, ")"]
+        return node, toks
+
+    if branch == 1:
+        node, toks = child(3)
+        return ex.Neg(node), ["-", *toks]
+    if branch == 2:
+        base, toks = _printed(draw, depth + 1)
+        if not isinstance(base, (ex.Const, ex.Var, ex.Param)) or draw(st.booleans()):
+            toks = ["(", *toks, ")"]
+        spelling, n = draw(st.sampled_from(EXPONENTS))
+        return ex.Pow(base, n), [*toks, draw(st.sampled_from(["^", "**"])), spelling]
+    op = (ex.Add, ex.Sub, ex.Mul, ex.Div)[branch - 3]
+    (left, ltoks), (right, rtoks) = child(_LEVEL[op]), child(_LEVEL[op] + 1)
+    return op(left, right), [*ltoks, _OPS[op], *rtoks]
+
+
+def _wordlike(ch):
+    return ch.isalnum() or ch in "_."
+
+
+@st.composite
+def printed_trees(draw):
+    """A random tree and a text that spells it, with random spacing."""
+    tree, toks = _printed(draw)
+    text = draw(st.sampled_from(SPACES))
+    for prev, tok in zip([""] + toks, toks):
+        space = draw(st.sampled_from(SPACES))
+        if not space and prev and _wordlike(prev[-1]) and _wordlike(tok[0]):
+            space = " "
+        text += space + tok
+    return tree, text + draw(st.sampled_from(SPACES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(printed_trees())
+def test_printed_trees_parse_to_the_oracle_tree(case):
+    tree, text = case
+    assert ex.parse_expr(text, 2, KEYWORD_PARAMS) == oracle.parse(text, 2, KEYWORD_PARAMS) == tree
+
+
+SOUP = (
+    "x1", "x2", "x3", "a", "lambda", "in", "True", "q", "05", "1.", ".25", "3e2", "\u0663", "2",
+    "+", "-", "*", "/", "^", "**", "(", ")", " ", "\n",
+    "0x", "1_0", "1j", "#", "$", ",", ":", "=", "\u00a0",
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(SOUP), max_size=9))
+def test_token_soup_is_accepted_exactly_when_the_oracle_accepts(tokens):
+    text = "".join(tokens)
+    try:
+        expected = oracle.parse(text, 2, KEYWORD_PARAMS)
+    except Exception:
+        with pytest.raises(ConfigError):
+            ex.parse_expr(text, 2, KEYWORD_PARAMS)
+    else:
+        assert ex.parse_expr(text, 2, KEYWORD_PARAMS) == expected
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+@pytest.mark.parametrize("name", ["hamer_sir.cfg", "birth_death.cfg"])
+def test_shipped_model_rates_parse_to_the_oracle_tree(name):
+    text = (MODELS / name).read_text()
+    m = parse_model(text)
+    jumps = text.split("[jumps]", 1)[1].split("[", 1)[0]
+    rates = [ln.split("#")[0].split(":", 1)[1] for ln in jumps.splitlines() if ":" in ln.split("#")[0]]
+    assert tuple(oracle.parse(r.strip(), m.d, m.params) for r in rates) == m.rate_exprs
+
+
+@pytest.mark.parametrize(
+    "text,col",
+    [("x1 ^ 1e400", 6), ("x1 ^ 1000", 6), ("x1 ^ 2.5", 6), ("x1^(2)", 5), ("x1 ^ x2", 6), ("x1 ^ -2", 6)],
+)
+def test_an_exponent_must_be_a_bare_integer_up_to_the_maximum(text, col):
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse(text)
+    assert ei.value.col == col
+
+
+def test_python_syntax_errors_keep_their_message_at_the_rate_column():
+    with pytest.raises(ExprSyntaxError, match="'\\(' was never closed") as ei:
+        parse("x1 + (x2")
+    assert ei.value.col == 6
+    with pytest.raises(ExprSyntaxError, match="unmatched '\\)'") as ei:
+        parse("x1 + 1 )")
+    assert ei.value.col == 8
+
+
+def test_a_syntax_error_is_reported_before_an_unknown_name():
+    with pytest.raises(ExprSyntaxError):
+        parse("q * (x1")
+
+
+def test_a_rate_too_deep_for_pythons_parser_is_a_syntax_error():
+    # 5,000 unary minuses overflow the parser's own stack (a MemoryError)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse("-" * 5000 + "x1")
+
+
+def test_a_sum_of_200_terms_still_compiles():
+    # the generated kernel nests 200 parentheses, Python's limit; see test_cli
+    m = parse_model("[dimension]\n1\n[jumps]\n1 : " + "+".join(["x1"] * 200) + "\n-1 : x1\n")
+    assert m.kernel.rate_entries[0](1.5) == 300.0

@@ -16,7 +16,11 @@ the enumerated states, so the ball is not read a second time there.
 
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
-alike."""
+alike.
+
+The rate parser hands Python's parser a stand-in text and converts its tree;
+``expr.py`` calls no ``eval``, ``exec``, ``compile`` or ``__import__``, so no
+rate text is ever run."""
 
 import ast
 import os
@@ -288,3 +292,35 @@ def test_the_guard_sees_a_second_m_form():
         "v = np.einsum('ni,ij,nj->n', W, np.linalg.inv(S), W)\n"
     )
     assert sorted(_m_forms(ast.parse(src))) == [1, 2, 3, 4]
+
+
+_CODE_BUILTINS = {"eval", "exec", "compile", "__import__"}
+
+
+def _code_calls(tree):
+    """Lines that call a builtin which compiles or runs code, by name or
+    through ``builtins``; ``re.compile`` and ``ast.parse`` are not such calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in _CODE_BUILTINS:
+                yield node.lineno
+            elif isinstance(f, ast.Attribute) and f.attr in _CODE_BUILTINS:
+                if isinstance(f.value, ast.Name) and f.value.id == "builtins":
+                    yield node.lineno
+
+
+def test_the_rate_parser_compiles_and_runs_no_code():
+    assert not list(_code_calls(ast.parse((SRC / "expr.py").read_text())))
+
+
+def test_the_guard_sees_a_code_call():
+    src = (
+        "eval(s)\n"
+        "builtins.exec(s)\n"
+        "r = re.compile(p)\n"
+        "t = ast.parse(s, mode='eval')\n"
+        "m = __import__('os')\n"
+        "code = compile(s, 'rate', 'eval')\n"
+    )
+    assert sorted(_code_calls(ast.parse(src))) == [1, 2, 5, 6]
