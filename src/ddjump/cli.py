@@ -191,9 +191,10 @@ def cmd_simulate(args):
     restriction = None
     if args.delta is not None:
         cert = _certificate(m, args)
-        restriction = (cert, args.delta)
-    opts = SimOptions(N=N, seed=args.seed, horizon=args.horizon, restriction=restriction)
-    tr = simulate_path(m, opts, X0)
+        if not (0 < args.delta <= cert.delta0):
+            raise ValueError(f"restriction delta {args.delta} must lie in (0, delta0={cert.delta0:.6g}]")
+        restriction = cert.ball(N, args.delta)
+    tr = simulate_path(m, SimOptions(N=N, seed=args.seed, horizon=args.horizon), X0, restriction=restriction)
     out = _ensure_out(args)
     meta = _provenance(args, text, seed=args.seed, N=N, absorbed=tr.absorbed)
     header = ["t"] + [f"X{i + 1}" for i in range(m.d)]

@@ -49,7 +49,7 @@ def compile_rates(model):
 def m_form(M, W):
     """``sum_i (sum_k (w_i M_ik) w_k)`` over the first axis of ``W``, each sum
     added left to right: the package's one M-quadratic form, and the coupled-pair
-    loop's, term for term."""
+    loop's H, term for term."""
     W2 = W.reshape(len(W), -1)
     T = W2[:, None] * M[:, :, None]
     T *= W2  # T[i, k] = (w_i M_ik) w_k
@@ -62,9 +62,9 @@ class Restriction:
     """The ball B_M(center, radius) of lattice points; a restricted chain
     switches off every jump that leaves it.
 
-    Membership is ``m_form``, and the coupled-pair loop's check its scalar twin.
-    Only the engine step calls ``keeps``; the generator keeps a jump whose
-    target is one of the ball's states.
+    Membership is ``m_form``.  Only the engine step calls ``keeps``, for
+    ``simulate.simulate_path`` and ``equilibrium.stationary_empirical``; the
+    generator keeps a jump whose target is one of the ball's states.
     """
 
     M: np.ndarray
@@ -213,10 +213,9 @@ def simulate_chunk(
     """Advance replicates [rep_lo, rep_hi) and collect per-mode statistics.
 
     mode "records": states at the sorted ``record_times`` (cadlag value).
-    mode "events": records, plus every event before ``horizon`` as flat
-        ``event_rep`` (replicate index), ``event_t`` and ``event_X``
-        (post-jump state) arrays in replicate and time order; a replicate
-        runs to the horizon, not to its last record.
+    mode "events": every event before ``horizon`` as flat ``event_rep``
+        (replicate index), ``event_t`` and ``event_X`` (post-jump state)
+        arrays in replicate and time order; ``record_times`` is not read.
     mode "martingale": sup_{t <= T ^ tau_K} |m(t)| for the scaled compensated
         jump martingale m(t) = (X(t)-X(0))/N - int F, plus its final value;
         ``stop_box`` is the compact set K as an (lo, hi) box in x-coords and
@@ -240,14 +239,12 @@ def simulate_chunk(
     live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}
     absorbed = np.zeros(n, dtype=bool)
 
-    record_times = np.asarray(record_times, dtype=float)
-    n_rec = len(record_times)
-    if mode in (RECORDS, EVENTS):
-        records = np.zeros((n, n_rec, d), dtype=np.int64)
-        if mode == RECORDS and not n_rec:
+    if mode == RECORDS:
+        records = np.zeros((n, len(record_times), d), dtype=np.int64)
+        if not len(record_times):
             return {"records": records, "absorbed": absorbed}
         # next record index and time; the time is inf once every record is taken
-        rec_next = np.append(record_times, math.inf)
+        rec_next = np.append(np.asarray(record_times, dtype=float), math.inf)
         live["k"] = np.zeros(n, dtype=np.int64)
         live["due_t"] = np.full(n, rec_next[0])
     if mode == EVENTS:
@@ -301,10 +298,7 @@ def simulate_chunk(
             step[:, dead] = 0
 
         gone = None
-        if mode == EVENTS:  # past the horizon, the state holds through every record left
-            gone = t_next >= horizon
-            t_next[gone] = math.inf
-        if mode in (RECORDS, EVENTS):
+        if mode == RECORDS:
             k, due_t = live["k"], live["due_t"]
             due = due_t < t_next
             if due.any():  # most steps take no record, and one reduction clears them
@@ -314,8 +308,7 @@ def simulate_chunk(
                     k[due] += 1
                     due_t[due] = rec_next[k[due]]
                     due = due[due_t[due] < t_next[due]]
-                if mode == RECORDS:
-                    gone = due_t == math.inf
+                gone = due_t == math.inf
 
         if mode == MARTINGALE:
             F = _drift(r, J)
@@ -335,6 +328,7 @@ def simulate_chunk(
         X += step
         live["t"] = t_next
         if mode == EVENTS:
+            gone = t_next >= horizon
             stay = ~gone
             events.append((row[stay], t_next[stay], X[:, stay].T))
 
@@ -366,7 +360,6 @@ def simulate_chunk(
         ev_rep, ev_t, ev_X = (np.concatenate(a) for a in zip(*events))
         order = np.argsort(ev_rep, kind="stable")  # each replicate's events stay in time order
         return {
-            "records": records,
             "absorbed": absorbed,
             "event_rep": rep_lo + ev_rep[order],
             "event_t": ev_t[order],

@@ -22,9 +22,8 @@ literal, a number or name); any other node is a syntax error.  No user code
 is ever executed: nothing is evaluated, and :func:`codegen` emits only
 arithmetic on those nodes.
 
-Rates, drift and rate gradients are compiled once per model from
-:func:`codegen` output, in ``model._compile_kernel``, the only caller of
-:func:`differentiate`.  Integer exponents are chained multiplications.  The
+Rates, drift and rate gradients are compiled from :func:`codegen` output
+in ``model._kernel_code``, the only caller of :func:`differentiate`.  Integer exponents are chained multiplications.  The
 tests check the generated code bit for bit against a tree interpreter
 (``tests/expr_reference.py``).
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 from .errors import DimensionMismatchError, ExprSyntaxError, UnknownParameterError
 
@@ -137,7 +136,18 @@ def _tree(node, ctx):
         raise ExprSyntaxError("exponent must be a nonnegative integer literal", col=col)
     if not (float(tok).is_integer() and float(tok) <= MAX_EXPONENT):
         raise ExprSyntaxError(f"exponent {tok} is not an integer in 0..{MAX_EXPONENT}", col=col)
-    return Pow(base, int(float(tok)))
+    node = Pow(base, int(float(tok)))
+    if (n := _copies(node)) > MAX_EXPONENT:
+        raise ExprSyntaxError(f"nested exponents multiply to {n}, above {MAX_EXPONENT}", col=col)
+    return node
+
+
+def _copies(node):
+    """The largest product of exponents along powers nested in one another's
+    bases: the copies of one leaf that ``codegen`` writes out."""
+    if isinstance(node, Pow):
+        return node.exponent * max(1, _copies(node.base))
+    return max((_copies(v) for v in vars(node).values() if is_dataclass(v)), default=1)
 
 
 def parse_expr(text, dim, param_names):
@@ -160,8 +170,9 @@ def parse_expr(text, dim, param_names):
     cols = cols[len(cols) - len(stand_in) :] + [len(text) + 1]
     try:
         return _tree(ast.parse(stand_in, mode="eval").body, (stand_in, cols, atoms, dim, param_names))
-    except SyntaxError as e:
-        raise ExprSyntaxError(e.msg, col=cols[min(e.offset or 1, len(cols)) - 1]) from None
+    except SyntaxError as e:  # the language has no commas, so Python's comma hint is dropped
+        msg = e.msg.removesuffix(". Perhaps you forgot a comma?")
+        raise ExprSyntaxError(msg, col=cols[min(e.offset or 1, len(cols)) - 1]) from None
     except (RecursionError, MemoryError):  # Python's parser stack or _tree() ran out
         raise ExprSyntaxError("expression nested too deeply") from None
 

@@ -198,6 +198,7 @@ def parse_model(text):
         raise ConfigError("missing or empty [jumps] section")
     jumps = []
     rate_exprs = []
+    rate_lines = []
     for lineno, line in sections["jumps"]:
         if ":" not in line:
             raise ConfigError(f"jump line needs '<integers> : <rate>': {line!r}", line=lineno)
@@ -217,6 +218,7 @@ def parse_model(text):
             raise type(e)(f"{e.args[0]} in rate for jump {J}", line=lineno) from None
         jumps.append(J)
         rate_exprs.append(node)
+        rate_lines.append(lineno)
 
     if "domain" in sections:
         lower = [-math.inf] * d
@@ -240,14 +242,15 @@ def parse_model(text):
     else:
         domain = Domain.nonnegative_orthant(d)
 
-    return Model(
-        d=d,
-        jumps=tuple(jumps),
-        rate_exprs=tuple(rate_exprs),
-        params=params,
-        domain=domain,
-        source=text,
-    )
+    try:
+        return Model(d=d, jumps=tuple(jumps), rate_exprs=tuple(rate_exprs), params=params, domain=domain, source=text)
+    except ConfigError:  # a rate too deep to compile: compile each alone to name its jump and line
+        for J, node, lineno in zip(jumps, rate_exprs, rate_lines):
+            try:
+                _kernel_code(d, params, (node,))
+            except ConfigError as e:
+                raise type(e)(f"{e.args[0]} in rate for jump {J}", line=lineno) from None
+        raise
 
 
 # A model's rates and rate gradients, generated once as Python source.  The
@@ -261,20 +264,20 @@ def parse_model(text):
 Kernel = namedtuple("Kernel", "rates_array grads_array rate_entries grad_entries J rate_src")
 
 
-def _compile_kernel(m):
-    """Generate the ``Kernel`` of model ``m``; the only place rate code is generated.
+def _kernel_code(d, params, rate_exprs):
+    """The compiled kernel source of the rates ``rate_exprs``, and their source
+    expressions: the only place rate code is generated.
 
-    Each rate is differentiated once, here.  Parameter values are inlined and
-    the source holds only arithmetic on the coordinates (the expression
-    language is closed, so no user code reaches the exec).  Every form uses
-    the tree's operation order, so all agree bit for bit with the tests'
-    tree interpreter (``tests/expr_reference.py``).
+    Parameter values are inlined and the source holds only arithmetic on the
+    coordinates (the expression language is closed, so no user code reaches
+    the exec).  Every form uses the tree's operation order, so all agree bit
+    for bit with the tests' tree interpreter (``tests/expr_reference.py``).
+    A rate that Python cannot compile raises ConfigError.
     """
-    d, n = m.d, len(m.jumps)
-    args = ", ".join(f"y{i}" for i in range(d))
+    n, args = len(rate_exprs), ", ".join(f"y{i}" for i in range(d))
     try:  # every node is parenthesized, and codegen recurses
-        rates = [ex.codegen(r, m.params) for r in m.rate_exprs]
-        grads = [ex.codegen(ex.differentiate(r, i), m.params) for r in m.rate_exprs for i in range(d)]
+        rates = [ex.codegen(r, params) for r in rate_exprs]
+        grads = [ex.codegen(ex.differentiate(r, i), params) for r in rate_exprs for i in range(d)]
         src = []
         for name, exprs, shape in (("rate", rates, (n,)), ("grad", grads, (n, d))):
             src += [
@@ -285,10 +288,16 @@ def _compile_kernel(m):
                 *(f"    out[{', '.join(map(str, i))}] = {e}" for i, e in zip(np.ndindex(shape), exprs)),
                 f"    return out.transpose((*range({len(shape)}, out.ndim), *{tuple(range(len(shape)))}))",
             ]
-        ns = {"np": np, "inf": math.inf, "nan": math.nan}
-        exec("\n".join(src), ns)  # noqa: S102 - source generated from closed AST
+        return compile("\n".join(src), "<kernel>", "exec"), rates
     except (SyntaxError, RecursionError) as e:
         raise ConfigError(f"a rate is nested too deeply to compile: {getattr(e, 'msg', e)}") from None
+
+
+def _compile_kernel(m):
+    """The ``Kernel`` of model ``m``, built when the model is built or unpickled."""
+    code, rates = _kernel_code(m.d, m.params, m.rate_exprs)
+    ns = {"np": np, "inf": math.inf, "nan": math.nan}
+    exec(code, ns)  # noqa: S102 - source generated from closed AST
     J = np.array(m.jumps, dtype=np.int64).astype(float)
     J.setflags(write=False)
     return Kernel(*(ns[name] for name in Kernel._fields[:-2]), J, tuple(rates))

@@ -1,5 +1,5 @@
-"""Exact stochastic simulation: free/restricted paths, the two-phase
-coupling, and the martingale / exit-time deviation experiments.
+"""Exact stochastic simulation: free paths (``simulate_path`` also restricted),
+the two-phase coupling, and the martingale / exit-time deviation experiments.
 
 The coupled pairs run one loop per model, generated as Python source on the
 model's first coupled use: the coordinates and jumps are unrolled, the rates
@@ -44,17 +44,11 @@ DRIFT_BOX_MARGIN = 0.25  # the compact set K reaches this far past the drift pat
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Simulation options; immutable and shareable across workers.
-
-    ``restriction`` is an optional (certificate, delta) pair switching off
-    every jump that would leave B_M(N c, N delta); delta must not exceed the
-    certified radius delta0.
-    """
+    """Run settings of the free chain; immutable and shareable across workers."""
 
     N: int
     seed: int
     horizon: float
-    restriction: tuple = None  # (StabilityCertificate, delta)
     record: tuple = ()
 
     def __post_init__(self):
@@ -68,18 +62,6 @@ class SimOptions:
         if rec and (rec[0] < 0 or rec[-1] > self.horizon or not all(map(math.isfinite, rec))):
             raise ValueError("record times must be finite and lie within [0, horizon]")
         object.__setattr__(self, "record", rec)
-        if self.restriction is not None:
-            cert, delta = self.restriction
-            if not (0 < delta <= cert.delta0):
-                raise ValueError(
-                    f"restriction delta {delta} must lie in (0, delta0={cert.delta0:.6g}]"
-                )
-
-    def engine_restriction(self):
-        if self.restriction is None:
-            return None
-        cert, delta = self.restriction
-        return cert.ball(self.N, delta)
 
 
 @dataclass(frozen=True)
@@ -99,30 +81,33 @@ def _check_start(m, opts, X0):
         raise ValueError(f"start has shape {X0.shape}, expected ({m.d},)")
     if not m.domain.contains(X0 / opts.N):
         raise DomainError(f"start {X0.tolist()} outside domain at N={opts.N}")
-    restr = opts.engine_restriction()
-    if restr is not None and not restr.contains(X0):
-        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
     return X0
 
 
-def simulate_path(m, opts, X0, replicate=0):
+def simulate_path(m, opts, X0, replicate=0, restriction=None):
     """Exact Gillespie path, deterministic given (seed, replicate, X0, opts).
 
     Replicate ``replicate`` of the engine's ``events`` mode: two uniforms
     per event (waiting time, jump pick) from the stream (seed, replicate,
     PATH).  A state with zero total rate is held to the horizon and flagged
-    absorbed.
+    absorbed.  ``restriction``, a ball such as ``cert.ball(N, delta)``,
+    switches off every jump that would leave it; the start must lie in it.
+    The record at time s is the state after every event at or before s.
     """
     X0 = _check_start(m, opts, X0)
+    if restriction is not None and not restriction.contains(X0):
+        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
     out = engine.simulate_chunk(
         m, opts.N, X0, opts.seed, rep_lo=replicate, rep_hi=replicate + 1, mode=engine.EVENTS,
-        record_times=opts.record, horizon=opts.horizon, restriction=opts.engine_restriction(),
+        horizon=opts.horizon, restriction=restriction,
     )
+    times = np.concatenate([[0.0], out["event_t"]])
+    states = np.concatenate([X0[None, :], out["event_X"]])
     return Trajectory(
-        times=np.concatenate([[0.0], out["event_t"]]),
-        states=np.concatenate([X0[None, :], out["event_X"]]),
+        times=times,
+        states=states,
         record_times=opts.record,
-        recorded=out["records"][0],
+        recorded=states[np.searchsorted(times, opts.record, side="right") - 1],
         absorbed=bool(out["absorbed"][0]),
     )
 
@@ -144,7 +129,6 @@ def sample_states(m, opts, X0, reps, workers=1):
         workers=workers,
         mode=engine.RECORDS,
         record_times=opts.record,
-        restriction=opts.engine_restriction(),
     )
     return out["records"]
 
@@ -245,21 +229,19 @@ def _pair_loop(m):
     """The model's coupled-pair loop, generated on first use and kept on the
     model outside its fields, so it is not pickled.
 
-    The loop runs on Python ints and floats, with the coordinates and jumps
-    unrolled and the kernel's rate expressions inlined.  H and the ball
-    check both take ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right:
-    the twin of ``engine.m_form``, on the targets ``(z + J) - center`` that
-    the engine step's ``Restriction.keeps`` forms.
-    Rates that divide by zero on floats are evaluated again on numpy
-    scalars.  Each chain's rates are checked as evaluated, so any inf, nan or
-    negative rate raises, and then the ball zeroes the jumps leaving it: the
-    engine step's order.  Phases are coded as in ``_PHASE_CODE``.
+    The loop runs free chains on Python ints and floats, with the coordinates
+    and jumps unrolled and the kernel's rate expressions inlined.  H takes
+    ``sum_i (sum_j (w_i M_ij) w_j)``, added left to right: the twin of
+    ``engine.m_form``.  Rates that divide by zero on floats are evaluated
+    again on numpy scalars.  Each chain's rates are checked as evaluated, so
+    any inf, nan or negative rate raises.  Phases are coded as in
+    ``_PHASE_CODE``.
     """
     loop = m.__dict__.get("pair_loop")
     if loop is not None:
         return loop
     d, n = m.d, len(m.jumps)
-    u, v, w, e, c, j = ([f"{p}{i}" for i in range(d)] for p in "uvwecj")
+    u, v, w, j = ([f"{p}{i}" for i in range(d)] for p in "uvwj")
     a, b, x = ([f"{p}{k}" for k in range(n)] for p in "abx")
 
     def tup(names):
@@ -268,21 +250,17 @@ def _pair_loop(m):
     def ind(lines, k=1):
         return ["    " * k + s for s in lines]
 
-    def mq(w, M):
-        rows = (" + ".join(f"{w[i]} * {M}{i}_{k} * {w[k]}" for k in range(d)) for i in range(d))
+    def mq(w):
+        rows = (" + ".join(f"{w[i]} * M{i}_{k} * {w[k]}" for k in range(d)) for i in range(d))
         return " + ".join(f"({r})" for r in rows)
 
-    def rates_of(name, z, r):  # rates at z / N into r, checked, then the ball restriction
+    def rates_of(name, z, r):  # rates at z / N into r, checked
         lines = ["try:", *ind(f"y{i} = {z[i]} / N" for i in range(d))]
         lines += ind(f"{rk} = {src}" for rk, src in zip(r, m.kernel.rate_src))
         ys = f"ys = [np.float64(y / N) for y in {tup(z)}]"
         lines += ["except ZeroDivisionError:", *ind([ys, f"{tup(r)} = [f(*ys) for f in rate_entries]"])]
         ok = " and ".join(f"0.0 <= {rk} < inf" for rk in r)
-        lines += [f"if not ({ok}):", f"    _bad_rate({name!r}, {tup(r)}, {tup(z)})", "if ball:"]
-        for k, J in enumerate(m.jumps):
-            lines += ind(f"{e[i]} = ({z[i]} + {J[i]}) - {c[i]}" for i in range(d))
-            lines += ind([f"if {mq(e, 'B')} > r2:", f"    {r[k]} = 0.0"])
-        return lines
+        return lines + [f"if not ({ok}):", f"    _bad_rate({name!r}, {tup(r)}, {tup(z)})"]
 
     def pick(r, body):  # body(k) for the first k whose running sum of r reaches acc
         lines = []
@@ -310,15 +288,13 @@ def _pair_loop(m):
         ]
 
     hnorm = [f"{w[i]} = {u[i]} - {v[i]}" for i in range(d)]
-    hnorm += [f"qf = {mq(w, 'M')}", "H = sqrt(qf) if qf > 0.0 else 0.0"]
+    hnorm += [f"qf = {mq(w)}", "H = sqrt(qf) if qf > 0.0 else 0.0"]
     ij = [f"{i}_{k}" for i in range(d) for k in range(d)]
     src = [
-        "def pair_loop(draw, N, U, V, H, K3, nuK3, horizon, rec, trace, M, ball):",
+        "def pair_loop(draw, N, U, V, H, K3, nuK3, horizon, rec, trace, M):",
         f"    {tup(u)} = U",
         f"    {tup(v)} = V",
         f"    {tup('M' + s for s in ij)} = M",
-        "    if ball:",
-        f"        {tup(c + ['r2'] + ['B' + s for s in ij])} = ball",
         "    phase = 2 if H == 0.0 else (1 if H <= K3 else 0)",
         "    coal = 0.0 if phase == 2 else inf",
         "    t = 0.0",
@@ -412,10 +388,6 @@ def simulate_coupled(
     N = opts.N
     U = _check_start(m, opts, U0)
     V = _check_start(m, opts, V0)
-    restr = opts.engine_restriction()
-    ball = None
-    if restr is not None:
-        ball = (*restr.center.tolist(), restr.radius**2, *restr.M.ravel().tolist())
     k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
@@ -423,7 +395,7 @@ def simulate_coupled(
     draw = _rng.uniforms(opts.seed, replicate, _rng.COUPLED)
     H, phases, coal, Us, Vs = _pair_loop(m)(
         draw, N, U.tolist(), V.tolist(), cert.m_norm(U - V), K3, nuK3, opts.horizon,
-        opts.record, trace_states, cert.M.ravel().tolist(), ball,
+        opts.record, trace_states, cert.M.ravel().tolist(),
     )
     shape = (len(opts.record), m.d)
     return CoupledTrace(
@@ -542,9 +514,7 @@ def _tail_lcb99(counts, reps):
 def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
     bound, plus the componentwise mean of m(T) (zero for a martingale).
-    K is the box ``_drift_box`` draws around the drift path from X0/N.  With
-    ``opts.restriction`` set the paths run restricted to its ball, and m is
-    compensated by the restricted chain's drift."""
+    K is the box ``_drift_box`` draws around the drift path from X0/N."""
     X0 = _check_start(m, opts, X0)
     if T > opts.horizon:
         raise ValueError("T must not exceed the horizon")
@@ -560,7 +530,6 @@ def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
         workers=workers,
         mode=engine.MARTINGALE,
         horizon=T,
-        restriction=opts.engine_restriction(),
         stop_box=box,
     )
     sup_m = out["sup_m"]

@@ -5,17 +5,17 @@ It steps numpy state vectors, evaluates the rates through the model's scalar
 kernel and draws its uniforms through ``rng.uniforms``.  Four things
 changed from that version, to the generated loop's definitions:
 
-* H and the restriction ball check use the explicit quadratic form ``_mq``,
-  added left to right.  The BLAS product ``w @ M @ w`` adds with fused
-  multiply-adds, which no Python expression reproduces.
+* H uses the explicit quadratic form ``_mq``, added left to right.  The
+  BLAS product ``w @ M @ w`` adds with fused multiply-adds, which no Python
+  expression reproduces.
 * H(0) is ``cert.m_norm(U0 - V0)``, the value callers compare against.
 * Rate totals are added left to right from the first rate, where ``sum``
   started from 0 (the two differ at most in the sign of a zero total).
 * Each chain's rates are checked as soon as they are evaluated (U's before
-  V's are evaluated), and only then does the restriction ball zero the
-  jumps that leave it, as in the engine step and the generator: an invalid
-  rate on a jump the ball switches off raises.  That version zeroed first
-  and checked after, so it ran on past such a rate.
+  V's are evaluated).
+
+The pairs are free chains: that version could also hold both chains in a
+restriction ball, which the generated loop no longer does.
 """
 
 import math
@@ -74,7 +74,6 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
     N = opts.N
     U = np.asarray(U0, dtype=np.int64).copy()
     V = np.asarray(V0, dtype=np.int64).copy()
-    restr = opts.engine_restriction()
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
 
@@ -83,19 +82,13 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
     M = cert.M.tolist()
     d = m.d
 
-    def ball_ok(Z, J):
-        if restr is None:
-            return True
-        w = (Z + J - restr.center).tolist()
-        return _mq(w, restr.M.tolist()) <= restr.radius**2
-
-    def held_rates(name, Z):
-        """The rates at Z, checked, then zero on the jumps that leave the ball."""
+    def checked_rates(name, Z):
+        """The rates at Z, checked."""
         rr = _rates_at(rates, Z, N)
         for v in rr:
             if not (v >= 0.0) or math.isinf(v):
                 raise SimulationError(f"invalid rate {v} for chain {name} at {Z.tolist()}")
-        return tuple(r if ball_ok(Z, J) else 0.0 for r, J in zip(rr, jumps))
+        return rr
 
     def Hnorm(w):
         return math.sqrt(max(0.0, _mq(w.tolist(), M)))
@@ -128,7 +121,7 @@ def simulate_coupled_reference(m, cert, opts, U0, V0, k2, nu, replicate=0, trace
         if phase == COALESCED and not trace_states:
             flush_records(math.inf)
             break
-        ru, rv = (held_rates(name, Z) for name, Z in (("U", U), ("V", V)))
+        ru, rv = (checked_rates(name, Z) for name, Z in (("U", U), ("V", V)))
 
         if phase == COALESCED:
             tot = _total(ru)

@@ -1,5 +1,5 @@
 """The expression-tree interpreter: the test oracle for the rate, drift and
-gradient code that ``model._compile_kernel`` generates from
+gradient code that ``model._kernel_code`` generates from
 ``expr.codegen``.
 
 It walks the tree in the generated code's operation order, with integer

@@ -11,18 +11,20 @@ array kernel on a single point, restricts them through the ball's
 import numpy as np
 
 from ddjump import engine, rng as _rng
+from ddjump.errors import DomainError
 from ddjump.simulate import Trajectory, _check_start
 from engine_reference import _running_sums
 
 
-def simulate_path_reference(m, opts, X0, replicate=0):
+def simulate_path_reference(m, opts, X0, replicate=0, restriction=None):
     """``simulate.simulate_path`` as a scalar loop, with the same arguments
     and results."""
     X0 = _check_start(m, opts, X0)
+    if restriction is not None and not restriction.contains(X0):
+        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
     N = opts.N
     rates_fn = engine.compile_rates(m)
     jumps = m.jump_array
-    restr = opts.engine_restriction()
     draw = _rng.uniforms(opts.seed, replicate, _rng.PATH)
 
     rec_times = opts.record
@@ -39,8 +41,8 @@ def simulate_path_reference(m, opts, X0, replicate=0):
         y = X.astype(float) / N
         r = rates_fn(y)
         engine._validate_rates(r[None, :], X[None, :], N)
-        if restr is not None:
-            r = np.where(restr.keeps(X[None, :], jumps)[0], r, 0.0)
+        if restriction is not None:
+            r = np.where(restriction.keeps(X[None, :], jumps)[0], r, 0.0)
         cum = _running_sums(r)
         tot = cum[-1]
         if tot <= 0.0:

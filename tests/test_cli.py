@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -144,21 +145,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rate",
+    "rate,message",
     [
-        "x1^1e400",
-        "(" * 600 + "x1" + ")" * 600,
-        "+".join(["x1"] * 201),  # 200 nested parentheses in the generated kernel
-        "+".join(["x1"] * 1500),
+        ("x1^1e400", "exponent 1e400 is not an integer in 0..999"),
+        ("(" * 600 + "x1" + ")" * 600, "too many nested parentheses"),
+        # 200 nested parentheses in the generated kernel
+        ("+".join(["x1"] * 201), "a rate is nested too deeply to compile: too many nested parentheses"),
+        ("+".join(["x1"] * 1500), "expression nested too deeply"),
+        # written out, about a million factors per kernel form
+        ("(x1^999)^999", "nested exponents multiply to 998001, above 999"),
     ],
-    ids=["huge-exponent", "600-parentheses", "201-terms", "1500-terms"],
+    ids=["huge-exponent", "600-parentheses", "201-terms", "1500-terms", "nested-exponents"],
 )
-def test_a_rate_past_the_language_limits_is_one_parse_error_line(tmp_path, capsys, rate):
+def test_a_rate_past_the_language_limits_is_one_parse_error_line(tmp_path, capsys, rate, message):
     p = tmp_path / "deep.cfg"
-    p.write_text(f"[dimension]\n1\n[jumps]\n1 : {rate}\n-1 : x1\n")
+    p.write_text(f"[dimension]\n1\n[jumps]\n-1 : x1\n1 : {rate}\n")
+    start = time.perf_counter()
     assert main(["validate", "--model", str(p)]) == 1
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "parse error" in err[0], err
+    assert err == [f"error: parse error: {message} in rate for jump (1,) (line 5)"]
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -543,6 +549,8 @@ def test_restriction_above_delta0_is_validation_error(sir_cfg, tmp_path, capsys)
         ]
     )
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^validation error: restriction delta 0\.5 must lie in \(0, delta0=[\d.]+\]$", err[0])
 
 
 # the options each subcommand reads

@@ -12,7 +12,7 @@ import ddjump.engine as engine
 from ddjump.equilibrium import build_restricted_generator
 from ddjump.errors import SimulationError
 from conftest import identity_certificate
-from coupling_reference import _mq, simulate_coupled_reference
+from coupling_reference import _mq
 from engine_reference import _drift, _restriction_mask, _running_sums, simulate_chunk_reference
 from path_reference import simulate_path_reference
 
@@ -196,7 +196,7 @@ def assert_same_path(new, ref):
 
 @st.composite
 def path_runs(draw):
-    """(model, SimOptions, X0, replicate) of one path."""
+    """(model, SimOptions, X0, replicate, restriction ball or None) of one path."""
     name = draw(st.sampled_from(sorted(MODELS)))
     m = MODELS[name]
     N = draw(st.sampled_from([5, 12, 30]))
@@ -207,24 +207,23 @@ def path_runs(draw):
     ends = draw(st.sampled_from([(), (0.0,), (horizon,), (0.0, horizon)]))
     restriction = None
     if draw(st.booleans()):
-        cert = identity_certificate(d=m.d, c=X0 / N)
-        restriction = (cert, draw(st.floats(0.2, 1.0)))
+        restriction = identity_certificate(d=m.d, c=X0 / N).ball(N, draw(st.floats(0.2, 1.0)))
     opts = dj.SimOptions(
         N=N,
         seed=draw(st.integers(0, 2**32 - 1)),
         horizon=horizon,
-        restriction=restriction,
         record=tuple(sorted(inner + list(ends))),
     )
-    return m, opts, X0, draw(st.integers(0, 5))
+    return m, opts, X0, draw(st.integers(0, 5)), restriction
 
 
 @settings(max_examples=150, deadline=None)
 @given(path_runs())
 def test_simulate_path_matches_scalar_reference_bitwise(run):
-    m, opts, X0, replicate = run
-    new = dj.simulate_path(m, opts, X0, replicate=replicate)
-    assert_same_path(new, simulate_path_reference(m, opts, X0, replicate=replicate))
+    m, opts, X0, replicate, restriction = run
+    new = dj.simulate_path(m, opts, X0, replicate=replicate, restriction=restriction)
+    ref = simulate_path_reference(m, opts, X0, replicate=replicate, restriction=restriction)
+    assert_same_path(new, ref)
 
 
 def test_path_whose_event_falls_on_the_horizon_matches_reference():
@@ -249,7 +248,7 @@ def test_run_paths_events_give_each_replicate_its_path(name):
     paths = [dj.simulate_path(m, opts, X0, replicate=r) for r in range(reps)]
     if name.startswith("pure_death"):
         assert any(p.absorbed for p in paths)
-    kw = dict(mode=engine.EVENTS, record_times=opts.record, horizon=horizon)
+    kw = dict(mode=engine.EVENTS, horizon=horizon)
     for workers, chunk in ((1, 1), (1, 3), (1, 7), (2, 1), (2, 3), (2, 7)):
         out = engine.run_paths(m, N, X0, seed, reps, workers=workers, chunk=chunk, **kw)
         assert np.array_equal(out["event_rep"], np.repeat(np.arange(reps), [len(p.times) - 1 for p in paths]))
@@ -257,7 +256,6 @@ def test_run_paths_events_give_each_replicate_its_path(name):
             mine = out["event_rep"] == r
             assert out["event_t"][mine].tobytes() == path.times[1:].tobytes()
             assert np.array_equal(out["event_X"][mine], path.states[1:])
-            assert np.array_equal(out["records"][r], path.recorded)
             assert out["absorbed"][r] == path.absorbed
 
 
@@ -339,14 +337,10 @@ def test_an_invalid_rate_at_a_lattice_state_is_a_simulation_error(caller, rate, 
 # sampler checks the rates before the ball zeroes that jump, so each raises
 OFF_JUMP_NAN = "[dimension]\n1\n[jumps]\n1 : 1 + 0 / (x1 - 1.5)\n-1 : x1\n"
 RESTRICTED_RATE_CALLERS = {
-    "engine step": lambda m, cert, opts: dj.sample_states(m, opts, np.array([15]), reps=4),
-    "restricted generator": lambda m, cert, opts: build_restricted_generator(m, 10, cert, 0.5),
-    "pair loop": lambda m, cert, opts: dj.simulate_coupled(
-        m, cert, opts, np.array([15]), np.array([6]), k2=1.0, nu=2.0
+    "engine step": lambda m, cert: dj.simulate_path(
+        m, dj.SimOptions(N=10, seed=0, horizon=5.0), np.array([15]), restriction=cert.ball(10, 0.5)
     ),
-    "pair oracle": lambda m, cert, opts: simulate_coupled_reference(
-        m, cert, opts, np.array([15]), np.array([6]), k2=1.0, nu=2.0
-    ),
+    "restricted generator": lambda m, cert: build_restricted_generator(m, 10, cert, 0.5),
 }
 
 
@@ -354,10 +348,9 @@ RESTRICTED_RATE_CALLERS = {
 def test_an_invalid_rate_on_a_jump_the_ball_switches_off_raises(caller):
     m = dj.parse_model(OFF_JUMP_NAN)
     cert = identity_certificate(d=1, c=(1.0,))
-    opts = dj.SimOptions(N=10, seed=0, horizon=5.0, record=(0.0, 5.0), restriction=(cert, 0.5))
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(SimulationError, match=r" at (state )?\[15\]( \(N=10\))?$"):
-            RESTRICTED_RATE_CALLERS[caller](m, cert, opts)
+        with pytest.raises(SimulationError, match=r"^non-finite rate at state \[15\] \(N=10\)$"):
+            RESTRICTED_RATE_CALLERS[caller](m, cert)
 
 
 @st.composite
@@ -379,8 +372,8 @@ def balls(draw):
 @settings(max_examples=300, deadline=None)
 @given(balls())
 def test_ball_form_is_the_pair_loop_form_bit_for_bit(case):
-    # the generated pair loop is pinned to coupling_reference._mq, so this
-    # ties its H and ball check to the ball's arithmetic
+    # the generated pair loop's H is pinned to coupling_reference._mq, so
+    # this ties it to the ball's arithmetic
     ball, X, J = case
     M, centre, r2 = ball.M.tolist(), ball.center.tolist(), ball.radius**2
     q = engine.m_form(ball.M, (X - ball.center).T)

@@ -12,7 +12,9 @@ scalar uniforms.  A third sampler fails the guard below.  Likewise, only the
 engine reads the kernel's array rates, apart from ``certify``'s radius check,
 and only the engine step asks the restriction ball jump by jump
 (``Restriction.keeps``): the generator reads its held chain by membership in
-the enumerated states, so the ball is not read a second time there.
+the enumerated states, so the ball is not read a second time there.  Only
+``simulate_path`` and ``stationary_empirical`` hand the engine a
+restriction; every other simulator runs the free chain.
 
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
@@ -23,6 +25,7 @@ The rate parser hands Python's parser a stand-in text and converts its tree;
 rate text is ever run."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -242,6 +245,46 @@ def test_only_the_engine_step_asks_the_ball_which_jumps_it_keeps():
 def test_the_guard_sees_a_second_ball_reading():
     src = "def build_generator(m, N, states, ball):\n    return ball.keeps(states, m.jump_array)\n"
     assert _attribute_reads(ast.parse(src), "keeps") == ["build_generator"]
+
+
+def _restricted_engine_calls(tree):
+    """The innermost function ("" at module top) around every call of
+    ``simulate_chunk`` or ``run_paths``, by name or attribute, that passes
+    ``restriction=``."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("simulate_chunk", "run_paths") and any(k.arg == "restriction" for k in node.keywords):
+                found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_path_and_the_sampled_stationary_law_run_a_restricted_chain():
+    calls = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in _restricted_engine_calls(ast.parse(path.read_text()))
+    }
+    assert calls == {("simulate.py", "simulate_path"), ("equilibrium.py", "stationary_empirical")}
+    assert [f.name for f in dataclasses.fields(ddjump.SimOptions)] == ["N", "seed", "horizon", "record"]
+
+
+def test_the_guard_sees_a_third_restricted_caller():
+    src = (
+        "def sample_states(m, opts, X0, reps, ball):\n"
+        "    out = engine.run_paths(m, opts.N, X0, opts.seed, reps, restriction=ball)\n"
+        "    free = run_paths(m, opts.N, X0, opts.seed, reps)\n"
+        "    return simulate_chunk(m, 10, X0, 0, 0, 1, restriction=None)\n"
+    )
+    assert _restricted_engine_calls(ast.parse(src)) == ["sample_states", "sample_states"]
 
 
 def _is_M(node):

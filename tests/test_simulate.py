@@ -77,20 +77,13 @@ def test_determinism_independent_of_chunk_and_workers(sir):
 def test_restricted_path_stays_in_ball(sir, cert05):
     N = 100
     delta = cert05.delta0 / 2
-    opts = dj.SimOptions(
-        N=N, seed=1, horizon=3.0, restriction=(cert05, delta), record=(0.5, 1.5, 2.5)
-    )
+    opts = dj.SimOptions(N=N, seed=1, horizon=3.0, record=(0.5, 1.5, 2.5))
     X0 = np.round(N * cert05.c).astype(np.int64)
-    tr = dj.simulate_path(sir, opts, X0)
+    tr = dj.simulate_path(sir, opts, X0, restriction=cert05.ball(N, delta))
     for X in tr.recorded:
         assert cert05.m_norm(X - N * cert05.c) <= N * delta + 1e-9
     for X in tr.states:
         assert cert05.m_norm(X - N * cert05.c) <= N * delta + 1e-9
-
-
-def test_restriction_delta_validated(cert05):
-    with pytest.raises(ValueError):
-        dj.SimOptions(N=10, seed=0, horizon=1.0, restriction=(cert05, cert05.delta0 * 2))
 
 
 @pytest.mark.parametrize(
@@ -104,9 +97,9 @@ def test_record_times_must_be_finite_and_within_the_horizon(horizon, record):
 
 
 def test_start_outside_restriction_rejected(sir, cert05):
-    opts = dj.SimOptions(N=100, seed=0, horizon=1.0, restriction=(cert05, cert05.delta0))
-    with pytest.raises(DomainError):
-        dj.simulate_path(sir, opts, np.array([100, 100]))
+    opts = dj.SimOptions(N=100, seed=0, horizon=1.0)
+    with pytest.raises(DomainError, match=r"^start \[100, 100\] outside the restriction ball$"):
+        dj.simulate_path(sir, opts, np.array([100, 100]), restriction=cert05.ball(100, cert05.delta0))
 
 
 def test_absorbing_state_held_and_flagged():
@@ -448,11 +441,6 @@ def coupled_runs(draw, cases):
 
     U0 = start()
     V0 = U0.copy() if draw(st.integers(0, 4)) == 0 else start()
-    restriction = None
-    if draw(st.booleans()):
-        restriction = (cert, cert.delta0 * draw(st.floats(0.3, 1.0)))
-        r = N * restriction[1]
-        U0, V0 = (Z if cert.m_norm(Z - N * cert.c) <= r else centre for Z in (U0, V0))
     horizon = draw(st.sampled_from([0.5, 1.5, 3.0]))
     inner = draw(st.lists(st.floats(0.0, horizon), max_size=12))
     ends = draw(st.sampled_from([(), (0.0,), (horizon,), (0.0, horizon)]))
@@ -460,7 +448,6 @@ def coupled_runs(draw, cases):
         N=N,
         seed=draw(st.integers(0, 2**32 - 1)),
         horizon=horizon,
-        restriction=restriction,
         record=sorted(inner + list(ends)),
     )
     kwargs = {
@@ -617,24 +604,6 @@ def test_exit_rate_sup_with_a_nan_in_the_ball_is_a_rate_error():
     cert = identity_certificate(d=1, c=(1.0,))
     with pytest.raises(RateError, match=r"^invalid rate nan for jump \(1,\) at \["):
         dj.exit_probability(m, cert, 20, 0.3, 0.6, T=0.0, reps=10, seed=0)
-
-
-def test_martingale_deviation_runs_the_restricted_chain(sir, cert05):
-    # most free paths leave the ball B_M(Nc, N delta0) by t = 0.5, so the
-    # restricted and the free chain's martingales differ
-    N, T, reps, seed = 1000, 0.5, 64, 3
-    X0 = np.round(N * cert05.c).astype(np.int64)
-    held = dj.SimOptions(N=N, seed=seed, horizon=T, restriction=(cert05, cert05.delta0))
-    free = dj.SimOptions(N=N, seed=seed, horizon=T)
-    rep = dj.martingale_deviation(sir, held, X0, T=T, reps=reps, z_grid=(0.01, 0.05))
-    out = engine.run_paths(
-        sir, N, X0, seed, reps, mode=engine.MARTINGALE, horizon=T,
-        restriction=held.engine_restriction(), stop_box=simulate._drift_box(sir, N, X0, T),
-    )
-    assert rep.mean_final.tobytes() == out["final_m"].mean(axis=0).tobytes()
-    assert rep.tail.tolist() == [(out["sup_m"] >= z).mean() for z in (0.01, 0.05)]
-    rep_free = dj.martingale_deviation(sir, free, X0, T=T, reps=reps, z_grid=(0.01, 0.05))
-    assert not np.array_equal(rep.mean_final, rep_free.mean_final)
 
 
 @pytest.mark.parametrize("reps", [1, 2, 100, 8192])
