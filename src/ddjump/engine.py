@@ -17,6 +17,10 @@ coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
 ``np.add.reduce`` adds pairwise along a contiguous axis (one live replicate's
 (k, 1) rates) and from 8 terms on moved the last bit in 60-200 of 200 cases.
 
+Every start is checked here: ``simulate_chunk`` checks the starts of its
+chunk with ``check_starts``, which only callers using a start outside the
+engine call themselves.
+
 The M-form ``m_form`` and the lattice ball ``Restriction`` sit here with the
 ball's box, enumeration and uniform point draw, below every module using them.
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CapExceededError, SimulationError
+from .errors import CapExceededError, DomainError, SimulationError
 
 RECORDS = "records"
 EVENTS = "events"
@@ -38,6 +42,7 @@ MARTINGALE = "martingale"
 EXIT = "exit"
 
 STATE_CAP = 200_000  # default cap on the states of an enumerated ball
+BLOCK = 1024  # uniforms drawn per replicate at each refill of a chunk
 
 
 def compile_rates(model):
@@ -128,6 +133,25 @@ def _draw_ball_points(m, cert, ball, N, n, rng):
     return np.concatenate(kept)[:n]
 
 
+def check_starts(model, N, X, restriction=None):
+    """The start ``X`` (shape (d,)), or the starts in the rows of ``X`` (shape
+    (n, d)), as int64, after the one start check: the shape, the domain at
+    ``N`` and, given a ``restriction``, its ball.  Of several bad starts the
+    lowest-index one is named, whatever the chunking."""
+    X = np.asarray(X, dtype=np.int64)
+    d = model.d
+    if X.ndim not in (1, 2) or X.shape[-1] != d:
+        raise ValueError(f"start has shape {X.shape}, expected {(d,) if X.ndim != 2 else (len(X), d)}")
+    rows = X.reshape(-1, d)
+    inside = model.domain._inside(rows / N)
+    held = inside if restriction is None else inside & restriction.contains(rows)
+    if not held.all():
+        i = int(np.argmin(held))
+        where = f"domain at N={N}" if not inside[i] else "the restriction ball"
+        raise DomainError(f"start {rows[i].tolist()} outside {where}")
+    return X
+
+
 def lattice_rates(model, X, N):
     """``r[n, k] = r_k(X[n] / N)`` at the lattice states ``X``, checked like the
     step's rates: the one source of lattice rate arrays outside the step."""
@@ -208,7 +232,6 @@ def simulate_chunk(
     restriction=None,
     stop_box=None,
     exit_ball=None,
-    block=1024,
 ):
     """Advance replicates [rep_lo, rep_hi) and collect per-mode statistics.
 
@@ -224,6 +247,8 @@ def simulate_chunk(
         Not censored: a replicate stops at its first event that exits or
         falls at or past ``horizon``, so ``exit_time`` can pass the horizon.
     An absorbed replicate takes no event, so it never exits.
+    ``X0`` is one start (d,) or one per replicate (reps, d); ``check_starts``
+    checks the chunk's starts.
     """
     if mode not in (RECORDS, EVENTS, MARTINGALE, EXIT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -234,7 +259,8 @@ def simulate_chunk(
     rates_fn = compile_rates(model)
 
     X0 = np.asarray(X0, dtype=np.int64)
-    X = np.repeat(X0[:, None], n, axis=1) if X0.ndim == 1 else X0[rep_lo:rep_hi].T.copy()
+    X0 = check_starts(model, N, X0[rep_lo:rep_hi] if X0.ndim == 2 else X0, restriction)
+    X = np.repeat(X0[:, None], n, axis=1) if X0.ndim == 1 else X0.T.copy()
     # the live replicates, in row order; compacted on the steps where some retire
     live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}
     absorbed = np.zeros(n, dtype=bool)
@@ -263,13 +289,13 @@ def simulate_chunk(
     # uniforms stored (draw, replicate): a draw is one row of ``bufs``, gathered
     # by the live replicates' columns ("slot")
     gens = [_rng.substream(seed, rep_lo + i, _rng.PATH) for i in range(n)]
-    bufs = np.empty((block, n))
+    bufs = np.empty((BLOCK, n))
     live["slot"] = _draw_blocks(bufs, gens, live["row"])
     col = 0
 
     while live["row"].size:
         row = live["row"]
-        if col + 2 > block:
+        if col + 2 > BLOCK:
             live["slot"] = _draw_blocks(bufs, gens, row)
             col = 0
         X, t = live["X"], live["t"]

@@ -102,17 +102,8 @@ class Model:
             raise DimensionMismatchError("dimension must be >= 1")
         if not self.jumps:
             raise ConfigError("a model needs at least one jump")
-        seen = set()
-        for J in self.jumps:
-            if len(J) != self.d:
-                raise DimensionMismatchError(
-                    f"jump {J} has dimension {len(J)}, expected {self.d}"
-                )
-            if all(v == 0 for v in J):
-                raise ConfigError(f"jump {J} is the zero vector")
-            if J in seen:
-                raise ConfigError(f"duplicate jump {J}")
-            seen.add(J)
+        for k, J in enumerate(self.jumps):
+            check_jump(self.d, J, self.jumps[:k])
         # not a field: pickles carry only the fields; __setstate__ recompiles
         object.__setattr__(self, "kernel", _compile_kernel(self))
 
@@ -127,6 +118,17 @@ class Model:
         for k, v in state.items():
             object.__setattr__(self, k, v)
         object.__setattr__(self, "kernel", _compile_kernel(self))
+
+
+def check_jump(d, J, earlier):
+    """The jump rule: ``J`` has ``d`` coordinates, is not the zero vector and
+    is none of the ``earlier`` jumps.  ``parse_model`` adds the line."""
+    if len(J) != d:
+        raise DimensionMismatchError(f"jump {J} has dimension {len(J)}, expected {d}")
+    if all(v == 0 for v in J):
+        raise ConfigError(f"jump {J} is the zero vector")
+    if J in earlier:
+        raise ConfigError(f"duplicate jump {J}")
 
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
@@ -148,7 +150,8 @@ def parse_model(text):
     """
     sections = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    raws = text.splitlines()
+    for lineno, raw in enumerate(raws, start=1):
         line = _strip(raw)
         if not line:
             continue
@@ -203,19 +206,22 @@ def parse_model(text):
         if ":" not in line:
             raise ConfigError(f"jump line needs '<integers> : <rate>': {line!r}", line=lineno)
         vec_part, rate_part = line.split(":", 1)
-        toks = vec_part.split()
-        if len(toks) != d:
-            raise DimensionMismatchError(
-                f"jump has {len(toks)} coordinates, expected {d}", line=lineno
-            )
         try:
-            J = tuple(int(t) for t in toks)
+            J = tuple(int(t) for t in vec_part.split())
         except ValueError:
             raise ConfigError(f"jump coordinates must be integers: {vec_part.strip()!r}", line=lineno) from None
         try:
+            check_jump(d, J, jumps)
+        except ConfigError as e:
+            raise type(e)(e.args[0], line=lineno) from None
+        try:
             node = ex.parse_expr(rate_part.strip(), d, params.keys())
         except ConfigError as e:
-            raise type(e)(f"{e.args[0]} in rate for jump {J}", line=lineno) from None
+            # parse_expr's column is in the stripped rate; report it in the line as written
+            raw = raws[lineno - 1]
+            at = len(raw) - len(raw.lstrip()) + len(vec_part) + 1 + len(rate_part) - len(rate_part.lstrip())
+            col = None if e.col is None else at + e.col
+            raise type(e)(f"{e.args[0]} in rate for jump {J}", line=lineno, col=col) from None
         jumps.append(J)
         rate_exprs.append(node)
         rate_lines.append(lineno)

@@ -22,7 +22,7 @@ from .dist import LatticeDistribution
 from .dynamics import _drift_slack, _m_directions, _sample_ball, _slack_threshold
 from .dynamics import integrate_ode, m_sphere_map
 from .engine import _draw_ball_points, enumerate_ball
-from .errors import CapExceededError, DomainError, RateError, SimulationError
+from .errors import CapExceededError, RateError, SimulationError
 from .lattice import classify_jumps
 from .model import eval_jacobian
 
@@ -75,15 +75,6 @@ class Trajectory:
     absorbed: bool
 
 
-def _check_start(m, opts, X0):
-    X0 = np.asarray(X0, dtype=np.int64)
-    if X0.shape != (m.d,):
-        raise ValueError(f"start has shape {X0.shape}, expected ({m.d},)")
-    if not m.domain.contains(X0 / opts.N):
-        raise DomainError(f"start {X0.tolist()} outside domain at N={opts.N}")
-    return X0
-
-
 def simulate_path(m, opts, X0, replicate=0, restriction=None):
     """Exact Gillespie path, deterministic given (seed, replicate, X0, opts).
 
@@ -91,18 +82,16 @@ def simulate_path(m, opts, X0, replicate=0, restriction=None):
     per event (waiting time, jump pick) from the stream (seed, replicate,
     PATH).  A state with zero total rate is held to the horizon and flagged
     absorbed.  ``restriction``, a ball such as ``cert.ball(N, delta)``,
-    switches off every jump that would leave it; the start must lie in it.
-    The record at time s is the state after every event at or before s.
+    switches off every jump that would leave it.  The engine checks the
+    start: it must lie in the domain and in the ball.  The record at time s
+    is the state after every event at or before s.
     """
-    X0 = _check_start(m, opts, X0)
-    if restriction is not None and not restriction.contains(X0):
-        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
     out = engine.simulate_chunk(
         m, opts.N, X0, opts.seed, rep_lo=replicate, rep_hi=replicate + 1, mode=engine.EVENTS,
         horizon=opts.horizon, restriction=restriction,
     )
     times = np.concatenate([[0.0], out["event_t"]])
-    states = np.concatenate([X0[None, :], out["event_X"]])
+    states = np.concatenate([np.asarray(X0, dtype=np.int64)[None, :], out["event_X"]])
     return Trajectory(
         times=times,
         states=states,
@@ -119,16 +108,8 @@ def sample_states(m, opts, X0, reps, workers=1):
     Replicate r uses the stream (seed, r, PATH); outputs are independent of
     worker count and chunking.
     """
-    X0 = _check_start(m, opts, X0)
     out = engine.run_paths(
-        m,
-        opts.N,
-        X0,
-        opts.seed,
-        reps,
-        workers=workers,
-        mode=engine.RECORDS,
-        record_times=opts.record,
+        m, opts.N, X0, opts.seed, reps, workers=workers, mode=engine.RECORDS, record_times=opts.record
     )
     return out["records"]
 
@@ -386,8 +367,8 @@ def simulate_coupled(
     ``cert.m_norm(U0 - V0)``.
     """
     N = opts.N
-    U = _check_start(m, opts, U0)
-    V = _check_start(m, opts, V0)
+    U = engine.check_starts(m, N, U0)
+    V = engine.check_starts(m, N, V0)
     k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
@@ -427,7 +408,7 @@ def coupled_ensemble(m, cert, opts, U0, V0, reps, k2=None, nu=None, workers=1, c
     Pair r is ``simulate_coupled`` at replicate r, so the results do not
     depend on ``chunk`` or ``workers``.
     """
-    U0, V0 = _check_start(m, opts, U0), _check_start(m, opts, V0)
+    U0, V0 = engine.check_starts(m, opts.N, U0), engine.check_starts(m, opts.N, V0)
     k2, nu = _default_k2_nu(m, cert, opts.N, opts.seed, k2, nu)
     shared = (m, cert, opts, U0, V0, k2, nu)
     parts = engine.map_chunks(_coupled_chunk, shared, reps, chunk, workers)
@@ -515,22 +496,14 @@ def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
     bound, plus the componentwise mean of m(T) (zero for a martingale).
     K is the box ``_drift_box`` draws around the drift path from X0/N."""
-    X0 = _check_start(m, opts, X0)
+    X0 = engine.check_starts(m, opts.N, X0)
     if T > opts.horizon:
         raise ValueError("T must not exceed the horizon")
     box = _drift_box(m, opts.N, X0, T)
     Rstar = _sup_total_rate(m, _box_mesh(box))
     Jstar = float(np.max(np.linalg.norm(m.jump_array.astype(float), axis=1)))
     out = engine.run_paths(
-        m,
-        opts.N,
-        X0,
-        opts.seed,
-        reps,
-        workers=workers,
-        mode=engine.MARTINGALE,
-        horizon=T,
-        stop_box=box,
+        m, opts.N, X0, opts.seed, reps, workers=workers, mode=engine.MARTINGALE, horizon=T, stop_box=box
     )
     sup_m = out["sup_m"]
     final = out["final_m"]
@@ -609,22 +582,15 @@ def _exit_starts(start_ball, Linv_T, reps, seed):
 
 def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     """Empirical P[tau_1(delta) <= T] from lattice starts near the sphere of
-    M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps')."""
+    M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps').  The
+    engine checks the starts, which can reach past the domain; at T = 0 no path runs."""
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
     d = m.d
     starts = _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed)
     if T > 0:
         out = engine.run_paths(
-            m,
-            N,
-            starts,
-            seed,
-            reps,
-            workers=workers,
-            mode=engine.EXIT,
-            horizon=T,
-            exit_ball=cert.ball(N, delta),
+            m, N, starts, seed, reps, workers=workers, mode=engine.EXIT, horizon=T, exit_ball=cert.ball(N, delta)
         )
         hits = (out["exited"]) & (out["exit_time"] <= T)
         p = float(hits.mean())

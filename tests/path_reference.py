@@ -11,17 +11,14 @@ array kernel on a single point, restricts them through the ball's
 import numpy as np
 
 from ddjump import engine, rng as _rng
-from ddjump.errors import DomainError
-from ddjump.simulate import Trajectory, _check_start
+from ddjump.simulate import Trajectory
 from engine_reference import _running_sums
 
 
 def simulate_path_reference(m, opts, X0, replicate=0, restriction=None):
     """``simulate.simulate_path`` as a scalar loop, with the same arguments
     and results."""
-    X0 = _check_start(m, opts, X0)
-    if restriction is not None and not restriction.contains(X0):
-        raise DomainError(f"start {X0.tolist()} outside the restriction ball")
+    X0 = engine.check_starts(m, opts.N, X0, restriction)
     N = opts.N
     rates_fn = engine.compile_rates(m)
     jumps = m.jump_array

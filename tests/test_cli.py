@@ -147,13 +147,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "rate,message",
     [
-        ("x1^1e400", "exponent 1e400 is not an integer in 0..999"),
-        ("(" * 600 + "x1" + ")" * 600, "too many nested parentheses"),
+        # a column is the rate's place in the config line "1 : <rate>"
+        ("x1^1e400", "exponent 1e400 is not an integer in 0..999 in rate for jump (1,) (line 5, col 8)"),
+        ("(" * 600 + "x1" + ")" * 600, "too many nested parentheses in rate for jump (1,) (line 5, col 205)"),
         # 200 nested parentheses in the generated kernel
-        ("+".join(["x1"] * 201), "a rate is nested too deeply to compile: too many nested parentheses"),
-        ("+".join(["x1"] * 1500), "expression nested too deeply"),
+        (
+            "+".join(["x1"] * 201),
+            "a rate is nested too deeply to compile: too many nested parentheses in rate for jump (1,) (line 5)",
+        ),
+        ("+".join(["x1"] * 1500), "expression nested too deeply in rate for jump (1,) (line 5)"),
         # written out, about a million factors per kernel form
-        ("(x1^999)^999", "nested exponents multiply to 998001, above 999"),
+        ("(x1^999)^999", "nested exponents multiply to 998001, above 999 in rate for jump (1,) (line 5, col 14)"),
     ],
     ids=["huge-exponent", "600-parentheses", "201-terms", "1500-terms", "nested-exponents"],
 )
@@ -164,7 +168,7 @@ def test_a_rate_past_the_language_limits_is_one_parse_error_line(tmp_path, capsy
     assert main(["validate", "--model", str(p)]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: parse error: {message} in rate for jump (1,) (line 5)"]
+    assert err == [f"error: parse error: {message}"]
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -2,6 +2,8 @@
 reference (``engine_reference``), and its ``events`` mode, which runs
 ``simulate_path``, against the scalar Gillespie loop (``path_reference``)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,13 @@ def assert_same(new, ref):
         assert new[key].dtype == ref[key].dtype, key
         assert new[key].shape == ref[key].shape, key
         assert np.array_equal(new[key], ref[key], equal_nan=True), key
+
+
+def chunk_at_block(*args, block, **kw):
+    """``engine.simulate_chunk`` refilling ``block`` uniforms at a time, so
+    that a short chunk crosses refills as the reference's ``block`` does."""
+    with mock.patch.object(engine, "BLOCK", block):
+        return engine.simulate_chunk(*args, **kw)
 
 
 @st.composite
@@ -101,7 +110,7 @@ ON_SPHERE = engine.Restriction(M=M_OF_DIM[2], center=np.array([12.0, 12.0]), rad
 )
 def test_chunk_matches_reference_bitwise(run):
     m, N, X0, seed, rep_lo, rep_hi, kw = run
-    new = engine.simulate_chunk(m, N, X0, seed, rep_lo, rep_hi, **kw)
+    new = chunk_at_block(m, N, X0, seed, rep_lo, rep_hi, **kw)
     ref = simulate_chunk_reference(m, N, X0, seed, rep_lo, rep_hi, **kw)
     assert_same(new, ref)
 
@@ -169,7 +178,7 @@ def test_one_live_replicate_with_nine_jumps_matches_the_oracles(N):
     ]
     for rep in range(12):
         for kw in kws:
-            new = engine.simulate_chunk(NINE_JUMPS, N, X0, 17, rep, rep + 1, block=8, **kw)
+            new = chunk_at_block(NINE_JUMPS, N, X0, 17, rep, rep + 1, block=8, **kw)
             assert_same(new, simulate_chunk_reference(NINE_JUMPS, N, X0, 17, rep, rep + 1, block=8, **kw))
         opts = dj.SimOptions(N=N, seed=17, horizon=2.0, record=(0.0, 0.9))
         ref = simulate_path_reference(NINE_JUMPS, opts, X0, replicate=rep)

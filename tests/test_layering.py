@@ -16,6 +16,11 @@ the enumerated states, so the ball is not read a second time there.  Only
 ``simulate_path`` and ``stationary_empirical`` hand the engine a
 restriction; every other simulator runs the free chain.
 
+A start is checked by one function, ``engine.check_starts``: the engine
+checks the starts of every chunk it runs, and only the three functions that
+use a start outside the engine or before it runs (the coupled pair and its
+ensemble, and the martingale bound's drift box) call it themselves.
+
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
 alike.
@@ -285,6 +290,67 @@ def test_the_guard_sees_a_third_restricted_caller():
         "    return simulate_chunk(m, 10, X0, 0, 0, 1, restriction=None)\n"
     )
     assert _restricted_engine_calls(ast.parse(src)) == ["sample_states", "sample_states"]
+
+
+def _start_checks(tree):
+    """(function, kind) of every definition of ``check_starts`` ("def") and
+    every call of it by name or attribute ("call"), with the innermost
+    enclosing function ("" at module top), and of every raise whose message
+    begins with "start " ("raise"), which a copy of the check would hold."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "check_starts":
+                found.append((node.name, "def"))
+            fn = node.name
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_starts":
+                found.append((fn, "call"))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            text = node.exc.args[0]
+            first = text.values[0] if isinstance(text, ast.JoinedStr) and text.values else text
+            if isinstance(first, ast.Constant) and str(first.value).startswith("start "):
+                found.append((fn, "raise"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_start_check_called_by_the_engine_and_three_callers():
+    sites = {
+        (path.name, fn, kind)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, kind in _start_checks(ast.parse(path.read_text()))
+    }
+    assert {s for s in sites if s[2] != "call"} == {
+        ("engine.py", "check_starts", "def"), ("engine.py", "check_starts", "raise")
+    }
+    assert {s[:2] for s in sites if s[2] == "call"} == {
+        ("engine.py", "simulate_chunk"),
+        ("simulate.py", "simulate_coupled"),
+        ("simulate.py", "coupled_ensemble"),
+        ("simulate.py", "martingale_deviation"),
+    }
+    assert not hasattr(ddjump.simulate, "_check_start")
+
+
+def test_the_guard_sees_a_third_start_check():
+    src = (
+        "def sample_states(m, opts, X0, reps):\n"
+        "    X0 = engine.check_starts(m, opts.N, X0)\n"
+        "    if not restriction.contains(X0):\n"
+        "        raise DomainError(f'start {X0} outside the restriction ball')\n"
+        "    return check_starts(m, opts.N, X0)\n"
+        "def _check_start(m, N, X0):\n"
+        "    raise ValueError('start has the wrong shape')\n"
+    )
+    assert _start_checks(ast.parse(src)) == [
+        ("sample_states", "call"), ("sample_states", "raise"), ("sample_states", "call"),
+        ("_check_start", "raise"),
+    ]
 
 
 def _is_M(node):

@@ -64,6 +64,37 @@ def test_zero_jump_rejected():
         dj.parse_model("[dimension]\n2\n[jumps]\n0 0 : 1\n")
 
 
+@pytest.mark.parametrize(
+    "jumps,kind,message,line",
+    [
+        ("1 : x1\n1 : 2\n", ConfigError, "duplicate jump (1,)", 5),
+        ("1 : x1\n0 : x1\n", ConfigError, "jump (0,) is the zero vector", 5),
+        ("1 : x1\n1 2 : x1\n", DimensionMismatchError, "jump (1, 2) has dimension 2, expected 1", 5),
+    ],
+)
+def test_a_jump_error_names_its_line(jumps, kind, message, line):
+    with pytest.raises(kind) as ei:
+        dj.parse_model("[dimension]\n1\n[jumps]\n" + jumps)
+    assert (str(ei.value), ei.value.line) == (f"{message} (line {line})", line)
+
+
+def test_a_jump_error_from_the_model_has_no_line():
+    # the one jump rule, called without a config
+    with pytest.raises(ConfigError, match=r"^duplicate jump \(1,\)$"):
+        dj.Model(d=1, jumps=((1,), (1,)), rate_exprs=(), params={}, domain=dj.Domain.unbounded(1))
+
+
+@pytest.mark.parametrize(
+    "line,col",
+    [("1 : x1 +* 2", 9), ("  1 :   x1 +* 2  # note", 13), ("1 : q * x1", 5), ("\t1:x1 $", 7)],
+)
+def test_a_rate_error_names_its_column_in_the_config_line(line, col):
+    with pytest.raises(ConfigError) as ei:
+        dj.parse_model(f"[dimension]\n1\n[jumps]\n{line}\n")
+    assert (ei.value.line, ei.value.col) == (4, col)
+    assert str(ei.value).endswith(f" in rate for jump (1,) (line 4, col {col})")
+
+
 def test_default_domain_is_nonnegative_orthant():
     m = dj.parse_model("[dimension]\n2\n[jumps]\n1 0 : 1\n")
     assert m.domain.contains((0.0, 0.0))

@@ -102,6 +102,52 @@ def test_start_outside_restriction_rejected(sir, cert05):
         dj.simulate_path(sir, opts, np.array([100, 100]), restriction=cert05.ball(100, cert05.delta0))
 
 
+# a walk on x1 >= 0 whose rates never vanish, so a start below 0 runs unless
+# it is checked
+WALK = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n-1 : 1\n")
+OFF_DOMAIN = r"^start \[-5\] outside domain at N=10$"
+WALK_OPTS = dj.SimOptions(N=10, seed=1, horizon=1.0, record=(1.0,))
+OFF_DOMAIN_RUNS = {
+    "simulate_path": lambda: dj.simulate_path(WALK, WALK_OPTS, np.array([-5])),
+    "sample_states": lambda: dj.sample_states(WALK, WALK_OPTS, np.array([-5]), reps=4),
+    "martingale_deviation": lambda: dj.martingale_deviation(
+        WALK, WALK_OPTS, np.array([-5]), T=1.0, reps=4, z_grid=(0.1,)
+    ),
+    # the start sphere of radius N delta' = 15 about N c = 10 reaches -5
+    "exit_probability": lambda: dj.exit_probability(
+        WALK, identity_certificate(d=1, c=(1.0,)), 10, 1.5, 2.0, T=1.0, reps=8, seed=1
+    ),
+    "run_paths exit": lambda: engine.run_paths(
+        WALK, 10, np.array([[10], [-5], [-6]]), 1, 3, mode=engine.EXIT, horizon=1.0,
+        exit_ball=identity_certificate(d=1, c=(1.0,)).ball(10, 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(OFF_DOMAIN_RUNS))
+def test_an_off_domain_start_is_one_domain_error_everywhere(run):
+    with pytest.raises(DomainError, match=OFF_DOMAIN):
+        OFF_DOMAIN_RUNS[run]()
+
+
+def test_exit_probability_checks_its_starts():
+    # the starts round N c +- N delta' = 25 and -5; -5 lies off x1 >= 0
+    starts = _exit_starts(identity_certificate(d=1, c=(1.0,)).ball(10, 1.5), m_sphere_map(np.eye(1)), 8, 1)
+    assert sorted(set(starts[:, 0].tolist())) == [-5, 25]
+    with pytest.raises(DomainError, match=OFF_DOMAIN):
+        dj.exit_probability(WALK, identity_certificate(d=1, c=(1.0,)), 10, 1.5, 2.0, T=1.0, reps=8, seed=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_lowest_bad_start_is_named_at_any_worker_count(workers):
+    # two chunks of two, each with a bad start; the first chunk's is named
+    X0 = np.array([[10], [-5], [12], [-6]])
+    with pytest.raises(DomainError, match=OFF_DOMAIN):
+        engine.run_paths(WALK, 10, X0, 1, 4, workers=workers, chunk=2, record_times=(1.0,))
+    with pytest.raises(DomainError, match=r"^start \[-6\] outside domain at N=10$"):
+        engine.run_paths(WALK, 10, X0[[0, 2, 3]], 1, 3, workers=workers, chunk=2, record_times=(1.0,))
+
+
 def test_absorbing_state_held_and_flagged():
     m = pure_death()
     opts = dj.SimOptions(N=5, seed=3, horizon=50.0, record=(40.0,))
