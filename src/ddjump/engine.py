@@ -4,7 +4,9 @@ Paths are simulated replicate-batched: one numpy step advances every live
 replicate by one jump event.  Each replicate consumes uniforms from its own
 counter-based stream (two per event: waiting time, jump pick), so results
 depend only on (seed, replicate), never on chunking or worker count.  A
-single path (``simulate.simulate_path``) is the ``events`` mode run on one.
+chunk builds the streams of its replicates together (``rng.substreams``),
+each the stream ``rng.substream`` builds alone.  A single path
+(``simulate.simulate_path``) is the ``events`` mode run on one.
 
 A step costs a few contiguous array operations.  The live replicates sit in
 compacted arrays, in row order, replicate axis last (state (d, n), rates
@@ -19,7 +21,8 @@ coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
 
 Every start is checked here: ``simulate_chunk`` checks the starts of its
 chunk with ``check_starts``, which only callers using a start outside the
-engine call themselves.
+engine call themselves; a function that takes one start checks it with
+``check_start``, which also refuses a row of starts.
 
 The M-form ``m_form`` and the lattice ball ``Restriction`` sit here with the
 ball's box, enumeration and uniform point draw, below every module using them.
@@ -150,6 +153,15 @@ def check_starts(model, N, X, restriction=None):
         where = f"domain at N={N}" if not inside[i] else "the restriction ball"
         raise DomainError(f"start {rows[i].tolist()} outside {where}")
     return X
+
+
+def check_start(model, N, X, restriction=None):
+    """The one start ``X`` of a function that takes one, shape (d,), as int64,
+    after ``check_starts``: a row of starts (n, d) is no start here."""
+    X = np.asarray(X, dtype=np.int64)
+    if X.ndim != 1:
+        raise ValueError(f"start has shape {X.shape}, expected {(model.d,)}")
+    return check_starts(model, N, X, restriction)
 
 
 def lattice_rates(model, X, N):
@@ -288,7 +300,7 @@ def simulate_chunk(
 
     # uniforms stored (draw, replicate): a draw is one row of ``bufs``, gathered
     # by the live replicates' columns ("slot")
-    gens = [_rng.substream(seed, rep_lo + i, _rng.PATH) for i in range(n)]
+    gens = _rng.substreams(seed, rep_lo, rep_hi, _rng.PATH)
     bufs = np.empty((BLOCK, n))
     live["slot"] = _draw_blocks(bufs, gens, live["row"])
     col = 0

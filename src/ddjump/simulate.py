@@ -82,16 +82,17 @@ def simulate_path(m, opts, X0, replicate=0, restriction=None):
     per event (waiting time, jump pick) from the stream (seed, replicate,
     PATH).  A state with zero total rate is held to the horizon and flagged
     absorbed.  ``restriction``, a ball such as ``cert.ball(N, delta)``,
-    switches off every jump that would leave it.  The engine checks the
-    start: it must lie in the domain and in the ball.  The record at time s
-    is the state after every event at or before s.
+    switches off every jump that would leave it.  ``engine.check_start``
+    checks the start: one start (d,), in the domain and in the ball.  The
+    record at time s is the state after every event at or before s.
     """
+    X0 = engine.check_start(m, opts.N, X0, restriction)
     out = engine.simulate_chunk(
         m, opts.N, X0, opts.seed, rep_lo=replicate, rep_hi=replicate + 1, mode=engine.EVENTS,
         horizon=opts.horizon, restriction=restriction,
     )
     times = np.concatenate([[0.0], out["event_t"]])
-    states = np.concatenate([np.asarray(X0, dtype=np.int64)[None, :], out["event_X"]])
+    states = np.concatenate([X0[None, :], out["event_X"]])
     return Trajectory(
         times=times,
         states=states,
@@ -367,8 +368,8 @@ def simulate_coupled(
     ``cert.m_norm(U0 - V0)``.
     """
     N = opts.N
-    U = engine.check_starts(m, N, U0)
-    V = engine.check_starts(m, N, V0)
+    U = engine.check_start(m, N, U0)
+    V = engine.check_start(m, N, V0)
     k2, nu = _default_k2_nu(m, cert, N, opts.seed, k2, nu)
     K3 = max(k2, 8.0 * cert.JstarM)
     nuK3 = nu * K3
@@ -408,7 +409,7 @@ def coupled_ensemble(m, cert, opts, U0, V0, reps, k2=None, nu=None, workers=1, c
     Pair r is ``simulate_coupled`` at replicate r, so the results do not
     depend on ``chunk`` or ``workers``.
     """
-    U0, V0 = engine.check_starts(m, opts.N, U0), engine.check_starts(m, opts.N, V0)
+    U0, V0 = engine.check_start(m, opts.N, U0), engine.check_start(m, opts.N, V0)
     k2, nu = _default_k2_nu(m, cert, opts.N, opts.seed, k2, nu)
     shared = (m, cert, opts, U0, V0, k2, nu)
     parts = engine.map_chunks(_coupled_chunk, shared, reps, chunk, workers)
@@ -482,21 +483,106 @@ class MartingaleReport:
     exited: int
 
 
+_LD = np.longdouble
+# stirlerr(k) = log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k = 1..15 (0
+# holds k = 0's place), and the coefficients of its series in 1/k above 15
+# (Loader, "Fast and accurate computation of binomial probabilities", 2000)
+_STIRLERR = np.array([_LD(s) for s in (
+    "0", "0.08106146679532725821967026", "0.04134069595540929409382208",
+    "0.02767792568499833914878929", "0.02079067210376509311152277", "0.01664469118982119216319487",
+    "0.01387612882307074799874573", "0.01189670994589177009505572", "0.01041126526197209649747857",
+    "0.009255462182712732917728637", "0.008330563433362871256469319", "0.007573675487951840794972024",
+    "0.006942840107209529865664153", "0.006408994188004207068439631", "0.005951370112758847735624416",
+    "0.00555473355196280137103869",
+)])
+_STIRLING = [_LD(a) / b for a, b in ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+                                     (1, 156), (-3617, 122400))]
+_TWO_PI = _LD("6.28318530717958647692528676656")
+_HUNDREDTH = _LD(1) / 100
+
+
+def _stirlerr(k):
+    """``log k! - (k + 1/2) log k + k - log sqrt(2 pi)``: the table to 15,
+    the series above."""
+    inv2 = 1 / (k * k)
+    series = _STIRLING[-1]
+    for a in _STIRLING[-2::-1]:
+        series = a + series * inv2
+    return np.where(k > 15, series / k, _STIRLERR[np.minimum(k, 15).astype(np.intp)])
+
+
+def _bd0(x, m):
+    """``x log(x / m) + m - x``, by its series in ``v = (x - m) / (x + m)``
+    where x lies within 10% of m."""
+    near = np.abs(x - m) < 0.1 * (x + m)
+    v = (x - m) / (x + m)
+    s, term, v2 = (x - m) * v, 2 * x * v, v * v
+    for j in range(3, 99, 2):
+        term = term * v2
+        s, last = s + term / j, s
+        if np.array_equal(s[near], last[near]):
+            break
+    return np.where(near, s, x * np.log(x / m) + m - x)
+
+
+@np.errstate(all="ignore")  # the lead's formula is not finite at c = n, which takes x**n
+def _upper_tails(c, n, x):
+    """``P(Bin(n, x) >= c)`` and its lead term ``P(Bin(n, x) = c)`` in long
+    double, for counts ``c`` >= 1 with ``n x <= c``.  The lead term takes
+    Loader's saddle-point form; from it the terms fall, each the last times
+    its ratio, and the window of ``5 sqrt(n) + 16`` of them (ten standard
+    deviations at the widest) holds every term that moves the sum."""
+    k = np.minimum(c, n - 1)  # finite at c = n, whose term is x**n
+    lc = _stirlerr(_LD(n)) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * x) - _bd0(n - k, n * (1 - x))
+    lead = np.where(c == n, x**n, np.exp(lc) * np.sqrt(n / (_TWO_PI * k * (n - k))))
+    j = c[:, None] + np.arange(int(5 * math.sqrt(n)) + 16, dtype=_LD)
+    ratio = np.where(j < n, (n - j) / (j + 1) * (x / (1 - x))[:, None], 0)  # x = 1 only at c = n
+    return lead * (1 + np.cumprod(ratio, axis=1).sum(axis=1)), lead
+
+
 def _tail_lcb99(counts, reps):
     """One-sided lower 99% Clopper-Pearson bound on a probability seen
-    ``counts`` times in ``reps`` draws: the 0.01 quantile of
-    Beta(counts, reps - counts + 1), and 0 where counts is 0."""
-    from scipy.special import betaincinv
+    ``counts`` times in ``reps`` draws: the x where ``P(Bin(reps, x) >=
+    counts) = 0.01`` (the 0.01 quantile of Beta(counts, reps - counts + 1)),
+    and 0 where counts is 0.
 
-    c = np.maximum(counts, 1)
-    return np.where(counts > 0, betaincinv(c, reps - c + 1, 0.01), 0.0)
+    A search on the doubles in [0, counts / reps] keeps a bracket whose lower
+    end has the tail below 0.01 and upper end at or above it; it takes Newton
+    steps in log x (d tail / d log x = counts times the lead term), and a
+    bisection of the bracket where a step leaves it, until the ends are
+    adjacent.  The nearer end is returned.  The tails are summed in long
+    double: where the tail is about proportional to x, double precision alone
+    cannot tell the last ulp.  On a platform whose long double is a double,
+    the bound can move by an ulp or two."""
+    counts = np.asarray(counts)
+    c = np.maximum(counts, 1).astype(_LD)
+    lo = np.zeros(len(c), dtype=np.int64)  # the bits of 0.0: tail 0
+    hi = (c / reps).astype(np.float64).view(np.int64)  # tail >= 1/2 at x = c / reps
+    f_lo, f_hi = np.zeros(len(c), dtype=_LD), np.ones(len(c), dtype=_LD)
+    at = hi
+    for it in range(200):
+        x = at.view(np.float64).astype(_LD)
+        f, lead = _upper_tails(c, reps, x)
+        up = f >= _HUNDREDTH
+        lo, f_lo = np.where(up, lo, at), np.where(up, f_lo, f)
+        hi, f_hi = np.where(up, at, hi), np.where(up, f, f_hi)
+        if (hi - lo <= 1).all():
+            break
+        with np.errstate(all="ignore"):  # a tail of 0 gives no step
+            newton = (x * np.exp((np.log(_HUNDREDTH) - np.log(f)) * f / (c * lead))).astype(np.float64)
+        newton = newton.view(np.int64)
+        inside = (lo <= newton) & (newton <= hi) & (it < 60)  # then bisection alone, to the end
+        at = np.where(inside, np.clip(newton, lo + 1, hi - 1), lo + (hi - lo) // 2)
+        at = np.where(hi - lo > 1, at, hi)
+    x = np.where(_HUNDREDTH - f_lo < f_hi - _HUNDREDTH, lo, hi).view(np.float64)
+    return np.where(counts > 0, x, 0.0)
 
 
 def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
     bound, plus the componentwise mean of m(T) (zero for a martingale).
     K is the box ``_drift_box`` draws around the drift path from X0/N."""
-    X0 = engine.check_starts(m, opts.N, X0)
+    X0 = engine.check_start(m, opts.N, X0)
     if T > opts.horizon:
         raise ValueError("T must not exceed the horizon")
     box = _drift_box(m, opts.N, X0, T)
@@ -583,11 +669,12 @@ def _exit_starts(start_ball, Linv_T, reps, seed):
 def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     """Empirical P[tau_1(delta) <= T] from lattice starts near the sphere of
     M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps').  The
-    engine checks the starts, which can reach past the domain; at T = 0 no path runs."""
+    starts can reach past the domain; they are checked before any path runs,
+    so also at T = 0, where none does."""
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
     d = m.d
-    starts = _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed)
+    starts = engine.check_starts(m, N, _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed))
     if T > 0:
         out = engine.run_paths(
             m, N, starts, seed, reps, workers=workers, mode=engine.EXIT, horizon=T, exit_ball=cert.ball(N, delta)

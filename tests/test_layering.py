@@ -1,9 +1,9 @@
 """The package's modules import each other only at module top, so an import
 cycle between them fails at import time instead of hiding in a function.
 scipy.sparse, by contrast, is imported only inside the functions that use it,
-and scipy.stats not at all, so a run that solves no generator loads neither;
-a cutoff profile loads scipy.sparse for its stationary solve and nothing
-for its closed-form TV interval.
+and scipy.special and scipy.stats not at all, so a run that solves no
+generator loads none of them; a cutoff profile loads scipy.sparse for its
+stationary solve and nothing for its closed-form TV interval.
 
 There are two hand-written samplers of jump paths, the batched engine and
 the coupled-pair loop, and each reads its own random streams: only the
@@ -17,9 +17,11 @@ the enumerated states, so the ball is not read a second time there.  Only
 restriction; every other simulator runs the free chain.
 
 A start is checked by one function, ``engine.check_starts``: the engine
-checks the starts of every chunk it runs, and only the three functions that
-use a start outside the engine or before it runs (the coupled pair and its
-ensemble, and the martingale bound's drift box) call it themselves.
+checks the starts of every chunk it runs, and only the functions that use a
+start outside the engine or before it runs call it themselves, through
+``engine.check_start`` where they take one start (the path, the coupled
+pair and its ensemble, and the martingale bound's drift box), and directly
+for the exit experiment's starts, which it checks even where no path runs.
 
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
@@ -43,10 +45,11 @@ from ddjump.model import Kernel
 SRC = Path(ddjump.__file__).parent
 
 
-def _function_imports(tree):
-    """(line, module) of every import inside a function body."""
+def _function_imports(tree, within=(ast.FunctionDef, ast.AsyncFunctionDef)):
+    """(line, module) of every import inside a function body, or inside any
+    other node type ``within`` names (``ast.Module``: every import)."""
     for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(fn, within):
             for node in ast.walk(fn):
                 if isinstance(node, ast.ImportFrom):
                     yield node.lineno, "." * node.level + (node.module or "")
@@ -68,6 +71,40 @@ def test_the_guard_sees_a_function_import():
     assert list(_function_imports(ast.parse(src))) == [(2, ".equilibrium"), (3, "scipy.stats")]
 
 
+def _special_or_stats_imports(tree):
+    """(line, module) of every import of scipy.special or scipy.stats, at
+    module top or in a function."""
+    return sorted(
+        (line, module)
+        for line, module in _function_imports(tree, within=ast.Module)
+        if module.split(".")[:2] in (["scipy", "special"], ["scipy", "stats"])
+    )
+
+
+def test_no_module_imports_scipy_special_or_stats():
+    found = [
+        f"{path.name}:{line} imports {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, module in _special_or_stats_imports(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+
+
+def test_the_guard_sees_a_special_or_stats_import():
+    src = (
+        "import scipy.special\n"
+        "from scipy.stats import beta\n"
+        "import scipy.sparse.linalg as spla\n"
+        "def lcb(c, n):\n"
+        "    from scipy.special import betaincinv\n"
+        "    import scipy.stats.distributions\n"
+        "    return betaincinv(c, n - c + 1, 0.01)\n"
+    )
+    assert _special_or_stats_imports(ast.parse(src)) == [
+        (1, "scipy.special"), (2, "scipy.stats"), (5, "scipy.special"), (6, "scipy.stats.distributions")
+    ]
+
+
 SIMULATION_ONLY = """
 import sys
 import numpy as np
@@ -80,7 +117,7 @@ opts = dj.SimOptions(N=50, seed=1, horizon=1.0, record=(0.0, 0.5, 1.0))
 dj.martingale_deviation(m, opts, np.array([50, 50]), T=1.0, reps=20, z_grid=(0.1, 0.5))
 dj.exit_probability(m, cert, 50, 0.3, 0.6, T=0.2, reps=20, seed=1)
 dj.coupled_ensemble(m, cert, opts, np.array([52, 51]), np.array([48, 49]), reps=4)
-print(sorted(k for k in ("scipy.sparse", "scipy.stats") if k in sys.modules))
+print(sorted(k for k in ("scipy.sparse", "scipy.special", "scipy.stats") if k in sys.modules))
 pi = dj.stationary_exact(m, 20, cert, 0.4)
 print(len(pi), round(float(pi.mass.sum()), 12), "scipy.sparse" in sys.modules)
 """
@@ -88,8 +125,9 @@ print(len(pi), round(float(pi.mass.sum()), 12), "scipy.sparse" in sys.modules)
 
 def test_simulation_only_runs_load_no_sparse_or_stats_module():
     """Importing the CLI and running the martingale, exit and coupling
-    experiments leaves scipy.sparse and scipy.stats unloaded; a stationary
-    solve in the same process then loads scipy.sparse where it is used."""
+    experiments leaves scipy.sparse, scipy.special and scipy.stats unloaded;
+    a stationary solve in the same process then loads scipy.sparse where it
+    is used."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", SIMULATION_ONLY], env=env, capture_output=True, text=True, timeout=120
@@ -99,6 +137,17 @@ def test_simulation_only_runs_load_no_sparse_or_stats_module():
     assert loaded == "[]"
     states, total, sparse = solve.split()
     assert int(states) > 1 and float(total) == 1.0 and sparse == "True"
+
+
+def test_importing_the_cli_loads_no_random_module():
+    """``rng`` makes its Philox key type on first use, so a run that draws
+    no random number (a stationary solve, ``validate``) loads no
+    numpy.random."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    src = "import sys\nimport ddjump.cli\nprint('numpy.random' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", src], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 SEPARATED_ONLY = """
@@ -292,20 +341,24 @@ def test_the_guard_sees_a_third_restricted_caller():
     assert _restricted_engine_calls(ast.parse(src)) == ["sample_states", "sample_states"]
 
 
+_START_CHECKS = ("check_starts", "check_start")
+
+
 def _start_checks(tree):
-    """(function, kind) of every definition of ``check_starts`` ("def") and
-    every call of it by name or attribute ("call"), with the innermost
+    """(function, kind) of every definition of ``check_starts`` or
+    ``check_start`` ("def") and every call of either by name or attribute
+    ("call"), with the innermost
     enclosing function ("" at module top), and of every raise whose message
     begins with "start " ("raise"), which a copy of the check would hold."""
     found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == "check_starts":
+            if node.name in _START_CHECKS:
                 found.append((node.name, "def"))
             fn = node.name
         if isinstance(node, ast.Call):
-            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_starts":
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) in _START_CHECKS:
                 found.append((fn, "call"))
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
             text = node.exc.args[0]
@@ -319,20 +372,24 @@ def _start_checks(tree):
     return found
 
 
-def test_one_start_check_called_by_the_engine_and_three_callers():
+def test_one_start_check_called_by_the_engine_and_its_callers():
     sites = {
         (path.name, fn, kind)
         for path in sorted(SRC.glob("*.py"))
         for fn, kind in _start_checks(ast.parse(path.read_text()))
     }
     assert {s for s in sites if s[2] != "call"} == {
-        ("engine.py", "check_starts", "def"), ("engine.py", "check_starts", "raise")
+        ("engine.py", "check_starts", "def"), ("engine.py", "check_starts", "raise"),
+        ("engine.py", "check_start", "def"), ("engine.py", "check_start", "raise"),
     }
     assert {s[:2] for s in sites if s[2] == "call"} == {
         ("engine.py", "simulate_chunk"),
+        ("engine.py", "check_start"),
+        ("simulate.py", "simulate_path"),
         ("simulate.py", "simulate_coupled"),
         ("simulate.py", "coupled_ensemble"),
         ("simulate.py", "martingale_deviation"),
+        ("simulate.py", "exit_probability"),
     }
     assert not hasattr(ddjump.simulate, "_check_start")
 

@@ -3,6 +3,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,11 +132,36 @@ def test_an_off_domain_start_is_one_domain_error_everywhere(run):
 
 
 def test_exit_probability_checks_its_starts():
-    # the starts round N c +- N delta' = 25 and -5; -5 lies off x1 >= 0
+    # the starts round N c +- N delta' = 25 and -5; -5 lies off x1 >= 0; at
+    # T = 0 no path runs, and the starts are checked all the same
     starts = _exit_starts(identity_certificate(d=1, c=(1.0,)).ball(10, 1.5), m_sphere_map(np.eye(1)), 8, 1)
     assert sorted(set(starts[:, 0].tolist())) == [-5, 25]
-    with pytest.raises(DomainError, match=OFF_DOMAIN):
-        dj.exit_probability(WALK, identity_certificate(d=1, c=(1.0,)), 10, 1.5, 2.0, T=1.0, reps=8, seed=1)
+    for T in (1.0, 0.0):
+        with pytest.raises(DomainError, match=OFF_DOMAIN):
+            dj.exit_probability(WALK, identity_certificate(d=1, c=(1.0,)), 10, 1.5, 2.0, T=T, reps=8, seed=1)
+
+
+SIR50 = dj.SimOptions(N=50, seed=1, horizon=1.0, record=(0.0, 1.0))
+ONE_START_RUNS = {
+    "simulate_path": lambda m, cert, X: dj.simulate_path(m, SIR50, X),
+    "simulate_coupled U0": lambda m, cert, X: dj.simulate_coupled(m, cert, SIR50, X, [50, 50], k2=5.0, nu=2.0),
+    "simulate_coupled V0": lambda m, cert, X: dj.simulate_coupled(m, cert, SIR50, [50, 50], X, k2=5.0, nu=2.0),
+    "coupled_ensemble U0": lambda m, cert, X: dj.coupled_ensemble(
+        m, cert, SIR50, X, [50, 50], reps=2, k2=5.0, nu=2.0
+    ),
+    "coupled_ensemble V0": lambda m, cert, X: dj.coupled_ensemble(
+        m, cert, SIR50, [50, 50], X, reps=2, k2=5.0, nu=2.0
+    ),
+    "martingale_deviation": lambda m, cert, X: dj.martingale_deviation(
+        m, SIR50, X, T=1.0, reps=4, z_grid=(0.1,)
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ONE_START_RUNS))
+def test_a_one_start_function_rejects_a_row_of_starts(sir, cert05, run):
+    with pytest.raises(ValueError, match=r"^start has shape \(1, 2\), expected \(2,\)$"):
+        ONE_START_RUNS[run](sir, cert05, np.array([[50, 50]]))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -652,14 +678,51 @@ def test_exit_rate_sup_with_a_nan_in_the_ball_is_a_rate_error():
         dj.exit_probability(m, cert, 20, 0.3, 0.6, T=0.0, reps=10, seed=0)
 
 
-@pytest.mark.parametrize("reps", [1, 2, 100, 8192])
-def test_tail_lcb99_is_the_beta_quantile_bit_for_bit(reps):
-    from scipy.stats import beta
+def binomial_tail(c, n, x):
+    """``P(Bin(n, x) >= c)`` for the double ``x``, exactly: with x = p / D,
+    the terms C(n, k) p^k (D - p)^(n - k), each from the last, over D^n."""
+    p, D = float(x).as_integer_ratio()
+    b = D - p
+    term = math.comb(n, c) * p**c * b ** (n - c)
+    total = term
+    for k in range(c, n):
+        term = term * (n - k) * p // ((k + 1) * b)
+        total += term
+    return Fraction(total, D**n)
+
+
+def brackets_the_root(c, n, x):
+    """Whether the doubles next to ``x`` bracket the x where the tail is 0.01."""
+    lo, hi = np.nextafter(x, -1.0), np.nextafter(x, 2.0)
+    return binomial_tail(c, n, lo) <= Fraction(1, 100) <= binomial_tail(c, n, hi)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 100])
+def test_tail_lcb99_brackets_the_root_exactly(reps):
+    lcb = simulate._tail_lcb99(np.arange(reps + 1), reps)
+    assert lcb[0] == 0.0
+    assert [c for c in range(1, reps + 1) if not brackets_the_root(c, reps, lcb[c])] == []
+
+
+def ulps(a, b):
+    return np.abs(np.asarray(a, dtype=float).view(np.int64) - np.asarray(b, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("reps", [8192, 10_000])
+def test_tail_lcb99_is_within_64_ulp_of_the_beta_quantile(reps):
+    # scipy's quantile is itself up to 68 ulp from the root (scipy 1.17.1, at
+    # counts 4065 and 4128 of 8192), so a count past 64 ulp must bracket the
+    # root exactly; each such check takes about half a second
+    from scipy.special import betaincinv
 
     counts = np.arange(reps + 1)
-    expect = beta.ppf(0.01, np.maximum(counts, 1), reps - np.maximum(counts, 1) + 1)
-    expect[0] = 0.0
-    assert np.array_equal(simulate._tail_lcb99(counts, reps), expect)
+    lcb = simulate._tail_lcb99(counts, reps)
+    c = np.maximum(counts, 1)
+    off = ulps(lcb, np.where(counts > 0, betaincinv(c, reps - c + 1, 0.01), 0.0))
+    far = np.flatnonzero(off > 64)
+    assert len(far) <= 4, far
+    assert all(brackets_the_root(int(c), reps, lcb[c]) for c in far)
+    assert lcb[0] == 0.0 and np.all(np.diff(lcb) > 0)
 
 
 # ---------------------------------------------------------------------------
