@@ -448,7 +448,7 @@ def build_parser():
     _add_shared(p, "model", "out", "seed", "rho_fraction", "cert", "guess")
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--x0", required=True, help="scaled start, comma floats")
-    p.add_argument("--horizon", type=float, default=10.0)
+    p.add_argument("--horizon", type=float, default=10.0, help="end time of the path; finite and positive")
     p.add_argument("--delta", type=float, default=None, help="restriction radius")
     p.set_defaults(func=cmd_simulate)
 
@@ -475,7 +475,7 @@ def build_parser():
     )
     p.add_argument("--N", type=_ints, required=True)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--horizon", type=float, default=20.0)
+    p.add_argument("--horizon", type=float, default=20.0, help="end time of every pair; finite and positive")
     p.add_argument("--h0", type=float, default=None, help="initial M-distance (default 0.1 N)")
     p.add_argument("--k2", type=float, default=None)
     p.add_argument("--record", default=None)

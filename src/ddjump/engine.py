@@ -19,10 +19,12 @@ coordinates add whole rows left to right, as ``np.cumsum`` on axis 0 does:
 ``np.add.reduce`` adds pairwise along a contiguous axis (one live replicate's
 (k, 1) rates) and from 8 terms on moved the last bit in 60-200 of 200 cases.
 
-Every start is checked here: ``simulate_chunk`` checks the starts of its
-chunk with ``check_starts``, which only callers using a start outside the
-engine call themselves; a function that takes one start checks it with
-``check_start``, which also refuses a row of starts.
+Every start and every run's times are checked here: ``simulate_chunk``
+checks the starts of its chunk with ``check_starts``, which only callers
+using a start outside the engine call themselves; a function that takes one
+start checks it with ``check_start``, which also refuses a row of starts.
+``check_times`` checks a record grid and the horizon a run stops at, in
+every chunk and in ``simulate.SimOptions``, for the path and the pairs.
 
 The M-form ``m_form`` and the lattice ball ``Restriction`` sit here with the
 ball's box, enumeration and uniform point draw, below every module using them.
@@ -138,9 +140,11 @@ def _draw_ball_points(m, cert, ball, N, n, rng):
 
 def check_starts(model, N, X, restriction=None):
     """The start ``X`` (shape (d,)), or the starts in the rows of ``X`` (shape
-    (n, d)), as int64, after the one start check: the shape, the domain at
-    ``N`` and, given a ``restriction``, its ball.  Of several bad starts the
-    lowest-index one is named, whatever the chunking."""
+    (n, d)), as int64, after the one start check: N >= 1, the shape, the
+    domain at ``N`` and, given a ``restriction``, its ball.  Of several bad
+    starts the lowest-index one is named, whatever the chunking."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     X = np.asarray(X, dtype=np.int64)
     d = model.d
     if X.ndim not in (1, 2) or X.shape[-1] != d:
@@ -162,6 +166,24 @@ def check_start(model, N, X, restriction=None):
     if X.ndim != 1:
         raise ValueError(f"start has shape {X.shape}, expected {(model.d,)}")
     return check_starts(model, N, X, restriction)
+
+
+def check_times(record_times=(), horizon=None):
+    """The record grid ``record_times`` as a tuple of floats, after the one
+    check of a run's times: the grid sorted, finite and within [0, horizon];
+    the ``horizon``, where a run stops at it, positive and finite.  None
+    stands for a run that stops at its last record time."""
+    rec = tuple(float(t) for t in record_times)
+    if horizon is not None and horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if any(b < a for a, b in zip(rec, rec[1:])):
+        raise ValueError("record times must be sorted")
+    end = math.inf if horizon is None else horizon
+    if rec and (rec[0] < 0 or rec[-1] > end or not all(map(math.isfinite, rec))):
+        raise ValueError("record times must be finite and lie within [0, horizon]")
+    if horizon is not None and not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
+    return rec
 
 
 def lattice_rates(model, X, N):
@@ -260,7 +282,8 @@ def simulate_chunk(
         falls at or past ``horizon``, so ``exit_time`` can pass the horizon.
     An absorbed replicate takes no event, so it never exits.
     ``X0`` is one start (d,) or one per replicate (reps, d); ``check_starts``
-    checks the chunk's starts.
+    checks the chunk's starts, and ``check_times`` the record grid of the
+    records mode and the horizon of the others, where each run stops.
     """
     if mode not in (RECORDS, EVENTS, MARTINGALE, EXIT):
         raise ValueError(f"unknown mode {mode!r}")
@@ -272,6 +295,7 @@ def simulate_chunk(
 
     X0 = np.asarray(X0, dtype=np.int64)
     X0 = check_starts(model, N, X0[rep_lo:rep_hi] if X0.ndim == 2 else X0, restriction)
+    record_times = check_times(record_times) if mode == RECORDS else check_times(horizon=horizon)
     X = np.repeat(X0[:, None], n, axis=1) if X0.ndim == 1 else X0.T.copy()
     # the live replicates, in row order; compacted on the steps where some retire
     live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}

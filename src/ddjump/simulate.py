@@ -8,6 +8,10 @@ int or float.  SIR at N=400 to t=5, one core: 16 pairs take 0.20-0.24 s
 against 0.26-0.28 s for an engine chunk of 16 single chains, 64 pairs 0.73
 against 0.31 s, 384 pairs 3.8-4.4 against 0.38-0.51 s.  The ensembles use
 chunks of 16 to 64 pairs, and a batch lasts until its longest pair.
+
+A run's horizon and record grid are checked once, by ``engine.check_times``:
+``SimOptions`` calls it for the path and the coupled pairs, the engine for
+every chunk.  The martingale and exit experiments check T before using it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ DRIFT_BOX_MARGIN = 0.25  # the compact set K reaches this far past the drift pat
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Run settings of the free chain; immutable and shareable across workers."""
+    """Run settings of the free chain; immutable and shareable across workers.
+    ``engine.check_times`` checks the horizon and the record grid."""
 
     N: int
     seed: int
@@ -54,14 +59,7 @@ class SimOptions:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
-        rec = tuple(float(t) for t in self.record)
-        if any(b < a for a, b in zip(rec, rec[1:])):
-            raise ValueError("record times must be sorted")
-        if rec and (rec[0] < 0 or rec[-1] > self.horizon or not all(map(math.isfinite, rec))):
-            raise ValueError("record times must be finite and lie within [0, horizon]")
-        object.__setattr__(self, "record", rec)
+        object.__setattr__(self, "record", engine.check_times(self.record, self.horizon))
 
 
 @dataclass(frozen=True)
@@ -581,10 +579,11 @@ def _tail_lcb99(counts, reps):
 def martingale_deviation(m, opts, X0, T, reps, z_grid, workers=1):
     """Empirical tail of sup_{t <= T ^ tau_K} |m(t)| against the closed-form
     bound, plus the componentwise mean of m(T) (zero for a martingale).
-    K is the box ``_drift_box`` draws around the drift path from X0/N."""
+    K is the box ``_drift_box`` draws around the drift path from X0/N.
+    T lies in (0, horizon]."""
     X0 = engine.check_start(m, opts.N, X0)
-    if T > opts.horizon:
-        raise ValueError("T must not exceed the horizon")
+    if not (0 < T <= opts.horizon):
+        raise ValueError(f"T must lie in (0, horizon={opts.horizon}], got T={T}")
     box = _drift_box(m, opts.N, X0, T)
     Rstar = _sup_total_rate(m, _box_mesh(box))
     Jstar = float(np.max(np.linalg.norm(m.jump_array.astype(float), axis=1)))
@@ -670,9 +669,12 @@ def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     """Empirical P[tau_1(delta) <= T] from lattice starts near the sphere of
     M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps').  The
     starts can reach past the domain; they are checked before any path runs,
-    so also at T = 0, where none does."""
+    so also at T <= 0, where none does and the estimate is 0.  T must be
+    finite."""
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got T={T}")
     d = m.d
     starts = engine.check_starts(m, N, _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed))
     if T > 0:

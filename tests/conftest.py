@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,20 @@ def identity_certificate(d=2, c=None, rho=1.0):
         sum_JM=float(d),
         eps=0.1,
     )
+
+
+@contextlib.contextmanager
+def watchdog(seconds=10):
+    """Fail with ``TimeoutError`` where the body runs past ``seconds``, so a
+    run that never stops fails its test in-process instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

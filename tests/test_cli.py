@@ -10,7 +10,7 @@ import pytest
 
 import ddjump as dj
 from ddjump.cli import build_parser, main
-from conftest import identity_certificate
+from conftest import identity_certificate, watchdog
 
 SIR = """
 [dimension]
@@ -270,6 +270,21 @@ def test_x0_of_the_wrong_length_is_validation_error(sir_cfg, tmp_path, capsys, c
     assert main(args) == 2
     n = len(x0.split(","))
     assert capsys.readouterr().err == f"error: --x0 has {n} entries, model dimension is 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--N", "40", "--x0", "1,1", "--horizon", "inf"],
+        ["couple", "--N", "40", "--horizon", "inf", "--record", "0,1", "--k2", "5.0"],
+    ],
+)
+def test_an_infinite_horizon_is_a_validation_error(sir_cfg, tmp_path, capsys, argv):
+    # both commands used to run until killed
+    with watchdog():
+        code = main([*argv, "--model", sir_cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "validation error: horizon must be finite\n"
 
 
 def test_simulate_rejects_a_second_N(sir_cfg, tmp_path, capsys):

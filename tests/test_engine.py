@@ -13,7 +13,7 @@ import ddjump as dj
 import ddjump.engine as engine
 from ddjump.equilibrium import build_restricted_generator
 from ddjump.errors import SimulationError
-from conftest import identity_certificate
+from conftest import identity_certificate, watchdog
 from coupling_reference import _mq
 from engine_reference import _drift, _restriction_mask, _running_sums, simulate_chunk_reference
 from path_reference import simulate_path_reference
@@ -309,6 +309,15 @@ def test_records_without_record_times():
 def test_unknown_mode_is_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         engine.simulate_chunk(SIR, 10, np.array([10, 10]), 0, 0, 3, mode="bogus")
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_a_run_refuses_an_N_below_1(N):
+    # at N = -3 every waiting time of this walk is negative, so its run never
+    # reached its record time
+    walk = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n-1 : 1\n")
+    with watchdog(), pytest.raises(ValueError, match="^N must be a positive integer$"):
+        engine.run_paths(walk, N, np.array([0]), 1, 4, record_times=(1.0,))
 
 
 @pytest.mark.parametrize("reps,chunk,message", [(0, 4096, "reps"), (-3, 4096, "reps"), (5, 0, "chunk")])

@@ -22,6 +22,10 @@ start outside the engine or before it runs call it themselves, through
 ``engine.check_start`` where they take one start (the path, the coupled
 pair and its ensemble, and the martingale bound's drift box), and directly
 for the exit experiment's starts, which it checks even where no path runs.
+A run's record grid and horizon are checked by one function too,
+``engine.check_times``, called by the engine for every chunk and by
+``SimOptions``; so ``equilibrium`` hands its grids to the engine as they are
+and imports nothing from ``simulate``.
 
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
@@ -34,6 +38,7 @@ rate text is ever run."""
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +346,17 @@ def test_the_guard_sees_a_third_restricted_caller():
     assert _restricted_engine_calls(ast.parse(src)) == ["sample_states", "sample_states"]
 
 
+def _raise_text(node):
+    """The leading text of the message of ``raise E("...")`` or ``raise
+    E(f"...")``; "" for any other node."""
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+        text = node.exc.args[0]
+        first = text.values[0] if isinstance(text, ast.JoinedStr) and text.values else text
+        if isinstance(first, ast.Constant):
+            return str(first.value)
+    return ""
+
+
 _START_CHECKS = ("check_starts", "check_start")
 
 
@@ -360,11 +376,8 @@ def _start_checks(tree):
         if isinstance(node, ast.Call):
             if getattr(node.func, "attr", getattr(node.func, "id", None)) in _START_CHECKS:
                 found.append((fn, "call"))
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-            text = node.exc.args[0]
-            first = text.values[0] if isinstance(text, ast.JoinedStr) and text.values else text
-            if isinstance(first, ast.Constant) and str(first.value).startswith("start "):
-                found.append((fn, "raise"))
+        if _raise_text(node).startswith("start "):
+            found.append((fn, "raise"))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
@@ -408,6 +421,78 @@ def test_the_guard_sees_a_third_start_check():
         ("sample_states", "call"), ("sample_states", "raise"), ("sample_states", "call"),
         ("_check_start", "raise"),
     ]
+
+
+_TIME_MESSAGES = ("record times ", "horizon must ")
+
+
+def _time_check_raises(tree):
+    """The innermost function ("" at module top) around every raise whose
+    message begins with "record times " or "horizon must ", which a copy of
+    the times check would hold."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if _raise_text(node).startswith(_TIME_MESSAGES):
+            found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_check_of_record_times_and_horizons():
+    sites = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in _time_check_raises(ast.parse(path.read_text()))
+    }
+    assert sites == {("engine.py", "check_times")}
+
+
+def test_the_guard_sees_a_second_times_check():
+    src = (
+        "class SimOptions:\n"
+        "    def __post_init__(self):\n"
+        "        if not (self.horizon > 0):\n"
+        "            raise ValueError('horizon must be positive')\n"
+        "        raise ValueError(f'record times {self.record} must be sorted')\n"
+        "raise ValueError('T must not exceed the horizon')\n"
+        "raise ValueError(f'horizon must be finite, got {h}')\n"
+    )
+    assert _time_check_raises(ast.parse(src)) == ["__post_init__", "__post_init__", ""]
+
+
+def _simulate_imports(tree):
+    """The line of every import that names the ``simulate`` module, as
+    ``from .simulate import x``, ``from . import simulate`` and ``import
+    ddjump.simulate`` do."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "simulate" in re.split(r"\W+", ast.unparse(node))
+    ]
+
+
+def test_equilibrium_imports_nothing_from_simulate():
+    """The cutoff, drift and variance experiments hand their grids to the
+    engine directly, so ``equilibrium`` sits below ``simulate``."""
+    assert _simulate_imports(ast.parse((SRC / "equilibrium.py").read_text())) == []
+
+
+def test_the_guard_sees_an_import_from_simulate():
+    src = (
+        "from .simulate import SimOptions, sample_states\n"
+        "from . import engine, simulate as sim\n"
+        "import ddjump.simulate\n"
+        "from .engine import simulate_chunk\n"
+        "def f():\n"
+        "    from ddjump import simulate\n"
+    )
+    assert sorted(_simulate_imports(ast.parse(src))) == [1, 2, 3, 6]
 
 
 def _is_M(node):

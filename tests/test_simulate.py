@@ -759,11 +759,12 @@ def test_exit_starts_match_the_per_start_loop(request, cert_name, N, delta_prime
 
 
 def test_exit_probability_zero_horizon(sir, cert05):
-    rep = dj.exit_probability(
-        sir, cert05, N=50, delta_prime=0.3, delta=0.6, T=0.0, reps=100, seed=0
-    )
-    assert rep.estimate == 0.0
-    assert rep.bound == 0.0
+    for T in (0.0, -1.0):  # no path runs at T <= 0
+        rep = dj.exit_probability(
+            sir, cert05, N=50, delta_prime=0.3, delta=0.6, T=T, reps=100, seed=0
+        )
+        assert rep.estimate == 0.0
+        assert rep.bound == 0.0
 
 
 def test_exit_probability_tiny_start_large_ball(sir, cert05):
