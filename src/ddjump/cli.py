@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__, io as _io
 from .dynamics import StabilityCertificate, certify, m_sphere_map
+from .engine import STATE_CAP
 from .equilibrium import (
     cutoff_profile,
     discrete_normal,
@@ -116,9 +117,12 @@ def _guess(m, args):
 
 
 def _certificate(m, args):
-    if args.cert:
-        return StabilityCertificate.load(args.cert)
-    return certify(m, _guess(m, args), rho_fraction=args.rho_fraction)
+    if not args.cert:
+        return certify(m, _guess(m, args), rho_fraction=args.rho_fraction)
+    cert = StabilityCertificate.load(args.cert)
+    if cert.c.shape != (m.d,):
+        raise CertificateError(f"certificate dimension {len(cert.c)} does not match model dimension {m.d}")
+    return cert
 
 
 def cmd_validate(args):
@@ -415,10 +419,10 @@ _SHARED = {
     "seed": dict(type=int, default=0),
     "workers": dict(type=int, default=os.cpu_count() or 1),
     "rho_fraction": dict(type=float, default=0.5),
-    "cert": dict(default=None, help="reuse a saved certificate JSON"),
+    "cert": dict(default=None, help="reuse a saved certificate JSON of the model's dimension"),
     "guess": dict(default=None, help="fixed-point guess, comma floats (default: all ones)"),
     "search_radius": dict(type=int, default=8),
-    "state_cap": dict(type=int, default=200_000),
+    "state_cap": dict(type=int, default=STATE_CAP),
     "samples": dict(
         type=int, default=1_000_000, help="recorded states behind the sampled pi past --state-cap"
     ),

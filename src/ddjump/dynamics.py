@@ -4,7 +4,14 @@ The certificate packages a fixed point c, the Jacobian A there, a symmetric
 positive definite matrix M with <x, Ax>_M <= -rho' ||x||_M^2 (rho' halfway
 between the certified rate rho and the spectral abscissa), and a sampled
 radius delta0 within which the drift is rho-contractive in the M-norm and all
-rates stay positive.
+rates stay positive.  It stores what ``certify`` decides: c, A, rho, M,
+delta0, the largest jump norm J*_M and the sum of jump norms sum_J ||J||_M.
+It computes the rest on each read, with the expressions ``certify`` takes:
+the eigenvalues of A and its spectral gap rho_hat, rho', the gradient
+tolerance eps = (rho' - rho) / (2 sum_J ||J||_M), and c0 <= c1, the square
+roots of M's extreme eigenvalues.  A certificate ``certify`` could not have
+built (shapes that disagree, rho or delta0 not positive, M not symmetric
+positive definite, an eigenvalue of A not below -rho) is refused.
 
 The certified ball's drift arithmetic lives here once: ``_m_directions``
 draws the M-sphere directions of every ball sampler, and ``_drift_slack``
@@ -190,35 +197,57 @@ def construct_M(A, rho):
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Contractive-geometry data for a model around its fixed point."""
+    """Contractive-geometry data for a model around its fixed point: the seven
+    numbers ``certify`` decides; the rest is computed from them on each read."""
 
     c: np.ndarray
     A: np.ndarray
-    eigenvalues: np.ndarray
-    rho_hat: float
     rho: float
-    rho_prime: float
     M: np.ndarray
     delta0: float
-    c0: float
-    c1: float
     JstarM: float
     sum_JM: float
-    eps: float
 
     def __post_init__(self):
+        c_shape, A_shape, M_shape = np.shape(self.c), np.shape(self.A), np.shape(self.M)
+        if len(c_shape) != 1 or A_shape != 2 * c_shape or M_shape != 2 * c_shape:
+            raise CertificateError(
+                f"shapes of c {c_shape}, A {A_shape} and M {M_shape} do not agree: "
+                "need (d,), (d, d) and (d, d)"
+            )
+        if not (self.rho > 0 and self.delta0 > 0):
+            raise CertificateError(f"rho and delta0 must be positive, got {self.rho} and {self.delta0}")
         M = np.asarray(self.M, dtype=float)
         if np.max(np.abs(M - M.T)) > 1e-12:
             raise CertificateError("M not symmetric to 1e-12")
-        w = np.linalg.eigvalsh(M)
-        if w[0] <= 0:
+        if np.linalg.eigvalsh(M)[0] <= 0:
             raise CertificateError("M not positive definite")
-        if abs(self.c0 - math.sqrt(w[0])) > 1e-9 * max(1.0, self.c0) or abs(
-            self.c1 - math.sqrt(w[-1])
-        ) > 1e-9 * max(1.0, self.c1):
-            raise CertificateError("c0/c1 do not match extreme eigenvalues of M")
-        if np.max(np.asarray(self.eigenvalues).real) >= -self.rho:
+        if np.max(self.eigenvalues.real) >= -self.rho:
             raise CertificateError("eigenvalue real parts not below -rho")
+
+    @property
+    def eigenvalues(self):
+        return np.linalg.eigvals(self.A)
+
+    @property
+    def rho_hat(self):
+        return -float(np.max(self.eigenvalues.real))
+
+    @property
+    def rho_prime(self):
+        return 0.5 * (self.rho + self.rho_hat)
+
+    @property
+    def eps(self):
+        return 0.5 * (self.rho_prime - self.rho) / self.sum_JM
+
+    @property
+    def c0(self):
+        return math.sqrt(np.linalg.eigvalsh(self.M)[0])
+
+    @property
+    def c1(self):
+        return math.sqrt(np.linalg.eigvalsh(self.M)[-1])
 
     def m_norm(self, x):
         return float(self.m_norms(x))
@@ -232,15 +261,17 @@ class StabilityCertificate:
         return Restriction(M=self.M, center=N * self.c, radius=N * delta)
 
     def to_json_dict(self):
-        obj = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
-        obj["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
-        return obj
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     @staticmethod
     def from_json_dict(obj):
-        kw = {f.name: obj[f.name] for f in fields(StabilityCertificate)}
-        kw = {name: np.array(v, dtype=float) if isinstance(v, list) else float(v) for name, v in kw.items()}
-        kw["eigenvalues"] = np.array([complex(re, im) for re, im in obj["eigenvalues"]])
+        """The certificate of a ``to_json_dict`` object; any other entry is ignored."""
+        kw = {}
+        for f in fields(StabilityCertificate):
+            if f.name not in obj:
+                raise CertificateError(f"certificate lacks the entry {f.name!r}")
+            v = obj[f.name]
+            kw[f.name] = np.array(v, dtype=float) if isinstance(v, list) else float(v)
         return StabilityCertificate(**kw)
 
     def dump(self, path):
@@ -313,8 +344,7 @@ def certify(m, guess, rho_fraction=0.9):
     rho = rho_fraction * rho_hat
     rho_prime = 0.5 * (rho + rho_hat)
     M = construct_M(A, rho_prime)
-    w = np.linalg.eigvalsh(M)
-    c0, c1 = math.sqrt(w[0]), math.sqrt(w[-1])
+    c0 = math.sqrt(np.linalg.eigvalsh(M)[0])
     Jm = m.jump_array.astype(float)
     JM = np.sqrt(m_form(M, Jm.T))
     sum_JM = float(JM.sum())
@@ -343,21 +373,7 @@ def certify(m, guess, rho_fraction=0.9):
             "and positivity checks"
         )
 
-    return StabilityCertificate(
-        c=c,
-        A=A,
-        eigenvalues=eigenvalues,
-        rho_hat=rho_hat,
-        rho=rho,
-        rho_prime=rho_prime,
-        M=M,
-        delta0=delta0,
-        c0=c0,
-        c1=c1,
-        JstarM=JstarM,
-        sum_JM=sum_JM,
-        eps=eps,
-    )
+    return StabilityCertificate(c=c, A=A, rho=rho, M=M, delta0=delta0, JstarM=JstarM, sum_JM=sum_JM)
 
 
 def cutoff_time(m, cert, x0, N, horizon=None):

@@ -95,10 +95,11 @@ class Restriction:
         return (m_form(self.M, W) <= self.radius**2).T
 
 
-def ball_box(cert, ball):
+def ball_box(ball):
     """The lattice box ``lo <= X <= hi`` (int64 arrays) that holds ``ball``:
-    half-width radius / c0 (norm equivalence) about the rounded-out centre."""
-    hw = math.ceil(ball.radius / cert.c0)
+    half-width radius / c0 (norm equivalence, c0 the square root of the
+    smallest eigenvalue of M) about the rounded-out centre."""
+    hw = math.ceil(ball.radius / math.sqrt(np.linalg.eigvalsh(ball.M)[0]))
     return np.floor(ball.center).astype(np.int64) - hw, np.ceil(ball.center).astype(np.int64) + hw
 
 
@@ -114,7 +115,7 @@ def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     expected = volume / math.sqrt(np.linalg.det(cert.M))
     if expected > cap:
         raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
-    lo, hi = ball_box(cert, ball)
+    lo, hi = ball_box(ball)
     axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     states = grid[ball.contains(grid)]
@@ -124,11 +125,11 @@ def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     return states.astype(np.int64)
 
 
-def _draw_ball_points(m, cert, ball, N, n, rng):
+def _draw_ball_points(m, ball, N, n, rng):
     """``n`` lattice points drawn uniformly from the in-domain points of
     ``ball``: uniform points of its ``ball_box``, kept when they lie in the
     ball, drawn in batches until ``n`` are kept."""
-    lo, hi = ball_box(cert, ball)
+    lo, hi = ball_box(ball)
     kept, have = [], 0
     while have < n:
         X = rng.integers(lo, hi + 1, size=(2 * n, len(lo)))

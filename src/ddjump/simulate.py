@@ -180,7 +180,7 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
         i, j = np.triu_indices(len(pts), k=1)
     except CapExceededError:
         ball = cert.ball(N, cert.delta0)
-        pts = _draw_ball_points(m, cert, ball, N, 2 * samples, np.random.default_rng(seed))
+        pts = _draw_ball_points(m, ball, N, 2 * samples, np.random.default_rng(seed))
         i, j = np.arange(0, 2 * samples, 2), np.arange(1, 2 * samples, 2)
         distinct = (pts[i] != pts[j]).any(axis=1)
         i, j = i[distinct], j[distinct]

@@ -65,17 +65,11 @@ def identity_certificate(d=2, c=None, rho=1.0):
     return dj.StabilityCertificate(
         c=c,
         A=A,
-        eigenvalues=np.array([-2.0 + 0j] * d),
-        rho_hat=2.0,
         rho=rho,
-        rho_prime=0.5 * (rho + 2.0),
         M=np.eye(d),
         delta0=1.0,
-        c0=1.0,
-        c1=1.0,
         JstarM=1.0,
         sum_JM=float(d),
-        eps=0.1,
     )
 
 

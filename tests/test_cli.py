@@ -443,6 +443,58 @@ def test_equilibrium_on_a_ball_with_no_lattice_state_is_a_validation_error(tmp_p
     assert capsys.readouterr().err.strip().endswith("no lattice state inside the restriction ball")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--N", "20", "--delta", "0.5"],
+        ["cutoff", "--N", "20", "--x0", "1,1", "--s-grid=0,1", "--reps", "10"],
+        ["couple", "--N", "50", "--reps", "1", "--horizon", "1"],
+        ["simulate", "--N", "20", "--x0", "1,1", "--delta", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_certificate_of_another_dimension_is_a_validation_error(sir_cfg, tmp_path, capsys, argv):
+    # these used to fail inside numpy, or as a parse error, or with a traceback
+    cert_path = str(tmp_path / "cert.json")
+    identity_certificate(d=1, c=(1.0,)).dump(cert_path)
+    code = main([*argv, "--model", sir_cfg, "--cert", cert_path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "validation error: certificate dimension 1 does not match model dimension 2\n"
+    )
+
+
+def _data(out):
+    """Each output's data: CSV rows past the provenance lines, JSON without provenance."""
+    data = {}
+    for name in sorted(os.listdir(out)):
+        text = read(os.path.join(out, name)).decode()
+        if name.endswith(".csv"):
+            data[name] = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        else:
+            data[name] = {k: v for k, v in json.loads(text).items() if k != "provenance"}
+    return data
+
+
+def test_a_saved_certificate_gives_the_outputs_of_the_certificate_it_saved(sir_cfg, tmp_path, capsys):
+    assert main(["analyze", "--model", sir_cfg, "--out", str(tmp_path / "analyze")]) == 0
+    cert_path = str(tmp_path / "analyze" / "certificate.json")
+    runs = [
+        ["equilibrium", "--N", "30", "--delta", "0.3", "--seed", "2"],
+        ["cutoff", "--N", "30", "--x0", "1,1", "--s-grid=-1,1", "--reps", "200", "--delta", "0.6",
+         "--workers", "1", "--seed", "3"],
+        ["couple", "--N", "100", "--reps", "4", "--horizon", "1.0", "--workers", "1", "--seed", "4"],
+    ]
+    for argv in runs:
+        outs = []
+        for extra in ([], ["--cert", cert_path]):
+            out = str(tmp_path / f"{argv[0]}{len(extra)}")
+            assert main([*argv, "--model", sir_cfg, *extra, "--out", out]) == 0
+            outs.append(_data(out))
+        assert outs[0] == outs[1], argv[0]
+        assert len(outs[0]) >= 2
+
+
 def test_equilibrium_downgrades_to_empirical_above_cap(sir_cfg, tmp_path, capsys):
     # exceeding the state cap falls back to the occupation estimate, logged
     # to stderr rather than fatal

@@ -28,17 +28,11 @@ def linear_decay_certificate(rho=0.9):
     return dj.StabilityCertificate(
         c=np.array([0.0]),
         A=np.array([[-1.0]]),
-        eigenvalues=np.array([-1.0 + 0j]),
-        rho_hat=1.0,
         rho=rho,
-        rho_prime=0.5 * (rho + 1.0),
         M=np.array([[1.0]]),
         delta0=1.0,
-        c0=1.0,
-        c1=1.0,
         JstarM=1.0,
         sum_JM=1.0,
-        eps=0.05,
     )
 
 
@@ -232,6 +226,72 @@ def test_batched_radius_check_matches_pointwise(sir, cert05):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(M=np.array([[1.0, 0.5], [0.0, 1.0]])), "M not symmetric"),
+        (dict(M=np.array([[1.0, 2.0], [2.0, 1.0]])), "M not positive definite"),
+        (dict(A=np.eye(2)), "eigenvalue real parts not below -rho"),
+        (dict(rho=0.0), "rho and delta0 must be positive"),
+        (dict(rho=-1.0), "rho and delta0 must be positive"),
+        (dict(delta0=0.0), "rho and delta0 must be positive"),
+        (dict(c=np.zeros(3)), r"shapes of c \(3,\), A \(2, 2\) and M \(2, 2\) do not agree"),
+        (dict(c=np.zeros((2, 1))), "shapes of c"),
+        (dict(A=-2.0 * np.eye(3)), "shapes of c"),
+        (dict(M=np.eye(3)), "shapes of c"),
+    ],
+    ids=[
+        "asymmetric-M", "indefinite-M", "A-identity", "rho-0", "rho-negative", "delta0-0",
+        "c-of-3", "c-a-column", "A-of-3", "M-of-3",
+    ],
+)
+def test_a_certificate_certify_could_not_build_is_refused(change, message):
+    with pytest.raises(CertificateError, match=message):
+        dataclasses.replace(identity_certificate(), **change)
+
+
+# certificate.json of `ddjump analyze` on the SIR model (rho_fraction 0.5),
+# as written when the certificate also stored its derived values
+SIR_CERTIFICATE_WITH_DERIVED_VALUES = """{
+ "A": [[-2.0, -1.0], [2.0, 0.0]],
+ "JstarM": 2.30089496654211,
+ "M": [[5.294117647058817, 3.0588235294117614], [3.0588235294117614, 3.4117647058823497]],
+ "c": [0.5, 1.0],
+ "c0": 1.07358985390846,
+ "c1": 2.748324431089965,
+ "delta0": 0.01062501989267148,
+ "eigenvalues": [[-0.9999999999999998, 0.9999999999999998], [-0.9999999999999998, -0.9999999999999998]],
+ "eps": 0.02171348741039991,
+ "rho": 0.4999999999999999,
+ "rho_hat": 0.9999999999999998,
+ "rho_prime": 0.7499999999999998,
+ "sum_JM": 5.756790589987394
+}
+"""
+
+
+def test_a_certificate_file_with_derived_values_loads_to_them(cert05, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(SIR_CERTIFICATE_WITH_DERIVED_VALUES)
+    cert = dj.StabilityCertificate.load(path)
+    stored = json.loads(SIR_CERTIFICATE_WITH_DERIVED_VALUES)
+    stored["eigenvalues"] = [complex(re, im) for re, im in stored["eigenvalues"]]
+    for name, value in stored.items():
+        assert np.asarray(getattr(cert, name)).tobytes() == np.asarray(value).tobytes(), name
+        # certify still decides, and computes, the same bits
+        assert np.asarray(getattr(cert05, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(dj.StabilityCertificate)])
+def test_a_certificate_file_without_an_entry_names_it(cert05, tmp_path, name):
+    obj = cert05.to_json_dict()
+    del obj[name]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(CertificateError, match=f"certificate lacks the entry '{name}'"):
+        dj.StabilityCertificate.load(path)
+
+
 def test_certificate_serialization_roundtrip(cert05, tmp_path):
     path = tmp_path / "cert.json"
     cert05.dump(path)
@@ -268,9 +328,8 @@ def test_batched_m_norms_equal_the_scalar_m_norm_bit_for_bit(cert05):
 
 
 def _certificate_with_M(M):
-    w = np.linalg.eigvalsh(M)
     cert = identity_certificate(d=len(M), c=np.ones(len(M)))
-    return dataclasses.replace(cert, M=M, c0=math.sqrt(w[0]), c1=math.sqrt(w[-1]))
+    return dataclasses.replace(cert, M=M)
 
 
 @settings(max_examples=200, deadline=None)
