@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, io as _io
-from .dynamics import StabilityCertificate, certify, m_sphere_map
+from .dynamics import StabilityCertificate, certify, check_certificate, m_sphere_map
 from .engine import STATE_CAP
 from .equilibrium import (
     cutoff_profile,
@@ -120,8 +120,7 @@ def _certificate(m, args):
     if not args.cert:
         return certify(m, _guess(m, args), rho_fraction=args.rho_fraction)
     cert = StabilityCertificate.load(args.cert)
-    if cert.c.shape != (m.d,):
-        raise CertificateError(f"certificate dimension {len(cert.c)} does not match model dimension {m.d}")
+    check_certificate(m, cert)
     return cert
 
 
@@ -419,7 +418,7 @@ _SHARED = {
     "seed": dict(type=int, default=0),
     "workers": dict(type=int, default=os.cpu_count() or 1),
     "rho_fraction": dict(type=float, default=0.5),
-    "cert": dict(default=None, help="reuse a saved certificate JSON of the model's dimension"),
+    "cert": dict(default=None, help="reuse a saved certificate JSON of this model (c its fixed point, A its Jacobian there)"),
     "guess": dict(default=None, help="fixed-point guess, comma floats (default: all ones)"),
     "search_radius": dict(type=int, default=8),
     "state_cap": dict(type=int, default=STATE_CAP),

@@ -44,6 +44,10 @@ DELTA0_FACTOR = 0.9
 DELTA0_SAMPLES = 256
 DELTA0_SEED = 0
 CUTOFF_TIME_TOL = 1e-10  # bisection width of the crossing time
+# how far a given certificate's c may sit from a zero of the model's drift
+# (max |F(c)|), and its A from the model's Jacobian there (max entry, relative
+# to the Jacobian's largest, or 1)
+CERT_MODEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,8 @@ class FlowResult:
 
 
 def default_step(rho_hat):
-    return min(1e-3, 0.01 / rho_hat) if rho_hat > 0 else 1e-3
+    """The RK4 step at spectral gap ``rho_hat`` (positive in every certificate)."""
+    return min(1e-3, 0.01 / rho_hat)
 
 
 def _drift(m):
@@ -283,6 +288,27 @@ class StabilityCertificate:
     def load(path):
         with open(path) as f:
             return StabilityCertificate.from_json_dict(json.load(f))
+
+
+def check_certificate(m, cert):
+    """Refuse a certificate that is not one of the model ``m``: c must have
+    the model's dimension, the drift must vanish at c and A must be the
+    model's Jacobian there, both to ``CERT_MODEL_TOL``."""
+    if cert.c.shape != (m.d,):
+        raise CertificateError(f"certificate dimension {len(cert.c)} does not match model dimension {m.d}")
+    F = float(np.max(np.abs(eval_drift(m, cert.c, check_domain=False))))
+    if not F <= CERT_MODEL_TOL:
+        raise CertificateError(
+            f"certificate is not one of this model: the drift at its c is {F:.3g} "
+            f"(a fixed point needs at most {CERT_MODEL_TOL:g})"
+        )
+    J = eval_jacobian(m, cert.c, check_domain=False)
+    gap = float(np.max(np.abs(cert.A - J)))
+    if not gap <= CERT_MODEL_TOL * max(1.0, float(np.max(np.abs(J)))):
+        raise CertificateError(
+            f"certificate is not one of this model: its A differs from the Jacobian at c by {gap:.3g} "
+            f"(at most {CERT_MODEL_TOL:g} of its largest entry is allowed)"
+        )
 
 
 def _sample_ball(c, L, delta, n, rng):

@@ -26,8 +26,10 @@ start checks it with ``check_start``, which also refuses a row of starts.
 ``check_times`` checks a record grid and the horizon a run stops at, in
 every chunk and in ``simulate.SimOptions``, for the path and the pairs.
 
-The M-form ``m_form`` and the lattice ball ``Restriction`` sit here with the
-ball's box, enumeration and uniform point draw, below every module using them.
+The M-form ``m_form`` and the lattice ball ``Restriction`` sit here, below
+every module using them, with the ball's enumeration (a row scan over the
+ball's projections, in O(states) memory) and its uniform point draw (by
+rejection from the ball's box).
 """
 
 from __future__ import annotations
@@ -104,10 +106,15 @@ def ball_box(ball):
 
 
 def enumerate_ball(N, cert, delta, cap=STATE_CAP):
-    """All lattice points X with ||X - N c||_M <= N delta.
+    """All lattice points X with ||X - N c||_M <= N delta, in canonical order.
 
-    Scan of the ``ball_box``, then exact quadratic-form filter.  Errors out
-    when the expected state count (ellipsoid volume) exceeds ``cap``.
+    A row scan: the prefixes (x1 ... x_j) of the ball's points are the lattice
+    points of its projection onto the first j coordinates, an ellipse whose
+    form is a Schur complement of M.  Each prefix takes its x_(j+1) interval
+    from that form's quadratic, widened by one lattice step on each side, so
+    rounding cannot drop a point; ``Restriction.contains`` then decides
+    membership.  Memory is O(states).  Errors out when the expected state
+    count (ellipsoid volume) exceeds ``cap``.
     """
     d = len(cert.c)
     ball = cert.ball(N, delta)
@@ -115,14 +122,25 @@ def enumerate_ball(N, cert, delta, cap=STATE_CAP):
     expected = volume / math.sqrt(np.linalg.det(cert.M))
     if expected > cap:
         raise CapExceededError(f"expected {expected:.3g} states exceeds cap {cap}")
-    lo, hi = ball_box(ball)
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    states = grid[ball.contains(grid)]
+    Minv = np.linalg.inv(ball.M)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for j in range(d):
+        S = np.linalg.inv(Minv[: j + 1, : j + 1])  # the projection's form
+        U = rows - ball.center[:j]
+        b = U @ S[:j, j]
+        excess = np.einsum("ni,ij,nj->n", U, S[:j, :j], U) - ball.radius**2
+        # x_j - center_j between the roots of S_jj t^2 + 2 b t + excess; a
+        # prefix just outside has none, and is given the vertex of the parabola
+        half = np.sqrt(np.maximum(b * b - S[j, j] * excess, 0.0))
+        lo = np.ceil(ball.center[j] - (b + half) / S[j, j]).astype(np.int64) - 1
+        hi = np.floor(ball.center[j] - (b - half) / S[j, j]).astype(np.int64) + 1
+        count = hi - lo + 1
+        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        rows = np.column_stack([np.repeat(rows, count, axis=0), np.repeat(lo, count) + step])
+    states = rows[ball.contains(rows)]
     if len(states) > cap:
         raise CapExceededError(f"{len(states)} states exceeds cap {cap}")
-    # the "ij" scan lists the box in canonical order (first coordinate major)
-    return states.astype(np.int64)
+    return states
 
 
 def _draw_ball_points(m, ball, N, n, rng):

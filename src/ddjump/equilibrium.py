@@ -29,20 +29,80 @@ def build_generator(m, N, states):
     """Sparse generator Q of the chain held in ``states`` (distinct lattice
     points in canonical order): jump J from X is kept iff X + J is one of the
     states, and every other jump is deleted.  Rates are evaluated at X/N and
-    must be valid there, kept or not."""
+    must be valid there, kept or not.
+
+    Q is canonical CSR: no zero entries, each row's columns ascending.  In
+    the key codec of the states' box a jump moves every key by one fixed
+    offset, so a row's columns come in the order of its jumps' offsets, with
+    the diagonal at offset 0.  The diagonal is minus the sum of the row's
+    off-diagonal rates in column order, zero rates included, by
+    ``np.add.reduceat``: the sum scipy takes over a CSR row."""
     import scipy.sparse as sp
 
     n, k = len(states), len(m.jump_array)
-    r = engine.lattice_rates(m, states, N)
-    targets = (m.jump_array[:, None, :] + states[None, :, :]).reshape(-1, m.d)  # jump-major
-    codec = LatticeKeys(states, targets)
+    idx = np.int32 if n * (k + 1) <= np.iinfo(np.int32).max else np.int64
+    q = engine.lattice_rates(m, states, N).T  # (jump, state), C-contiguous
+    q *= N
+    cols, offsets = _jump_columns(states, m.jump_array, idx)
+    order = np.argsort(offsets, kind="stable")
+    kept = cols >= 0
+    off, _, indptr = _csr_rows([kept[j] for j in order], [q[j] for j in order], None, idx)
+    rows = np.flatnonzero(np.diff(indptr))
+    diagonal = np.zeros(n)
+    diagonal[rows] = -np.add.reduceat(off, indptr[rows])
+    del off, indptr, rows
+    kept &= q != 0
+    lead = int(np.count_nonzero(offsets < 0))  # the jumps left of the diagonal
+    slots = [*order[:lead], None, *order[lead:]]
+    data, indices, indptr = _csr_rows(
+        [diagonal != 0 if j is None else kept[j] for j in slots],
+        [diagonal if j is None else q[j] for j in slots],
+        [np.arange(n, dtype=idx) if j is None else cols[j] for j in slots],
+        idx,
+    )
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _jump_columns(states, jumps, idx):
+    """``cols[k, i]``: the index in ``states`` of ``states[i] + jumps[k]``, -1
+    where that is not a state; and each jump's key offset in the codec of
+    the states' box.  A target outside the box is caught coordinate by
+    coordinate before its key is formed."""
+    codec = LatticeKeys(states)
     keys = codec.encode(states)  # ascending: the states are in canonical order
-    target_keys = codec.encode(targets)
-    cols = np.searchsorted(keys, target_keys)
-    kept = keys[np.minimum(cols, n - 1)] == target_keys
-    rows = np.tile(np.arange(n), k)[kept]
-    Q = sp.coo_matrix(((N * r.T).ravel()[kept], (rows, cols[kept])), shape=(n, n)).tocsr()
-    return (Q - sp.diags(np.asarray(Q.sum(axis=1)).ravel())).tocsr()
+    shape = np.array(codec.shape)
+    offsets = jumps @ np.cumprod(np.append(1, shape[:0:-1]))[::-1]
+    cols = np.full((len(jumps), len(states)), -1, dtype=idx)
+    for k, J in enumerate(jumps):
+        inside = np.ones(len(states), dtype=bool)
+        for i in np.flatnonzero(J):
+            x = states[:, i] + (J[i] - codec.lo[i])
+            inside &= (x >= 0) & (x < shape[i])
+        target = keys[inside] + offsets[k]
+        at = np.searchsorted(keys, target)
+        hit = keys[np.minimum(at, len(keys) - 1)] == target
+        cols[k, np.flatnonzero(inside)[hit]] = at[hit]
+    return cols, offsets
+
+
+def _csr_rows(masks, values, columns, idx):
+    """CSR ``data, indices, indptr`` of the entries ``values[s][i]`` at
+    ``(i, columns[s][i])`` where ``masks[s][i]``: each row's entries in slot
+    order.  With ``columns`` None, ``indices`` is None."""
+    indptr = np.zeros(len(masks[0]) + 1, dtype=idx)
+    for mask in masks:
+        indptr[1:] += mask
+    np.cumsum(indptr, out=indptr)
+    data = np.empty(indptr[-1])
+    indices = None if columns is None else np.empty(indptr[-1], dtype=idx)
+    at = indptr[:-1].copy()  # each row's next free entry
+    for s, mask in enumerate(masks):
+        pos = at[mask]
+        data[pos] = values[s][mask]
+        if indices is not None:
+            indices[pos] = columns[s][mask]
+        at += mask
+    return data, indices, indptr
 
 
 def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
@@ -75,29 +135,47 @@ def _pi_direct(Q):
 def _closed_classes(Q):
     """Number of closed communicating classes of the chain with generator Q:
     strongly connected components of its positive-rate graph that no
-    positive rate leaves (Tarjan 1972)."""
+    positive rate leaves (Tarjan 1972).  Q's off-diagonal entries are its
+    positive rates (``build_generator`` stores no zeros); its diagonal
+    entries are self-loops, which join no components and leave none."""
     import scipy.sparse.csgraph as csgraph
 
-    G = (Q > 0).tocoo()
-    n_scc, label = csgraph.connected_components(G, directed=True, connection="strong")
-    leaving = label[G.row] != label[G.col]
-    return n_scc - len(np.unique(label[G.row[leaving]]))
+    n_scc, label = csgraph.connected_components(Q, directed=True, connection="strong")
+    source = np.repeat(label, np.diff(Q.indptr))
+    target = label[Q.indices]
+    return n_scc - len(np.unique(source[source != target]))
 
 
-def _pi_power(Q, pi0=None):
-    import scipy.sparse as sp
+def _power_kernel(Q):
+    """The uniformization rate Lambda and the transposed kernel
+    ``(I + Q / Lambda)^T`` in CSR, or (0, None) when no state can be left.
 
-    n = Q.shape[0]
-    diag = -Q.diagonal()
-    lam = float(diag.max())
+    Lambda sits a hair above the largest exit rate, so every self-loop is
+    positive and the kernel aperiodic.  Q is overwritten with
+    ``I + Q / Lambda`` as scipy's sum stores it: the division multiplies by
+    1 / Lambda, an entry that underflows to 0 is dropped, and a state with no
+    exit rate, which has no diagonal entry in Q, gets one of 1."""
+    lam = -float(Q.diagonal().min())
     if lam <= 0:
-        pi = np.zeros(n)
+        return 0.0, None
+    lam *= 1.0 + 1e-6
+    Q.data *= 1.0 / lam
+    Q.eliminate_zeros()
+    diagonal = Q.diagonal()
+    diagonal += 1.0
+    Q.setdiag(diagonal)
+    return lam, Q.T.tocsr()
+
+
+def _pi_power(lam, PT, pi0):
+    """Power iteration on the transposed kernel ``PT`` at rate ``lam``
+    (``_power_kernel``), each step pi P = P^T pi, from the weights ``pi0``
+    normalized; with no kernel, the point mass on the first state."""
+    if PT is None:
+        pi = np.zeros(len(pi0))
         pi[0] = 1.0
         return pi
-    lam *= 1.0 + 1e-6  # strictly positive self-loops keep the kernel aperiodic
-    # the kernel P = I + Q/lam, transposed once: each step is pi P = P^T pi
-    PT = (sp.eye(n, format="csr") + Q / lam).T.tocsr()
-    pi = np.full(n, 1.0 / n) if pi0 is None else pi0 / pi0.sum()
+    pi = pi0 / pi0.sum()
     # aim at a step residual far below what the callers need; after 40 checks
     # in a row that come no 1% below the best, accept the floating-point floor
     # or raise with the residuals of that streak
@@ -149,14 +227,16 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     if method == "direct":
         pi = _pi_direct(Q)
     else:
+        ref = _pi_direct(Q) if len(states) <= 5000 else None
+        lam, PT = _power_kernel(Q)
+        del Q  # the kernel overwrote it: only its transpose is held from here
         try:
             Sigma = solve_lyapunov_sigma(cert.A, equilibrium_sigma2(m, cert.c))
             pi0 = _normal_weights(states, N, cert.c, Sigma)
         except (DdjumpError, np.linalg.LinAlgError):
-            pi0 = None
-        pi = _pi_power(Q, pi0=pi0)
-        if Q.shape[0] <= 5000:
-            ref = _pi_direct(Q)
+            pi0 = np.ones(len(states))
+        pi = _pi_power(lam, PT, pi0)
+        if ref is not None:
             tv = 0.5 * float(np.abs(pi - ref).sum())
             if tv > 1e-8:
                 raise ConvergenceError(

@@ -434,8 +434,9 @@ def test_equilibrium_at_the_default_delta_is_certified(sir_cfg, tmp_path):
 
 
 def test_equilibrium_on_a_ball_with_no_lattice_state_is_a_validation_error(tmp_path, capsys):
+    # drift 2.1 - 2 x1: the fixed point 1.05 and Jacobian -2 of the certificate
     cfg, cert_path = tmp_path / "bd.cfg", tmp_path / "cert.json"
-    cfg.write_text("[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1\n")
+    cfg.write_text("[dimension]\n1\n[jumps]\n1 : 2.1\n-1 : 2 * x1\n")
     identity_certificate(d=1, c=(1.05,)).dump(cert_path)
     args = ["--model", str(cfg), "--cert", str(cert_path), "--N", "10", "--delta", "0.04"]
     code = main(["equilibrium", *args, "--out", str(tmp_path / "out")])
@@ -461,6 +462,45 @@ def test_a_certificate_of_another_dimension_is_a_validation_error(sir_cfg, tmp_p
     assert code == 2
     assert capsys.readouterr().err == (
         "validation error: certificate dimension 1 does not match model dimension 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--N", "30", "--delta", "0.3"],
+        ["cutoff", "--N", "20", "--x0", "1,1", "--s-grid=0,1", "--reps", "10"],
+        ["couple", "--N", "50", "--reps", "1", "--horizon", "1"],
+        ["simulate", "--N", "20", "--x0", "1,1", "--delta", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_certificate_of_another_model_is_a_validation_error(sir_cfg, tmp_path, capsys, argv):
+    # the certificate of SIR at alpha 2 (c = (0.5, 1)) given to SIR at alpha 3,
+    # whose drift at that c is (1 - 1.5, 1.5 - 1)
+    assert main(["analyze", "--model", sir_cfg, "--out", str(tmp_path / "analyze")]) == 0
+    cert_path = str(tmp_path / "analyze" / "certificate.json")
+    other = tmp_path / "sir3.cfg"
+    other.write_text(SIR.replace("alpha = 2.0", "alpha = 3.0"))
+    capsys.readouterr()
+    code = main([*argv, "--model", str(other), "--cert", cert_path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "validation error: certificate is not one of this model: the drift at its c is 0.5 "
+        "(a fixed point needs at most 1e-09)\n"
+    )
+
+
+def test_a_certificate_with_another_jacobian_is_a_validation_error(tmp_path, capsys):
+    # c = 1.05 is the fixed point of drift 1.05 - x1, whose Jacobian is -1, not -2
+    cfg, cert_path = tmp_path / "bd.cfg", tmp_path / "cert.json"
+    cfg.write_text("[dimension]\n1\n[jumps]\n1 : 1.05\n-1 : x1\n")
+    identity_certificate(d=1, c=(1.05,)).dump(cert_path)
+    args = ["--model", str(cfg), "--cert", str(cert_path), "--N", "10", "--delta", "0.5"]
+    assert main(["equilibrium", *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: certificate is not one of this model: its A differs from the Jacobian "
+        "at c by 1 (at most 1e-09 of its largest entry is allowed)\n"
     )
 
 

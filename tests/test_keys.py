@@ -28,6 +28,7 @@ from ddjump.equilibrium import (
 )
 from ddjump.errors import DomainError, KeyRangeError
 from conftest import as_dict
+from generator_reference import enumerate_ball_box
 
 # ---------------------------------------------------------------------------
 # references: the dict-keyed implementations
@@ -76,7 +77,7 @@ def tv_distance_ref(p, q):
 
 
 def build_restricted_generator_ref(m, N, cert, delta):
-    states = enumerate_ball(N, cert, delta)
+    states = enumerate_ball_box(N, cert, delta)
     n = len(states)
     for i in range(m.d):
         lo, hi = states[:, i].min() / N, states[:, i].max() / N
@@ -158,6 +159,12 @@ def test_discrete_normal_is_in_canonical_order(sir, cert05):
 )
 def test_keys_round_trip(rows):
     points = np.array(rows, dtype=np.int64)
+    extent = points.max(axis=0) - points.min(axis=0) + 1
+    if math.prod(int(w) for w in extent) > np.iinfo(np.int64).max:
+        # three axes 2^21 wide: a box past int64 keys, refused by name
+        with pytest.raises(KeyRangeError):
+            LatticeKeys(points)
+        return
     codec = LatticeKeys(points)
     keys = codec.encode(points)
     assert np.array_equal(codec.decode(keys), points)
