@@ -6,11 +6,13 @@ N delta) of a model's certificate: enumerate (``engine.enumerate_ball``),
 generator (``equilibrium.build_generator``), closed classes, normal weights
 (the warm start) and power, its kernel built first as ``stationary_exact``
 builds it; the direct cross-check of balls of at most 5000 states is left
-out.  Each row gives the stage's wall time, the traced peak while it ran
-(everything held from earlier stages included), the part of that peak above
-what was held when it began, and what is held when it ends.  Memory is
-tracemalloc's count of Python and numpy allocations, so the times include
-its small overhead.  A stage that raises ends the table with its error.
+out, and a ball of one state, whose law is its point mass, ends the table
+after enumerate.  Each row gives the stage's wall time, the traced peak
+while it ran (everything held from earlier stages included), the part of
+that peak above what was held when it began, and what is held when it ends.
+Memory is tracemalloc's count of Python and numpy allocations, so the times
+include its small overhead.  A stage that raises ends the table with its
+error.
 
     python3 scripts/stage_memory.py --N 400 --delta 0.7 --rho-fraction 0.5
     python3 scripts/stage_memory.py --model seir.cfg --N 20 --delta 1.8 --rho-fraction 0.9
@@ -101,6 +103,8 @@ def main():
             print(f"{name:<15} {seconds:9.4f} {peak / MB:9.2f} {(peak - start) / MB:9.2f} {now / MB:9.2f}{note}")
             if name == "enumerate":
                 print(f"  {len(held['states'])} states")
+                if len(held["states"]) == 1:  # a point mass: stationary_exact builds no kernel
+                    break
             if note:
                 break
     finally:

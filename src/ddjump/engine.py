@@ -23,8 +23,10 @@ Every start and every run's times are checked here: ``simulate_chunk``
 checks the starts of its chunk with ``check_starts``, which only callers
 using a start outside the engine call themselves; a function that takes one
 start checks it with ``check_start``, which also refuses a row of starts.
-``check_times`` checks a record grid and the horizon a run stops at, in
-every chunk and in ``simulate.SimOptions``, for the path and the pairs.
+``check_starts`` is also the one check of N >= 1, which every run meets
+before it uses N.  ``check_times`` checks a record grid and the horizon a
+run stops at, in every chunk and in ``simulate.SimOptions``, for the path
+and the pairs.
 
 The M-form ``m_form`` and the lattice ball ``Restriction`` sit here, below
 every module using them, with the ball's enumeration (a row scan over the
@@ -318,12 +320,14 @@ def simulate_chunk(
     X = np.repeat(X0[:, None], n, axis=1) if X0.ndim == 1 else X0.T.copy()
     # the live replicates, in row order; compacted on the steps where some retire
     live = {"X": X, "t": np.zeros(n), "row": np.arange(n)}
-    absorbed = np.zeros(n, dtype=bool)
+    # the chunk's output: each mode's arrays enter it where they are allocated
+    result = {}
+    absorbed = result["absorbed"] = np.zeros(n, dtype=bool)
 
     if mode == RECORDS:
-        records = np.zeros((n, len(record_times), d), dtype=np.int64)
+        records = result["records"] = np.zeros((n, len(record_times), d), dtype=np.int64)
         if not len(record_times):
-            return {"records": records, "absorbed": absorbed}
+            return result
         # next record index and time; the time is inf once every record is taken
         rec_next = np.append(np.asarray(record_times, dtype=float), math.inf)
         live["k"] = np.zeros(n, dtype=np.int64)
@@ -334,12 +338,12 @@ def simulate_chunk(
         live["X_start"] = X.astype(float)
         live["integral"] = np.zeros((d, n))
         live["sup"] = np.zeros(n)
-        sup_m = np.zeros(n)
-        final_m = np.zeros((n, d))
+        sup_m = result["sup_m"] = np.zeros(n)
+        final_m = result["final_m"] = np.zeros((n, d))
         box = np.asarray(stop_box, dtype=float)[:, :, None]  # (lo, hi), one column each
     if mode in (MARTINGALE, EXIT):
-        exited = np.zeros(n, dtype=bool)
-        exit_time = np.full(n, math.inf)
+        exited = result["exited"] = np.zeros(n, dtype=bool)
+        exit_time = result["exit_time"] = np.full(n, math.inf)
 
     # uniforms stored (draw, replicate): a draw is one row of ``bufs``, gathered
     # by the live replicates' columns ("slot")
@@ -435,26 +439,11 @@ def simulate_chunk(
         if gone is not None and gone.any():
             live = _keep(live, np.flatnonzero(~gone))
 
-    if mode == RECORDS:
-        return {"records": records, "absorbed": absorbed}
     if mode == EVENTS:
         ev_rep, ev_t, ev_X = (np.concatenate(a) for a in zip(*events))
         order = np.argsort(ev_rep, kind="stable")  # each replicate's events stay in time order
-        return {
-            "absorbed": absorbed,
-            "event_rep": rep_lo + ev_rep[order],
-            "event_t": ev_t[order],
-            "event_X": ev_X[order],
-        }
-    if mode == MARTINGALE:
-        return {
-            "sup_m": sup_m,
-            "final_m": final_m,
-            "exited": exited,
-            "exit_time": exit_time,
-            "absorbed": absorbed,
-        }
-    return {"exited": exited, "exit_time": exit_time, "absorbed": absorbed}
+        result.update(event_rep=rep_lo + ev_rep[order], event_t=ev_t[order], event_X=ev_X[order])
+    return result
 
 
 _shared = None

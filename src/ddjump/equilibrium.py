@@ -148,17 +148,14 @@ def _closed_classes(Q):
 
 def _power_kernel(Q):
     """The uniformization rate Lambda and the transposed kernel
-    ``(I + Q / Lambda)^T`` in CSR, or (0, None) when no state can be left.
+    ``(I + Q / Lambda)^T`` in CSR, for a Q some state can leave.
 
     Lambda sits a hair above the largest exit rate, so every self-loop is
     positive and the kernel aperiodic.  Q is overwritten with
     ``I + Q / Lambda`` as scipy's sum stores it: the division multiplies by
     1 / Lambda, an entry that underflows to 0 is dropped, and a state with no
     exit rate, which has no diagonal entry in Q, gets one of 1."""
-    lam = -float(Q.diagonal().min())
-    if lam <= 0:
-        return 0.0, None
-    lam *= 1.0 + 1e-6
+    lam = -float(Q.diagonal().min()) * (1.0 + 1e-6)
     Q.data *= 1.0 / lam
     Q.eliminate_zeros()
     diagonal = Q.diagonal()
@@ -170,11 +167,7 @@ def _power_kernel(Q):
 def _pi_power(lam, PT, pi0):
     """Power iteration on the transposed kernel ``PT`` at rate ``lam``
     (``_power_kernel``), each step pi P = P^T pi, from the weights ``pi0``
-    normalized; with no kernel, the point mass on the first state."""
-    if PT is None:
-        pi = np.zeros(len(pi0))
-        pi[0] = 1.0
-        return pi
+    normalized."""
     pi = pi0 / pi0.sum()
     # aim at a step residual far below what the callers need; after 40 checks
     # in a row that come no 1% below the best, accept the floating-point floor
@@ -215,9 +208,12 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
     primary route, warm-started from the discrete-normal weights; a sparse
     direct solve cross-checks it (TV <= 1e-8) when the ball holds at most
-    5000 states.
+    5000 states.  A ball of one state has its point mass, and no kernel:
+    only such a ball has a generator no state can leave and one closed class.
     """
     states, Q = build_restricted_generator(m, N, cert, delta, cap=cap)
+    if len(states) == 1:
+        return LatticeDistribution(states, np.ones(1))
     closed = _closed_classes(Q)
     if closed > 1:
         raise ConvergenceError(

@@ -11,7 +11,9 @@ chunks of 16 to 64 pairs, and a batch lasts until its longest pair.
 
 A run's horizon and record grid are checked once, by ``engine.check_times``:
 ``SimOptions`` calls it for the path and the coupled pairs, the engine for
-every chunk.  The martingale and exit experiments check T before using it.
+every chunk.  N is checked once too, with the starts, by
+``engine.check_starts``.  The martingale and exit experiments check T, and
+the exit experiment its reps, before using them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ DRIFT_BOX_MARGIN = 0.25  # the compact set K reaches this far past the drift pat
 @dataclass(frozen=True)
 class SimOptions:
     """Run settings of the free chain; immutable and shareable across workers.
-    ``engine.check_times`` checks the horizon and the record grid."""
+    ``engine.check_times`` checks the horizon and the record grid here;
+    N is checked by ``engine.check_starts``, which every run meets first."""
 
     N: int
     seed: int
@@ -57,8 +60,6 @@ class SimOptions:
     record: tuple = ()
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
         object.__setattr__(self, "record", engine.check_times(self.record, self.horizon))
 
 
@@ -172,8 +173,10 @@ def estimate_K2(m, cert, N, samples=4000, seed=0):
     A ball of at most K2_EXACT_POINTS lattice points has every unordered pair
     scored, so the result is exact and ignores ``samples`` and ``seed``.  A
     larger ball is scored on ``samples`` pairs of points drawn with ``seed``,
-    uniformly from its in-domain lattice points.
+    uniformly from its in-domain lattice points.  ``samples`` must be >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     try:
         pts = enumerate_ball(N, cert, cert.delta0, cap=K2_EXACT_POINTS)
         pts = pts[m.domain._inside(pts / N)]
@@ -670,11 +673,13 @@ def exit_probability(m, cert, N, delta_prime, delta, T, reps, seed, workers=1):
     M-radius N delta_prime, reported alongside ceil(rho T) z_N(eps').  The
     starts can reach past the domain; they are checked before any path runs,
     so also at T <= 0, where none does and the estimate is 0.  T must be
-    finite."""
+    finite and ``reps`` at least 1."""
     if not (0 < delta_prime < delta):
         raise ValueError("need 0 < delta_prime < delta")
     if not math.isfinite(T):
         raise ValueError(f"T must be finite, got T={T}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     d = m.d
     starts = engine.check_starts(m, N, _exit_starts(cert.ball(N, delta_prime), m_sphere_map(cert.M), reps, seed))
     if T > 0:

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +132,27 @@ def test_stationary_residual_invariant(sir, cert05):
     assert np.array_equal(states, pi.support)
     resid = float(np.abs(pi.mass @ Q).sum())
     assert resid <= 1e-9
+
+
+STAGE_MEMORY = Path(__file__).resolve().parent.parent / "scripts" / "stage_memory.py"
+STAGES = ["enumerate", "generator", "closed classes", "kernel", "normal weights", "power"]
+
+
+@pytest.mark.parametrize("delta,states,stages", [("0.7", 475, STAGES), ("0.001", 1, STAGES[:1])])
+def test_stage_memory_script_replays_every_stage(delta, states, stages):
+    """``scripts/stage_memory.py`` runs ``stationary_exact``'s stages through
+    its private functions; each stage gives one row of four numbers and no
+    error, and a one-state ball, a point mass, ends after enumerate."""
+    args = [sys.executable, str(STAGE_MEMORY), "--N", "30", "--delta", delta, "--rho-fraction", "0.5"]
+    out = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].split() == ["stage", "seconds", "peak_MB", "rise_MB", "held_MB"]
+    assert lines[2] == f"  {states} states"
+    rows = [lines[1]] + lines[3:]
+    assert [r[:15].strip() for r in rows] == stages
+    for r in rows:
+        assert len(r[15:].split()) == 4 and all(float(v) >= 0.0 for v in r[15:].split())
 
 
 def test_occupation_estimate_close_to_exact(sir, cert05):

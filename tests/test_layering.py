@@ -25,7 +25,9 @@ for the exit experiment's starts, which it checks even where no path runs.
 A run's record grid and horizon are checked by one function too,
 ``engine.check_times``, called by the engine for every chunk and by
 ``SimOptions``; so ``equilibrium`` hands its grids to the engine as they are
-and imports nothing from ``simulate``.
+and imports nothing from ``simulate``.  N is checked once, by
+``engine.check_starts``, which every run meets before it uses N; so
+``SimOptions`` does not check it.
 
 There is one M-quadratic form, ``engine.m_form``: no ``einsum`` takes ``M``
 as an operand and no ``a @ M @ b`` chain exists, so every M-norm rounds
@@ -424,18 +426,20 @@ def test_the_guard_sees_a_third_start_check():
 
 
 _TIME_MESSAGES = ("record times ", "horizon must ")
+_N_MESSAGES = ("N must be a positive integer",)
 
 
-def _time_check_raises(tree):
+def _check_raises(tree, messages=_TIME_MESSAGES):
     """The innermost function ("" at module top) around every raise whose
-    message begins with "record times " or "horizon must ", which a copy of
-    the times check would hold."""
+    message begins with one of ``messages``: by default "record times " or
+    "horizon must ", which a copy of the times check would hold, or the N
+    check's message (``_N_MESSAGES``)."""
     found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if _raise_text(node).startswith(_TIME_MESSAGES):
+        if _raise_text(node).startswith(messages):
             found.append(fn)
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
@@ -448,7 +452,7 @@ def test_one_check_of_record_times_and_horizons():
     sites = {
         (path.name, fn)
         for path in sorted(SRC.glob("*.py"))
-        for fn in _time_check_raises(ast.parse(path.read_text()))
+        for fn in _check_raises(ast.parse(path.read_text()))
     }
     assert sites == {("engine.py", "check_times")}
 
@@ -463,7 +467,29 @@ def test_the_guard_sees_a_second_times_check():
         "raise ValueError('T must not exceed the horizon')\n"
         "raise ValueError(f'horizon must be finite, got {h}')\n"
     )
-    assert _time_check_raises(ast.parse(src)) == ["__post_init__", "__post_init__", ""]
+    assert _check_raises(ast.parse(src)) == ["__post_init__", "__post_init__", ""]
+
+
+def test_one_check_of_N():
+    sites = {
+        (path.name, fn)
+        for path in sorted(SRC.glob("*.py"))
+        for fn in _check_raises(ast.parse(path.read_text()), _N_MESSAGES)
+    }
+    assert sites == {("engine.py", "check_starts")}
+
+
+def test_the_guard_sees_a_second_N_check():
+    src = (
+        "class SimOptions:\n"
+        "    def __post_init__(self):\n"
+        "        if self.N < 1:\n"
+        "            raise ValueError('N must be a positive integer')\n"
+        "def sample_at(m, opts, N):\n"
+        "    raise ValueError(f'N must be a positive integer, got {N}')\n"
+        "raise ValueError('N must be at most 10**9')\n"
+    )
+    assert _check_raises(ast.parse(src), _N_MESSAGES) == ["__post_init__", "sample_at"]
 
 
 def _simulate_imports(tree):

@@ -141,6 +141,14 @@ def test_exit_probability_checks_its_starts():
             dj.exit_probability(WALK, identity_certificate(d=1, c=(1.0,)), 10, 1.5, 2.0, T=T, reps=8, seed=1)
 
 
+@pytest.mark.parametrize("T", [0.0, 5.0])
+@pytest.mark.parametrize("reps", [0, -2])
+def test_exit_probability_refuses_reps_below_1(sir, cert05, reps, T):
+    # checked before the starts are drawn, also at T = 0, where no path runs
+    with pytest.raises(ValueError, match=rf"^reps must be >= 1, got {reps}$"):
+        dj.exit_probability(sir, cert05, 50, 0.3, 0.6, T=T, reps=reps, seed=1)
+
+
 SIR50 = dj.SimOptions(N=50, seed=1, horizon=1.0, record=(0.0, 1.0))
 ONE_START_RUNS = {
     "simulate_path": lambda m, cert, X: dj.simulate_path(m, SIR50, X),
@@ -364,6 +372,15 @@ def test_estimate_k2_is_the_scan_value_bit_for_bit(request, sir, cert_name, N):
 def test_estimate_k2_of_a_one_point_ball_is_the_cap(sir, cert05):
     assert len(enumerate_ball(100, cert05, cert05.delta0)) == 1
     assert dj.estimate_K2(sir, cert05, 100) == K2_CAP_FACTOR * cert05.JstarM
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("cert_name,N", [("cert05", 400), ("cert025", 20000)])
+def test_estimate_k2_refuses_samples_below_1(request, sir, cert_name, N, samples):
+    # an exact ball, which reads no samples, and a sampled one past the cap
+    cert = request.getfixturevalue(cert_name)
+    with pytest.raises(ValueError, match=rf"^samples must be >= 1, got {samples}$"):
+        dj.estimate_K2(sir, cert, N, samples=samples)
 
 
 @pytest.mark.parametrize("N", [1600, 20000])
