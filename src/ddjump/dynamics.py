@@ -13,6 +13,12 @@ roots of M's extreme eigenvalues.  A certificate ``certify`` could not have
 built (shapes that disagree, rho or delta0 not positive, M not symmetric
 positive definite, an eigenvalue of A not below -rho) is refused.
 
+``certify`` finds delta0 on one sample of the unit M-ball
+(``_unit_ball_sample``), drawn once and scaled to every radius of its grid
+(``_scaled_ball``), and scores the grid a block of radii at a time, one
+array call for the rates and one for the gradients of a block
+(``_ball_passes``).
+
 The certified ball's drift arithmetic lives here once: ``_m_directions``
 draws the M-sphere directions of every ball sampler, and ``_drift_slack``
 scores A ||.||_M + rho ||.||_M for both the chain's K1 scan and the coupled
@@ -28,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import Restriction, lattice_rates, m_form
+from .engine import Restriction, check_N, lattice_rates, m_form
 from .errors import CertificateError, ConvergenceError, DomainError, HorizonError
 from .model import eval_drift, eval_jacobian, eval_rates, rate_gradients
 
@@ -38,11 +44,13 @@ LEFT_DOMAIN = "left_domain"
 NEWTON_TOL = 1e-12  # max |F| accepted at the fixed point
 NEWTON_MAX_ITER = 100
 # delta0 search: up to 140 radii, each 0.9 times the last, every one checked
-# on 256 sampled points of its ball, drawn from seed 0
+# on the same 256 points of the unit ball, drawn from seed 0 and scaled to
+# the radius, 8 radii to an array call
 DELTA0_STEPS = 140
 DELTA0_FACTOR = 0.9
 DELTA0_SAMPLES = 256
 DELTA0_SEED = 0
+DELTA0_BLOCK = 8
 CUTOFF_TIME_TOL = 1e-10  # bisection width of the crossing time
 # how far a given certificate's c may sit from a zero of the model's drift
 # (max |F(c)|), and its A from the model's Jacobian there (max entry, relative
@@ -262,7 +270,8 @@ class StabilityCertificate:
         return np.sqrt(m_form(self.M, np.moveaxis(X, -1, 0)))
 
     def ball(self, N, delta):
-        """The lattice ball B_M(N c, N delta)."""
+        """The lattice ball B_M(N c, N delta), for N >= 1."""
+        check_N(N)
         return Restriction(M=self.M, center=N * self.c, radius=N * delta)
 
     def to_json_dict(self):
@@ -311,32 +320,56 @@ def check_certificate(m, cert):
         )
 
 
-def _sample_ball(c, L, delta, n, rng):
-    """Points of B_M(c, delta), ``L = m_sphere_map(M)``: half on the boundary
-    sphere, half interior."""
-    V = _m_directions(rng, n, L)
+def _unit_ball_sample(L, n, rng):
+    """``n`` points of the unit M-ball, ``L = m_sphere_map(M)``, half on its
+    sphere and half inside: their radii (n,) and their M-unit directions,
+    stored coordinate by coordinate (d, n)."""
+    V = np.ascontiguousarray(_m_directions(rng, n, L).T)
     radii = np.ones(n)
     half = n // 2
-    radii[:half] = rng.random(half) ** (1.0 / len(c))
-    return c + delta * radii[:, None] * V
+    radii[:half] = rng.random(half) ** (1.0 / len(L))
+    return radii, V
+
+
+def _scaled_ball(c, sample, delta):
+    """The points c + delta * radius * direction of a ``_unit_ball_sample``,
+    shape (n, d), or (r, n, d) for radii ``delta`` of shape (r,); each
+    coordinate of them is one contiguous block."""
+    radii, V = sample
+    ones = (1,) * np.ndim(delta)  # the radius axis, if any
+    pts = np.reshape(c, (-1, *ones, 1)) + np.multiply.outer(delta, radii) * V.reshape(len(V), *ones, -1)
+    return np.moveaxis(pts, 0, -1)
+
+
+def _sample_ball(c, L, delta, n, rng):
+    """``n`` points of B_M(c, delta), ``L = m_sphere_map(M)``: half on the
+    boundary sphere, half interior."""
+    return _scaled_ball(c, _unit_ball_sample(L, n, rng), delta)
 
 
 def _ball_passes(m, pts, grad_c, tol):
-    """True when every point lies in the domain, every rate there is finite
-    and strictly positive, and every rate gradient lies within ``tol`` of
-    ``grad_c``.  One array call covers all points; a division by zero at any
-    point fails them all."""
-    if not m.domain._inside(pts).all():
+    """Whether every point of a ball lies in the domain, every rate there is
+    finite and strictly positive, and every rate gradient lies within ``tol``
+    of ``grad_c``.
+
+    ``pts`` is one ball's points (n, d), which get one bool, or a stack of
+    balls (b, n, d), which get one bool each from one array call for the
+    rates and one for the gradients.  A division by zero at any point fails
+    its ball; in a stack, the balls are then scored one at a time, so each
+    gets the verdict it gets alone."""
+    inside = m.domain._inside(pts).all(axis=-1)
+    if pts.ndim == 2 and not inside:
         return False
     try:
         with np.errstate(divide="raise", invalid="ignore", over="ignore"):
             R = m.kernel.rates_array(pts)
             G = m.kernel.grads_array(pts)
     except FloatingPointError:
-        return False
-    if not (np.isfinite(R).all() and (R > 0).all()):
-        return False
-    return bool((np.linalg.norm(G - grad_c, axis=-1) < tol).all())
+        return False if pts.ndim == 2 else np.array([_ball_passes(m, p, grad_c, tol) for p in pts])
+    rates_ok = (np.isfinite(R) & (R > 0)).all(axis=(-2, -1))
+    grads_ok = (np.linalg.norm(G - grad_c, axis=-1) < tol).all(axis=(-2, -1))
+    passes = inside & rates_ok & grads_ok
+    return bool(passes) if pts.ndim == 2 else passes
 
 
 def certify(m, guess, rho_fraction=0.9):
@@ -346,9 +379,11 @@ def certify(m, guess, rho_fraction=0.9):
     solves the shifted Lyapunov equation at rho'; eps satisfies
     eps * sum_J ||J||_M = (rho' - rho)/2; delta0 is the largest radius on a
     geometric grid (``DELTA0_*``, down from the distance to the domain
-    boundary capped at 8) such that, on sampled points of B_M(c, delta0),
-    every rate is strictly positive and max_J |grad r_J(y) - grad r_J(c)| <
-    eps/c0.
+    boundary capped at 8, each radius 0.9 times the last) such that, on
+    sampled points of B_M(c, delta0), every rate is strictly positive and
+    max_J |grad r_J(y) - grad r_J(c)| < eps/c0.  One sample of the unit
+    M-ball is drawn and scaled to every radius, and the grid is scored
+    ``DELTA0_BLOCK`` radii at a time from the top (``_ball_passes``).
     """
     if not (0 < rho_fraction < 1):
         raise ValueError("rho_fraction must lie in (0,1)")
@@ -383,19 +418,18 @@ def certify(m, guess, rho_fraction=0.9):
     if delta_max <= 0:
         raise CertificateError("fixed point sits on the domain boundary")
 
-    rng = np.random.default_rng(DELTA0_SEED)
-    L = m_sphere_map(M)
-    delta0 = None
-    delta = delta_max
-    for _ in range(DELTA0_STEPS):
-        pts = _sample_ball(c, L, delta, DELTA0_SAMPLES, rng)
-        if _ball_passes(m, pts, grad_c, eps / c0):
-            delta0 = delta
+    # the radius multiplied down step by step: delta_max * 0.9**k rounds otherwise
+    radii = np.cumprod([delta_max] + [DELTA0_FACTOR] * (DELTA0_STEPS - 1))
+    sample = _unit_ball_sample(m_sphere_map(M), DELTA0_SAMPLES, np.random.default_rng(DELTA0_SEED))
+    for top in range(0, DELTA0_STEPS, DELTA0_BLOCK):
+        pts = _scaled_ball(c, sample, radii[top : top + DELTA0_BLOCK])
+        passed = np.flatnonzero(_ball_passes(m, pts, grad_c, eps / c0))
+        if len(passed):
+            delta0 = radii[top + passed[0]]
             break
-        delta *= DELTA0_FACTOR
-    if delta0 is None:
+    else:
         raise CertificateError(
-            f"no radius in [{delta:.3g}, {delta_max:.3g}] passes the perturbation "
+            f"no radius in [{radii[-1] * DELTA0_FACTOR:.3g}, {delta_max:.3g}] passes the perturbation "
             "and positivity checks"
         )
 
@@ -405,11 +439,13 @@ def certify(m, guess, rho_fraction=0.9):
 def cutoff_time(m, cert, x0, N, horizon=None):
     """First time the ODE flow from x0 satisfies ||y(t) - c||_M = N^(-1/2).
 
-    Returns 0 when x0 is already inside the target ball.  Integration uses
-    fixed-step RK4 at ``default_step``; the bracketing step is refined by
-    bisection to ``CUTOFF_TIME_TOL``.  Raises HorizonError when no crossing
-    occurs by the horizon (x0 outside the basin, or N too large for it).
+    N must be at least 1 (``engine.check_N``).  Returns 0 when x0 is
+    already inside the target ball.  Integration uses fixed-step RK4 at
+    ``default_step``; the bracketing step is refined by bisection to
+    ``CUTOFF_TIME_TOL``.  Raises HorizonError when no crossing occurs by the
+    horizon (x0 outside the basin, or N too large for it).
     """
+    check_N(N)
     x0 = np.asarray(x0, dtype=float)
     target = 1.0 / math.sqrt(N)
     g = cert.m_norm(x0 - cert.c)

@@ -23,8 +23,9 @@ Every start and every run's times are checked here: ``simulate_chunk``
 checks the starts of its chunk with ``check_starts``, which only callers
 using a start outside the engine call themselves; a function that takes one
 start checks it with ``check_start``, which also refuses a row of starts.
-``check_starts`` is also the one check of N >= 1, which every run meets
-before it uses N.  ``check_times`` checks a record grid and the horizon a
+``check_N`` is the one check of N >= 1: every run meets it in
+``check_starts`` before it uses N, and every lattice ball and cutoff time
+before they are built.  ``check_times`` checks a record grid and the horizon a
 run stops at, in every chunk and in ``simulate.SimOptions``, for the path
 and the pairs.
 
@@ -159,13 +160,18 @@ def _draw_ball_points(m, ball, N, n, rng):
     return np.concatenate(kept)[:n]
 
 
-def check_starts(model, N, X, restriction=None):
-    """The start ``X`` (shape (d,)), or the starts in the rows of ``X`` (shape
-    (n, d)), as int64, after the one start check: N >= 1, the shape, the
-    domain at ``N`` and, given a ``restriction``, its ball.  Of several bad
-    starts the lowest-index one is named, whatever the chunking."""
+def check_N(N):
+    """Refuse a system size N below 1."""
     if N < 1:
         raise ValueError("N must be a positive integer")
+
+
+def check_starts(model, N, X, restriction=None):
+    """The start ``X`` (shape (d,)), or the starts in the rows of ``X`` (shape
+    (n, d)), as int64, after the one start check: N >= 1 (``check_N``), the
+    shape, the domain at ``N`` and, given a ``restriction``, its ball.  Of
+    several bad starts the lowest-index one is named, whatever the chunking."""
+    check_N(N)
     X = np.asarray(X, dtype=np.int64)
     d = model.d
     if X.ndim not in (1, 2) or X.shape[-1] != d:

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,19 @@ def test_cutoff_empty_s_grid_is_validation_error(sir_cfg, tmp_path, capsys):
     code = main(args + ["--reps", "50", "--delta", "0.6", "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "validation error: the s-grid is empty\n"
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("cutoff", ["--x0", "1,1", "--s-grid", "0,1", "--reps", "10"]), ("equilibrium", []), ("couple", [])],
+)
+def test_an_N_below_1_is_refused_before_any_ball(sir_cfg, tmp_path, capsys, command, extra):
+    args = [command, "--model", sir_cfg, "--N", "0", *extra, "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert capsys.readouterr().err == "validation error: N must be a positive integer\n"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("x0", ["1", "1,1,1"])

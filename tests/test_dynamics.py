@@ -226,6 +226,59 @@ def test_batched_radius_check_matches_pointwise(sir, cert05):
     assert verdicts == {True, False}
 
 
+@st.composite
+def radius_blocks(draw):
+    """(model, stack, grad_c, tol): a polynomial model with one rate divided
+    by (x1 - p)^2, and a stack of 1 to 8 balls about c = (1, 1), one sample
+    scaled to each radius.  In half the stacks one ball gets a point with
+    x1 = p exactly, so that the stack divides by zero."""
+    a = [draw(st.floats(0.1, 2.0)) for _ in range(5)]
+    p = draw(st.sampled_from([0.25, 0.5, 1.5, 2.0, 3.0]))
+    m = dj.parse_model(
+        "[dimension]\n2\n[jumps]\n"
+        f" 1  0 : {a[0]} + {a[1]} * x1 * x2\n"
+        f"-1  0 : {a[2]} * x1^2 / (x1 - {p})^2\n"
+        f" 0 -1 : {a[3]} * x2 + {a[4]} * x1\n"
+    )
+    radii = 1.2 * 0.9 ** np.array(draw(st.lists(st.integers(0, 60), min_size=1, max_size=8)))
+    stack = _sample_ball(np.ones(2), np.eye(2), radii, 16, np.random.default_rng(draw(st.integers(0, 2**16))))
+    if draw(st.booleans()):
+        stack[draw(st.integers(0, len(radii) - 1)), draw(st.integers(0, 15)), 0] = p
+    return m, stack, rate_gradients(m, np.ones(2)), draw(st.floats(0.05, 20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(radius_blocks())
+def test_a_stack_of_balls_gets_the_verdict_of_each_ball_alone(case):
+    m, stack, grad_c, tol = case
+    alone = [_ball_passes(m, pts, grad_c, tol) for pts in stack]
+    assert _ball_passes(m, stack, grad_c, tol).tolist() == alone
+    assert alone == [_ball_passes_pointwise(m, pts, grad_c, tol) for pts in stack]
+
+
+@pytest.mark.parametrize(
+    "model,rho_fraction,delta0",
+    [
+        ("sir", 0.25, "0x1.3e5b201f118d1p-6"),
+        ("sir", 0.5, "0x1.5c29207aabfb1p-7"),
+        ("sir", 0.9, "0x1.c819806466cb6p-11"),
+        ("birth_death", 0.5, "0x1.6a09e661e0cb1p+0"),
+    ],
+)
+def test_delta0_is_a_grid_radius_multiplied_down_step_by_step(request, model, rho_fraction, delta0):
+    # delta_max * 0.9**k rounds to another float at all three SIR fractions
+    m = request.getfixturevalue(model)
+    assert dj.certify(m, np.ones(m.d), rho_fraction=rho_fraction).delta0.hex() == delta0
+
+
+@pytest.mark.parametrize("steps,message", [(3, r"\[1.39, 1.9\]"), (20, r"\[0.232, 1.9\]")])
+def test_a_grid_with_no_passing_radius_names_its_ends(sir, monkeypatch, steps, message):
+    # one radius below the last tried, as the loop over the grid had it
+    monkeypatch.setattr(dynamics, "DELTA0_STEPS", steps)
+    with pytest.raises(CertificateError, match=f"^no radius in {message} passes the perturbation"):
+        dj.certify(sir, np.ones(2), rho_fraction=0.9)
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -374,6 +427,14 @@ def test_cutoff_time_log_increment(sir, cert09):
 def test_cutoff_time_monotone_in_N(sir, cert05):
     ts = [dj.cutoff_time(sir, cert05, (1.0, 1.0), N) for N in (10, 100, 1000, 10_000)]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_cutoff_time_and_the_ball_refuse_an_N_below_1(sir, cert05, N):
+    with pytest.raises(ValueError, match="^N must be a positive integer$"):
+        dj.cutoff_time(sir, cert05, (1.0, 1.0), N)
+    with pytest.raises(ValueError, match="^N must be a positive integer$"):
+        dj.enumerate_ball(N, cert05, 0.7)
 
 
 def test_cutoff_time_horizon_exceeded(sir, cert05):

@@ -476,7 +476,7 @@ def test_one_check_of_N():
         for path in sorted(SRC.glob("*.py"))
         for fn in _check_raises(ast.parse(path.read_text()), _N_MESSAGES)
     }
-    assert sites == {("engine.py", "check_starts")}
+    assert sites == {("engine.py", "check_N")}
 
 
 def test_the_guard_sees_a_second_N_check():

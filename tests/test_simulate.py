@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -671,6 +674,22 @@ def test_martingale_tail_below_bound(sir):
     rep = dj.martingale_deviation(sir, opts, np.array([100, 100]), T=2.0, reps=3000, z_grid=z_grid)
     assert rep.violations == 0
     assert np.all(rep.tail[:-1] >= rep.tail[1:])  # tail nonincreasing in z
+
+
+MARTINGALE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_martingale_bound.py"
+
+
+def test_martingale_bound_script_writes_its_tail_table(tmp_path):
+    """``scripts/run_martingale_bound.py`` at a small size exits 0 and writes
+    one row per point of its 10-point z-grid."""
+    args = ["--N", "20", "--reps", "64", "--T", "0.5", "--workers", "1", "--out", str(tmp_path)]
+    cmd = [sys.executable, str(MARTINGALE_SCRIPT), *args]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    text = (tmp_path / "martingale_tail.csv").read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == "z,empirical_tail,tail_lcb99,zeta_bound"
+    assert len(lines) == 11 and all(len(row.split(",")) == 4 for row in lines[1:])
 
 
 def test_martingale_rate_sup_with_a_nan_on_its_mesh_is_a_rate_error():
