@@ -3,11 +3,11 @@
 
 The stages run as ``stationary_exact`` runs them, on the ball B_M(N c,
 N delta) of a model's certificate: enumerate (``engine.enumerate_ball``),
-generator (``equilibrium.build_generator``), closed classes, normal weights
-(the warm start) and power, its kernel built first as ``stationary_exact``
-builds it; the direct cross-check of balls of at most 5000 states is left
-out, and a ball of one state, whose law is its point mass, ends the table
-after enumerate.  Each row gives the stage's wall time, the traced peak
+generator (``equilibrium.build_generator``), the power kernel, closed
+classes (counted on the kernel), normal weights (the warm start) and power;
+the direct cross-check of balls of at most ``CROSS_CHECK_STATES`` states is
+left out, and a ball of one state, whose law is its point mass, ends the
+table after enumerate.  Each row gives the stage's wall time, the traced peak
 while it ran (everything held from earlier stages included), the part of
 that peak above what was held when it began, and what is held when it ends.
 Memory is tracemalloc's count of Python and numpy allocations, so the times
@@ -27,8 +27,7 @@ import tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
-import scipy.sparse.csgraph  # noqa: F401  (loaded before tracing starts)
-import scipy.sparse.linalg  # noqa: F401
+import scipy.sparse  # noqa: F401  (loaded before tracing starts)
 
 import ddjump as dj
 from ddjump import engine, equilibrium as eq
@@ -48,11 +47,12 @@ def _stages(m, N, cert, delta):
     def generator():
         held["Q"] = eq.build_generator(m, N, held["states"])
 
-    def closed_classes():
-        held["closed"] = eq._closed_classes(held["Q"])
-
     def power_kernel():
-        held["kernel"] = eq._power_kernel(held.pop("Q"))
+        held["kernel"] = eq._power_kernel(held["Q"])  # Q is overwritten with the kernel
+
+    def closed_classes():
+        pivot = eq._nearest_state(held["states"], N * cert.c)
+        held["closed"] = eq._closed_classes(held.pop("Q"), held["kernel"][1], pivot)
 
     def normal_weights():
         Sigma = dj.solve_lyapunov_sigma(cert.A, dj.equilibrium_sigma2(m, cert.c))
@@ -64,8 +64,8 @@ def _stages(m, N, cert, delta):
     return held, [
         ("enumerate", enumerate_),
         ("generator", generator),
-        ("closed classes", closed_classes),
         ("kernel", power_kernel),
+        ("closed classes", closed_classes),
         ("normal weights", normal_weights),
         ("power", power),
     ]

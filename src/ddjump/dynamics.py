@@ -222,6 +222,8 @@ class StabilityCertificate:
     sum_JM: float
 
     def __post_init__(self):
+        for name in ("rho", "delta0", "JstarM", "sum_JM"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         c_shape, A_shape, M_shape = np.shape(self.c), np.shape(self.A), np.shape(self.M)
         if len(c_shape) != 1 or A_shape != 2 * c_shape or M_shape != 2 * c_shape:
             raise CertificateError(
@@ -285,7 +287,7 @@ class StabilityCertificate:
             if f.name not in obj:
                 raise CertificateError(f"certificate lacks the entry {f.name!r}")
             v = obj[f.name]
-            kw[f.name] = np.array(v, dtype=float) if isinstance(v, list) else float(v)
+            kw[f.name] = np.array(v, dtype=float) if isinstance(v, list) else v
         return StabilityCertificate(**kw)
 
     def dump(self, path):
@@ -429,7 +431,7 @@ def certify(m, guess, rho_fraction=0.9):
             break
     else:
         raise CertificateError(
-            f"no radius in [{radii[-1] * DELTA0_FACTOR:.3g}, {delta_max:.3g}] passes the perturbation "
+            f"no radius in [{radii[-1]:.3g}, {delta_max:.3g}] passes the perturbation "
             "and positivity checks"
         )
 

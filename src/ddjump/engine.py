@@ -258,15 +258,15 @@ def _draw_blocks(bufs, gens, row):
     """Put the next ``len(bufs)`` uniforms of replicate ``row[k]`` in column
     k of ``bufs`` and return those columns.
 
-    The transposed writes go 64 by 64 replicates, so each tile stays in cache.
+    Each 128 replicates draw into the rows of one tile, written into
+    ``bufs`` transposed in one slice copy.
     """
-    block = len(bufs)
-    tile = np.empty((64, block))
-    for a in range(0, len(row), 64):
-        for j, i in enumerate(row[a : a + 64]):
+    tile = np.empty((128, len(bufs)))
+    for a in range(0, len(row), 128):
+        part = row[a : a + 128]
+        for j, i in enumerate(part):
             gens[i].random(out=tile[j])
-        for b in range(0, block, 64):
-            bufs[b : b + 64, a : a + j + 1] = tile[: j + 1, b : b + 64].T
+        bufs[:, a : a + len(part)] = tile[: len(part)].T
     return np.arange(len(row))
 
 

@@ -3,7 +3,14 @@ enumeration, also reachable here as ``enumerate_ball``), discrete-normal
 comparison, total variation, and the cutoff-profile experiments.
 
 scipy.sparse is imported inside the generator and solver functions, so a
-process that only simulates does not load it."""
+process that only simulates does not load it.  The stationary solve's
+default route loads no other scipy module: its closed-class count is a
+breadth-first search and its direct cross-check (balls of at most
+``CROSS_CHECK_STATES`` states) is GTH elimination in band storage, n (b_l +
+b_u + 1) doubles and O(n b^2) time for a bandwidth b, both in numpy.  Only
+``method="direct"`` above that size loads scipy.sparse.linalg (``spsolve``,
+and scipy.linalg with it), and only a chain whose classes the search does
+not settle loads scipy.sparse.csgraph."""
 
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from .errors import ConvergenceError, DdjumpError, DomainError
 from .model import eval_rates
 
 POWER_MAX_ITERS = 2_000_000
+CROSS_CHECK_STATES = 5000  # balls up to this size are solved directly as well, by GTH
 OCCUPATION_REPS = 128  # paths behind one stationary_empirical estimate
 BURNIN_RELAXATIONS = 10  # its burn-in, in relaxation times 1/rho_hat
 TV_ALPHA = 0.05  # a cutoff row's interval misses its true TV with probability at most this
@@ -118,13 +126,26 @@ def build_restricted_generator(m, N, cert, delta, cap=STATE_CAP):
     return states, build_generator(m, N, states)
 
 
-def _pi_direct(Q):
+def _pi_direct(Q, closed, QT=None):
+    """Stationary law of the chain with generator Q (canonical CSR) whose
+    one closed class is the mask ``closed``; 0 off the class.
+
+    A chain of at most ``CROSS_CHECK_STATES`` states is solved by
+    ``_pi_gth`` on its closed class with numpy alone, and Q may as well be
+    its kernel I + Q / Lambda, whose off-diagonal rates are Q's scaled.  A
+    larger one is solved by ``scipy.sparse.linalg.spsolve`` on pi Q = 0
+    with its first equation replaced by sum(pi) = 1, QT being Q's transpose
+    in CSR: the one route that loads scipy.sparse.linalg, and scipy.linalg
+    with it."""
+    n = Q.shape[0]
+    if n <= CROSS_CHECK_STATES:
+        pi = np.zeros(n)
+        pi[closed] = _pi_gth(Q, closed)
+        return pi
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    n = Q.shape[0]
-    # pi Q = 0 with its first equation replaced by sum(pi) = 1
-    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), Q.T.tocsr()[1:]], format="csr")
+    A = sp.vstack([sp.csr_matrix(np.ones((1, n))), QT[1:]], format="csr")
     b = np.zeros(n)
     b[0] = 1.0
     pi = spla.spsolve(A, b)
@@ -132,30 +153,115 @@ def _pi_direct(Q):
     return pi / pi.sum()
 
 
-def _closed_classes(Q):
-    """Number of closed communicating classes of the chain with generator Q:
-    strongly connected components of its positive-rate graph that no
-    positive rate leaves (Tarjan 1972).  Q's off-diagonal entries are its
-    positive rates (``build_generator`` stores no zeros); its diagonal
-    entries are self-loops, which join no components and leave none."""
+def _pi_gth(Q, closed):
+    """Stationary vector of the chain held in the closed class ``closed`` of
+    Q (a mask), by Grassmann-Taksar-Heyman elimination (Oper. Res. 33, 1985).
+
+    The class's states are eliminated last to first: each one's rates are
+    folded into those of the states before it, scaled by its total rate to
+    them, and the masses are then built forward from the first.  Only
+    off-diagonal rates are read and no subtraction is taken.  Elimination
+    keeps the band of the class's rates in canonical order, so the class of
+    k states is stored in k (b_l + b_u + 1) doubles, b_l and b_u its lower
+    and upper bandwidths, and takes O(k b_l b_u) time.  A total rate that
+    underflows to 0 raises ``ConvergenceError``."""
+    where = np.full(Q.shape[0], -1)
+    k = int(np.count_nonzero(closed))
+    where[closed] = np.arange(k)
+    rows = np.repeat(where, np.diff(Q.indptr))
+    cols = where[Q.indices]
+    # no rate leaves a closed class, so a row inside it has its columns there
+    keep = (rows >= 0) & (rows != cols)
+    rows, cols = rows[keep], cols[keep]
+    bl = int((rows - cols).max(initial=0))
+    bu = int((cols - rows).max(initial=0))
+    w = bl + bu + 1
+    band = np.zeros(k * w)
+    # A[i, j] = band[bl + i * (w - 1) + j]: row i holds columns i - bl to
+    # i + bu; entries off the band alias others and are never read
+    step = band.strides[0]
+    A = np.lib.stride_tricks.as_strided(band[bl:], shape=(k, k), strides=((w - 1) * step, step))
+    A[rows, cols] = Q.data[keep]
+    for m in range(k - 1, 0, -1):
+        i0, j0 = max(0, m - bu), max(0, m - bl)
+        out = A[m, j0:m]
+        total = out.sum()
+        if total == 0.0:
+            raise ConvergenceError(
+                f"GTH elimination: the total rate of closed-class state {m} to the states "
+                "before it underflowed to 0"
+            )
+        into = A[i0:m, m]
+        into /= total
+        A[i0:m, j0:m] += into[:, None] * out
+    pi = np.empty(k)
+    pi[0] = 1.0
+    for j in range(1, k):
+        i0 = max(0, j - bu)
+        pi[j] = pi[i0:j] @ A[i0:j, j]
+    return pi / pi.sum()
+
+
+def _reach(A, start):
+    """Mask of the states reached from ``start`` along the stored entries of
+    the CSR matrix A, row i listing the states i steps to: a breadth-first
+    search that gathers a whole frontier's rows at once."""
+    seen = np.zeros(A.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        lo = A.indptr[frontier]
+        counts = A.indptr[frontier + 1] - lo
+        ends = np.cumsum(counts)
+        nxt = A.indices[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
+        nxt = nxt[~seen[nxt]]
+        seen[nxt] = True
+        frontier = np.unique(nxt)
+    return seen
+
+
+def _nearest_state(states, x):
+    """Index of the state nearest the point ``x`` (the first of a tie)."""
+    d = states - x
+    d *= d
+    return int(np.argmin(d.sum(axis=1)))
+
+
+def _closed_classes(P, PT, pivot):
+    """Number of closed communicating classes of the chain whose positive
+    rates are the off-diagonal entries of the CSR matrix P (a generator or
+    its kernel, neither storing zeros), and the mask of their states.  PT is
+    P's transpose in CSR; diagonal entries are self-loops, which join no
+    classes and leave none.  A kernel's graph lacks any rate that underflowed
+    in its division, so its classes are those its power iteration sees.
+
+    If every state reaches ``pivot`` (one search backward, on PT), every
+    closed class holds it: there is exactly one, the pivot's forward reach.
+    Only a chain that fails this loads scipy.sparse.csgraph, whose strongly
+    connected components that no positive rate leaves (Tarjan 1972) are its
+    closed classes."""
+    if _reach(PT, pivot).all():
+        return 1, _reach(P, pivot)
     import scipy.sparse.csgraph as csgraph
 
-    n_scc, label = csgraph.connected_components(Q, directed=True, connection="strong")
-    source = np.repeat(label, np.diff(Q.indptr))
-    target = label[Q.indices]
-    return n_scc - len(np.unique(source[source != target]))
+    n_scc, label = csgraph.connected_components(P, directed=True, connection="strong")
+    source = np.repeat(label, np.diff(P.indptr))
+    target = label[P.indices]
+    left = np.unique(source[source != target])
+    return n_scc - len(left), ~np.isin(label, left)
 
 
 def _power_kernel(Q):
     """The uniformization rate Lambda and the transposed kernel
-    ``(I + Q / Lambda)^T`` in CSR, for a Q some state can leave.
+    ``(I + Q / Lambda)^T`` in CSR.
 
     Lambda sits a hair above the largest exit rate, so every self-loop is
-    positive and the kernel aperiodic.  Q is overwritten with
-    ``I + Q / Lambda`` as scipy's sum stores it: the division multiplies by
-    1 / Lambda, an entry that underflows to 0 is dropped, and a state with no
-    exit rate, which has no diagonal entry in Q, gets one of 1."""
-    lam = -float(Q.diagonal().min()) * (1.0 + 1e-6)
+    positive and the kernel aperiodic; where no state can leave it is 1 and
+    the kernel I.  Q is overwritten with ``I + Q / Lambda`` as scipy's sum
+    stores it: the division multiplies by 1 / Lambda, an entry that
+    underflows to 0 is dropped, and a state with no exit rate, which has no
+    diagonal entry in Q, gets one of 1."""
+    lam = -float(Q.diagonal().min()) * (1.0 + 1e-6) or 1.0
     Q.data *= 1.0 / lam
     Q.eliminate_zeros()
     diagonal = Q.diagonal()
@@ -206,32 +312,43 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     """Stationary law of the restricted chain, solved on the enumerated ball.
 
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
-    primary route, warm-started from the discrete-normal weights; a sparse
-    direct solve cross-checks it (TV <= 1e-8) when the ball holds at most
-    5000 states.  A ball of one state has its point mass, and no kernel:
-    only such a ball has a generator no state can leave and one closed class.
-    """
+    primary route, warm-started from the discrete-normal weights; a direct
+    solve (``_pi_direct``) cross-checks it (TV <= 1e-8) when the ball holds
+    at most ``CROSS_CHECK_STATES`` states.  The chain must have one closed
+    communicating class, counted on the kernel's graph by ``_closed_classes``
+    from the state nearest N c; its law is 0 on the transient states.  A
+    ball of one state has its point mass, and no kernel.
+
+    The power route loads scipy.sparse and no other scipy module where the
+    count's search settles it (every state reaches the one nearest N c);
+    ``method="direct"`` above ``CROSS_CHECK_STATES`` states loads
+    scipy.sparse.linalg for ``spsolve``, and a chain the search does not
+    settle loads scipy.sparse.csgraph to count its classes."""
     states, Q = build_restricted_generator(m, N, cert, delta, cap=cap)
     if len(states) == 1:
         return LatticeDistribution(states, np.ones(1))
-    closed = _closed_classes(Q)
-    if closed > 1:
+    pivot = _nearest_state(states, N * cert.c)
+    if method == "direct":
+        QT = Q.T.tocsr()
+    else:
+        lam, QT = _power_kernel(Q)  # Q is overwritten with the kernel P
+    count, closed = _closed_classes(Q, QT, pivot)
+    if count > 1:
         raise ConvergenceError(
-            f"the restricted chain has {closed} closed communicating classes, "
+            f"the restricted chain has {count} closed communicating classes, "
             "so its stationary law is not unique"
         )
     if method == "direct":
-        pi = _pi_direct(Q)
+        pi = _pi_direct(Q, closed, QT)
     else:
-        ref = _pi_direct(Q) if len(states) <= 5000 else None
-        lam, PT = _power_kernel(Q)
-        del Q  # the kernel overwrote it: only its transpose is held from here
+        ref = _pi_direct(Q, closed) if len(states) <= CROSS_CHECK_STATES else None
+        del Q, closed  # only the kernel's transpose is held from here
         try:
             Sigma = solve_lyapunov_sigma(cert.A, equilibrium_sigma2(m, cert.c))
             pi0 = _normal_weights(states, N, cert.c, Sigma)
         except (DdjumpError, np.linalg.LinAlgError):
             pi0 = np.ones(len(states))
-        pi = _pi_power(lam, PT, pi0)
+        pi = _pi_power(lam, QT, pi0)
         if ref is not None:
             tv = 0.5 * float(np.abs(pi - ref).sum())
             if tv > 1e-8:

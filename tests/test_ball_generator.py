@@ -7,8 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph  # noqa: F401  (loaded before any traced peak)
-import scipy.sparse.linalg  # noqa: F401
+import scipy.sparse  # noqa: F401  (loaded before any traced peak)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -271,9 +271,9 @@ def test_delta0_is_a_grid_radius_multiplied_down_step_by_step(request, model, rh
     assert dj.certify(m, np.ones(m.d), rho_fraction=rho_fraction).delta0.hex() == delta0
 
 
-@pytest.mark.parametrize("steps,message", [(3, r"\[1.39, 1.9\]"), (20, r"\[0.232, 1.9\]")])
+@pytest.mark.parametrize("steps,message", [(3, r"\[1.54, 1.9\]"), (20, r"\[0.257, 1.9\]")])
 def test_a_grid_with_no_passing_radius_names_its_ends(sir, monkeypatch, steps, message):
-    # one radius below the last tried, as the loop over the grid had it
+    # the last radius tried and the first: 1.9 * 0.9**2 and 1.9 * 0.9**19
     monkeypatch.setattr(dynamics, "DELTA0_STEPS", steps)
     with pytest.raises(CertificateError, match=f"^no radius in {message} passes the perturbation"):
         dj.certify(sir, np.ones(2), rho_fraction=0.9)
@@ -343,6 +343,23 @@ def test_a_certificate_file_without_an_entry_names_it(cert05, tmp_path, name):
     path.write_text(json.dumps(obj))
     with pytest.raises(CertificateError, match=f"certificate lacks the entry '{name}'"):
         dj.StabilityCertificate.load(path)
+
+
+@pytest.mark.parametrize("model", ["sir", "birth_death"])
+def test_a_certificates_numbers_are_python_floats_however_it_was_built(request, model, tmp_path):
+    # certify found delta0 as np.float64 where the domain has a face, and
+    # load read a float: results compared against it carried the type
+    m = request.getfixturevalue(model)
+    built = dj.certify(m, np.ones(m.d), rho_fraction=0.5)
+    built.dump(tmp_path / "cert.json")
+    loaded = dj.StabilityCertificate.load(tmp_path / "cert.json")
+    numpy_scalars = dataclasses.replace(built, **{n: np.float64(getattr(built, n)) for n in SCALARS})
+    for cert in (built, loaded, numpy_scalars):
+        assert [type(getattr(cert, n)) for n in SCALARS] == [float] * 4
+        assert [getattr(cert, n) for n in SCALARS] == [getattr(built, n) for n in SCALARS]
+
+
+SCALARS = ("rho", "delta0", "JstarM", "sum_JM")
 
 
 def test_certificate_serialization_roundtrip(cert05, tmp_path):

@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import ddjump as dj
-from ddjump import engine
+from ddjump import engine, equilibrium
 from ddjump.equilibrium import (
+    _closed_classes,
     _empirical_tv_with_ci,
+    _nearest_state,
+    _pi_direct,
+    _power_kernel,
+    _reach,
     build_generator,
     build_restricted_generator,
 )
@@ -135,7 +140,7 @@ def test_stationary_residual_invariant(sir, cert05):
 
 
 STAGE_MEMORY = Path(__file__).resolve().parent.parent / "scripts" / "stage_memory.py"
-STAGES = ["enumerate", "generator", "closed classes", "kernel", "normal weights", "power"]
+STAGES = ["enumerate", "generator", "kernel", "closed classes", "normal weights", "power"]
 
 
 @pytest.mark.parametrize("delta,states,stages", [("0.7", 475, STAGES), ("0.001", 1, STAGES[:1])])
@@ -289,6 +294,140 @@ def test_build_generator_holds_any_state_set(shape):
     assert np.abs(Q.sum(axis=1)).max() <= 1e-12 * np.abs(Q).max()
     # some jumps leave the set and are dropped, the others are kept
     assert 0 < np.count_nonzero(Q[off]) < len(HOLD_MODEL.jumps) * len(states)
+
+
+def test_the_direct_route_solves_with_a_transient_state():
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1 * x1\n[domain]\nx1 >= -1\n")
+    cert = identity_certificate(d=1, c=(0.2,))
+    power = dj.stationary_exact(m, 10, cert, 0.3)
+    direct = dj.stationary_exact(m, 10, cert, 0.3, method="direct")
+    assert direct.mass[0] == 0.0  # GTH solves the closed class alone
+    assert dj.tv_distance(power, direct) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# closed classes and GTH, against csgraph and spsolve
+# ---------------------------------------------------------------------------
+
+
+def _generator(n, rates):
+    """Canonical CSR generator with the off-diagonal rates ``{(i, j): q}``;
+    a state with no exit has no diagonal entry, as in ``build_generator``."""
+    (rows, cols), q = (zip(*rates), list(rates.values())) if rates else (([], []), [])
+    Q = sp.csr_matrix((q, (rows, cols)), shape=(n, n))
+    Q = (Q - sp.diags(np.asarray(Q.sum(axis=1)).ravel())).tocsr()
+    Q.eliminate_zeros()
+    return Q
+
+
+def _closed_classes_oracle(Q):
+    """csgraph's class count: strong components that no positive rate leaves."""
+    import scipy.sparse.csgraph as csgraph
+
+    n_scc, label = csgraph.connected_components(Q, directed=True, connection="strong")
+    left = {label[i] for i, j in zip(*Q.nonzero()) if label[i] != label[j]}
+    return n_scc - len(left), np.array([c not in left for c in label])
+
+
+def _spsolve_pi(Q):
+    """The oracle: pi Q = 0 with its last equation replaced by sum(pi) = 1."""
+    import scipy.sparse.linalg as spla
+
+    n = Q.shape[0]
+    A = sp.vstack([Q.T.tocsr()[:-1], sp.csr_matrix(np.ones((1, n)))], format="csr")
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = spla.spsolve(A, b)
+    return pi / pi.sum()
+
+
+@st.composite
+def _chains(draw, irreducible=False):
+    """(n, rates): random rates on up to 14 states; an irreducible chain
+    goes round a random cycle through every state first."""
+    n = draw(st.integers(2 if irreducible else 1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    if irreducible:
+        order = draw(st.permutations(range(n)))
+        chosen = sorted(set(chosen) | set(zip(order, order[1:] + order[:1])))
+    q = draw(st.lists(st.floats(0.1, 10.0), min_size=len(chosen), max_size=len(chosen)))
+    return n, dict(zip(chosen, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=_chains(), data=st.data())
+def test_closed_classes_are_csgraphs(chain, data):
+    n, rates = chain
+    Q = _generator(n, rates)
+    pivot = data.draw(st.integers(0, n - 1))
+    want = _closed_classes_oracle(Q)
+    count, closed = _closed_classes(Q, Q.T.tocsr(), pivot)
+    assert count == want[0] and closed.tolist() == want[1].tolist()
+    if Q.nnz:  # the power route counts them on its kernel
+        P = Q.copy()
+        _, PT = _power_kernel(P)
+        count, closed = _closed_classes(P, PT, pivot)
+        assert count == want[0] and closed.tolist() == want[1].tolist()
+
+
+def test_a_transient_pivot_leaves_the_count_to_csgraph():
+    # 0 <-> 1 is the one closed class; 2 enters it and is never entered
+    Q = _generator(3, {(0, 1): 1.0, (1, 0): 2.0, (2, 1): 1.0})
+    assert _reach(Q.T.tocsr(), 2).tolist() == [False, False, True]
+    count, closed = _closed_classes(Q, Q.T.tocsr(), 2)
+    assert count == 1 and closed.tolist() == [True, True, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=_chains(irreducible=True))
+def test_gth_is_spsolve_on_an_irreducible_chain(chain):
+    Q = _generator(*chain)
+    pi = _pi_direct(Q, np.ones(Q.shape[0], dtype=bool))
+    assert 0.5 * np.abs(pi - _spsolve_pi(Q)).sum() <= 1e-12
+
+
+GTH_BALLS = [
+    ("criterion-05", 0.5, 30, 0.78, 585),
+    ("cutoff N=50", 0.9, 50, 1.8, 1691),
+]
+
+
+@pytest.mark.parametrize("name,rf,N,delta,states", GTH_BALLS, ids=[b[0] for b in GTH_BALLS])
+def test_gth_is_spsolve_on_a_benchmark_ball(sir, name, rf, N, delta, states):
+    cert = dj.certify(sir, np.ones(2), rho_fraction=rf)
+    X, Q = build_restricted_generator(sir, N, cert, delta)
+    assert len(X) == states
+    want = _spsolve_pi(Q)
+    pivot = _nearest_state(X, N * cert.c)
+    _, closed = _closed_classes(Q, Q.T.tocsr(), pivot)
+    assert 0.5 * np.abs(_pi_direct(Q, closed) - want).sum() <= 1e-12
+    _power_kernel(Q)  # Q is now the kernel, which the cross-check solves
+    assert 0.5 * np.abs(_pi_direct(Q, closed) - want).sum() <= 1e-12
+
+
+def test_gth_is_spsolve_on_the_transient_chain():
+    m = dj.parse_model("[dimension]\n1\n[jumps]\n1 : 1\n-1 : x1 * x1\n[domain]\nx1 >= -1\n")
+    X, Q = build_restricted_generator(m, 10, identity_certificate(d=1, c=(0.2,)), 0.3)
+    count, closed = _closed_classes(Q, Q.T.tocsr(), _nearest_state(X, [2.0]))
+    assert count == 1 and closed.tolist() == [False] + [True] * 6
+    pi = _pi_direct(Q, closed)
+    assert pi[0] == 0.0
+    assert 0.5 * np.abs(pi - _spsolve_pi(Q)).sum() <= 1e-12
+
+
+def test_a_ball_above_the_cross_check_size_is_solved_by_spsolve(sir, cert05, monkeypatch):
+    gth = dj.stationary_exact(sir, 30, cert05, 0.78, method="direct")
+    monkeypatch.setattr(equilibrium, "CROSS_CHECK_STATES", 100)
+    lu = dj.stationary_exact(sir, 30, cert05, 0.78, method="direct")
+    assert dj.tv_distance(gth, lu) <= 1e-12
+
+
+def test_gth_refuses_an_elimination_sum_that_underflows():
+    # 0 -> 1 -> 2 -> 0: eliminating 2 leaves 1 a rate of 1e-200 * 1e-200 to 0
+    Q = _generator(3, {(0, 1): 1.0, (1, 2): 1e-200, (2, 0): 1e-200, (2, 1): 1.0})
+    with pytest.raises(ConvergenceError, match="state 1 to the states before it underflowed to 0"):
+        _pi_direct(Q, np.ones(3, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

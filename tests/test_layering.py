@@ -3,7 +3,8 @@ cycle between them fails at import time instead of hiding in a function.
 scipy.sparse, by contrast, is imported only inside the functions that use it,
 and scipy.special and scipy.stats not at all, so a run that solves no
 generator loads none of them; a cutoff profile loads scipy.sparse for its
-stationary solve and nothing for its closed-form TV interval.
+stationary solve, no other scipy module where the solve's class count
+settles in one search, and nothing for its closed-form TV interval.
 
 There are two hand-written samplers of jump paths, the batched engine and
 the coupled-pair loop, and each reads its own random streams: only the
@@ -144,6 +145,43 @@ def test_simulation_only_runs_load_no_sparse_or_stats_module():
     assert loaded == "[]"
     states, total, sparse = solve.split()
     assert int(states) > 1 and float(total) == 1.0 and sparse == "True"
+
+
+DEFAULT_SOLVE = """
+import sys
+import numpy as np
+import ddjump as dj
+from ddjump.errors import ConvergenceError
+
+m = dj.builtin_hamer_sir(2.0, 1.0, 1.0)
+cert = dj.certify(m, np.array([1.0, 1.0]), rho_fraction=0.5)
+pi = dj.stationary_exact(m, 30, cert, 0.78)
+print(len(pi), sorted(k for k in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph") if k in sys.modules))
+parity = dj.parse_model("[dimension]\\n1\\n[jumps]\\n2 : 1\\n-2 : x1\\n")
+one = dj.StabilityCertificate(
+    c=np.array([1.0]), A=-2.0 * np.eye(1), rho=1.0, M=np.eye(1), delta0=1.0, JstarM=1.0, sum_JM=1.0
+)
+try:
+    dj.stationary_exact(parity, 10, one, 0.3)
+except ConvergenceError as e:
+    print(e)
+"""
+
+
+def test_a_default_stationary_solve_loads_no_scipy_module_but_sparse():
+    """The power route's class count (a breadth-first search) and its GTH
+    cross-check of a ball of at most 5000 states run in numpy: scipy.linalg,
+    scipy.sparse.linalg and scipy.sparse.csgraph stay unloaded.  A chain the
+    search does not settle, the parity walker's two classes, still has them
+    counted."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", DEFAULT_SOLVE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    solved, refused = out.stdout.splitlines()
+    assert solved == "585 []"
+    assert "the restricted chain has 2 closed communicating classes" in refused
 
 
 def test_importing_the_cli_loads_no_random_module():

@@ -819,6 +819,12 @@ def test_exit_probability_decreasing_in_N(sir, cert05):
     assert est[0] > est[1] > est[2]
 
 
+def test_an_exit_reports_certified_flag_is_a_bool(sir, cert05):
+    # a numpy delta0 made it np.False_, and the report's repr with it
+    rep = dj.exit_probability(sir, cert05, 50, 0.3, 0.6, T=0.0, reps=1, seed=0)
+    assert type(rep.certified) is bool
+
+
 def test_exit_report_eps_prime_case_split(sir, cert05):
     # delta' >= delta/(3 - 2/e) uses (delta - delta')/(2 c1)
     r1 = dj.exit_probability(sir, cert05, 50, 0.5, 0.7, T=0.0, reps=1, seed=0)
