@@ -345,6 +345,9 @@ def test_a_certificate_file_without_an_entry_names_it(cert05, tmp_path, name):
         dj.StabilityCertificate.load(path)
 
 
+SCALARS = ("rho", "delta0", "JstarM", "sum_JM")
+
+
 @pytest.mark.parametrize("model", ["sir", "birth_death"])
 def test_a_certificates_numbers_are_python_floats_however_it_was_built(request, model, tmp_path):
     # certify found delta0 as np.float64 where the domain has a face, and
@@ -357,9 +360,6 @@ def test_a_certificates_numbers_are_python_floats_however_it_was_built(request, 
     for cert in (built, loaded, numpy_scalars):
         assert [type(getattr(cert, n)) for n in SCALARS] == [float] * 4
         assert [getattr(cert, n) for n in SCALARS] == [getattr(built, n) for n in SCALARS]
-
-
-SCALARS = ("rho", "delta0", "JstarM", "sum_JM")
 
 
 def test_certificate_serialization_roundtrip(cert05, tmp_path):
