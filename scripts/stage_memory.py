@@ -12,7 +12,9 @@ while it ran (everything held from earlier stages included), the part of
 that peak above what was held when it began, and what is held when it ends.
 Memory is tracemalloc's count of Python and numpy allocations, so the times
 include its small overhead.  A stage that raises ends the table with its
-error.
+error.  The power row is followed by the sparse products the iteration took
+(one a step) and the stage's wall time per product, which includes the
+renormalizations and checks between them.
 
     python3 scripts/stage_memory.py --N 400 --delta 0.7 --rho-fraction 0.5
     python3 scripts/stage_memory.py --model seir.cfg --N 20 --delta 1.8 --rho-fraction 0.9
@@ -34,6 +36,17 @@ from ddjump import engine, equilibrium as eq
 from ddjump.errors import DdjumpError
 
 MB = 1e6
+
+
+class _CountingCSR(scipy.sparse.csr_matrix):
+    """A CSR matrix, sharing the arrays it is built from, that counts the
+    products ``self @ x`` taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
 
 
 def _stages(m, N, cert, delta):
@@ -59,7 +72,12 @@ def _stages(m, N, cert, delta):
         held["pi0"] = eq._normal_weights(held["states"], N, cert.c, Sigma)
 
     def power():
-        held["pi"] = eq._pi_power(*held.pop("kernel"), held.pop("pi0"))
+        lam, PT = held.pop("kernel")
+        PT = _CountingCSR(PT)
+        try:
+            held["pi"] = eq._pi_power(lam, PT, held.pop("pi0"))
+        finally:
+            held["products"] = PT.products
 
     return held, [
         ("enumerate", enumerate_),
@@ -101,6 +119,9 @@ def main():
             seconds = time.perf_counter() - t
             now, peak = tracemalloc.get_traced_memory()
             print(f"{name:<15} {seconds:9.4f} {peak / MB:9.2f} {(peak - start) / MB:9.2f} {now / MB:9.2f}{note}")
+            if name == "power":
+                products = held["products"]
+                print(f"  {products} products, {seconds / products * 1e6:.1f} us per product")
             if name == "enumerate":
                 print(f"  {len(held['states'])} states")
                 if len(held["states"]) == 1:  # a point mass: stationary_exact builds no kernel

@@ -2,6 +2,10 @@
 enumeration, also reachable here as ``enumerate_ball``), discrete-normal
 comparison, total variation, and the cutoff-profile experiments.
 
+The stationary solve's power iteration takes one sparse product a step
+and normalizes only the two iterates each of its checks (every 16th step)
+compares: between checks its stochastic kernel keeps the mass.
+
 scipy.sparse is imported inside the generator and solver functions, so a
 process that only simulates does not load it.  The stationary solve's
 default route loads no other scipy module: its closed-class count is a
@@ -27,6 +31,7 @@ from .errors import ConvergenceError, DdjumpError, DomainError
 from .model import eval_rates
 
 POWER_MAX_ITERS = 2_000_000
+PI_TOL = 1e-8  # a solved law's TV to the direct solve, and ||pi Q||_1 at a stalled power iteration
 CROSS_CHECK_STATES = 5000  # balls up to this size are solved directly as well, by GTH
 OCCUPATION_REPS = 128  # paths behind one stationary_empirical estimate
 BURNIN_RELAXATIONS = 10  # its burn-in, in relaxation times 1/rho_hat
@@ -273,18 +278,27 @@ def _power_kernel(Q):
 def _pi_power(lam, PT, pi0):
     """Power iteration on the transposed kernel ``PT`` at rate ``lam``
     (``_power_kernel``), each step pi P = P^T pi, from the weights ``pi0``
-    normalized."""
+    normalized; one sparse product a step.
+
+    Every 16th step is checked: its step residual ||pi P - pi||_1, which is
+    ||pi Q||_1 / lam, is compared with the target.  Only the two iterates a
+    check compares are normalized, so the vector returned is normalized too;
+    between checks a stochastic kernel keeps the mass, to rounding.  A
+    kernel whose rows sum to less than 1 (a chain killed on leaving the
+    ball) would lose at most 16 steps' worth before the next check
+    renormalizes it."""
     pi = pi0 / pi0.sum()
     # aim at a step residual far below what the callers need; after 40 checks
     # in a row that come no 1% below the best, accept the floating-point floor
-    # or raise with the residuals of that streak
+    # if ||pi Q||_1 = lam * best is within PI_TOL, or raise with the residuals
+    # of that streak
     target = min(0.05e-9 / lam, 1e-12)
-    best = math.inf
+    best = resid = math.inf
     stall = 0
     for it in range(POWER_MAX_ITERS):
         new = PT @ pi
-        s = new.sum()
-        new /= s
+        if it % 16 in (0, 15):  # the checked step and the one before it
+            new /= new.sum()
         if it % 16 == 0:
             resid = float(np.abs(new - pi).sum())
             if resid <= target:
@@ -294,7 +308,7 @@ def _pi_power(lam, PT, pi0):
                     first = resid
                 stall += 1
                 if stall >= 40:
-                    if best <= 1e-8:  # converged to the floating-point floor
+                    if lam * best <= PI_TOL:  # converged to the floating-point floor
                         return new
                     raise ConvergenceError(
                         f"power iteration stopped after {it + 1} iterations: the step residual "
@@ -305,19 +319,24 @@ def _pi_power(lam, PT, pi0):
                 stall = 0
             best = min(best, resid)
         pi = new
-    raise ConvergenceError(f"power iteration hit max_iters={POWER_MAX_ITERS}")
+    raise ConvergenceError(
+        f"power iteration hit max_iters={POWER_MAX_ITERS}: the last step residual checked was "
+        f"{resid:.3g} and the best {best:.3g} (uniformization rate {lam:.6g})"
+    )
 
 
 def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
     """Stationary law of the restricted chain, solved on the enumerated ball.
 
     Power iteration on the uniformized kernel P = I + Q/Lambda is the
-    primary route, warm-started from the discrete-normal weights; a direct
-    solve (``_pi_direct``) cross-checks it (TV <= 1e-8) when the ball holds
-    at most ``CROSS_CHECK_STATES`` states.  The chain must have one closed
-    communicating class, counted on the kernel's graph by ``_closed_classes``
-    from the state nearest N c; its law is 0 on the transient states.  A
-    ball of one state has its point mass, and no kernel.
+    primary route, warm-started from the discrete-normal weights, one sparse
+    product a step, renormalized only around its checks (``_pi_power``); a
+    direct solve (``_pi_direct``) cross-checks it (TV <= ``PI_TOL``) when the
+    ball holds at most ``CROSS_CHECK_STATES`` states.  The chain must have
+    one closed communicating class, counted on the kernel's graph by
+    ``_closed_classes`` from the state nearest N c; its law is 0 on the
+    transient states.  A ball of one state has its point mass, and no
+    kernel.
 
     The power route loads scipy.sparse and no other scipy module where the
     count's search settles it (every state reaches the one nearest N c);
@@ -351,7 +370,7 @@ def stationary_exact(m, N, cert, delta, cap=STATE_CAP, method="power"):
         pi = _pi_power(lam, QT, pi0)
         if ref is not None:
             tv = 0.5 * float(np.abs(pi - ref).sum())
-            if tv > 1e-8:
+            if tv > PI_TOL:
                 raise ConvergenceError(
                     f"power-iteration and direct solves disagree: TV = {tv:.3g}"
                 )

@@ -1,7 +1,8 @@
 """The row-scan ball, the direct CSR generator and the in-place power kernel
 against their oracles in ``generator_reference``: the same states, the same
 bytes of Q and of the kernel, the same pi, in memory that grows with the
-states alone (tracemalloc)."""
+states alone (tracemalloc).  The power iteration against its oracle in
+``power_reference``: the same stop, and pi within TV 1e-14."""
 
 import tracemalloc
 
@@ -17,6 +18,7 @@ from ddjump.equilibrium import _normal_weights, _pi_power, _power_kernel, build_
 from ddjump.errors import ConvergenceError
 from conftest import identity_certificate
 from generator_reference import build_generator_ref, enumerate_ball_box, power_kernel_ref
+from power_reference import CountingCSR, pi_power_ref
 
 SEIR = """
 [dimension]
@@ -148,6 +150,45 @@ def test_the_benchmark_balls_keep_pi(sir, rf, N, delta):
     assert pi.mass.tobytes() == (ref / ref.sum()).tobytes()
 
 
+def _ball_kernel(sir, rf, N, delta):
+    """A ball's uniformization rate, transposed kernel and warm start, as
+    ``stationary_exact`` builds them."""
+    cert = dj.certify(sir, np.ones(2), rho_fraction=rf)
+    states = engine.enumerate_ball(N, cert, delta)
+    lam, PT = _power_kernel(build_generator(sir, N, states))
+    Sigma = dj.solve_lyapunov_sigma(cert.A, dj.equilibrium_sigma2(sir, cert.c))
+    return len(states), lam, PT, _normal_weights(states, N, cert.c, Sigma)
+
+
+# (rho_fraction, N, delta, states, products): criterion 05's ball, then the
+# cutoff's and the equilibrium sweep's smallest
+CONVERGING_BALLS = [(0.5, 30, 0.78, 585, 2209), (0.9, 50, 1.8, 1691, 4241), (0.5, 100, 0.7, 5221, 8225)]
+
+
+@pytest.mark.parametrize("rf,N,delta,states,products", CONVERGING_BALLS)
+def test_the_power_iteration_stops_where_its_oracle_does(sir, rf, N, delta, states, products):
+    n, lam, PT, pi0 = _ball_kernel(sir, rf, N, delta)
+    assert n == states
+    got, want = CountingCSR(PT), CountingCSR(PT)
+    pi, ref = _pi_power(lam, got, pi0), pi_power_ref(lam, want, pi0)
+    assert got.products == want.products == products
+    assert abs(pi.sum() - 1.0) <= 1e-15
+    assert 0.5 * np.abs(pi - ref).sum() <= 1e-14
+
+
+def test_the_power_iteration_stalls_where_its_oracle_does(sir):
+    # the equilibrium sweep's N=300 ball, 46,955 states
+    n, lam, PT, pi0 = _ball_kernel(sir, 0.5, 300, 0.7)
+    assert n == 46_955
+    errors = []
+    for solve in (_pi_power, pi_power_ref):
+        with pytest.raises(ConvergenceError) as err:
+            solve(lam, PT, pi0)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("power iteration stopped after 2289 iterations:")
+
+
 # ---------------------------------------------------------------------------
 # the generator against the COO builder
 # ---------------------------------------------------------------------------
@@ -221,8 +262,12 @@ def test_a_state_with_no_exit_rate_gets_a_self_loop_of_one():
     assert got_lam == lam and PT[0, 0] == 1.0
     _same_csr(PT, K)
     pi = dj.stationary_exact(m, 10, cert, 0.3)
-    # the bytes of pi before the generator and kernel were built in place
-    assert [x.hex() for x in pi.mass.tolist()] == [
+    # the bytes of pi before the generator and kernel were built in place,
+    # from the loop that normalized every step
+    Sigma = dj.solve_lyapunov_sigma(cert.A, dj.equilibrium_sigma2(m, cert.c))
+    ref = pi_power_ref(lam, K, _normal_weights(states, 10, cert.c, Sigma))
+    assert 0.5 * np.abs(pi.mass - ref).sum() <= 1e-14
+    assert [x.hex() for x in ref.tolist()] == [
         "0x1.ffffffffdd935p-1",
         "0x1.eaf906f51cd25p-39",
         "0x1.b444573a481a1p-39",

@@ -19,6 +19,7 @@ from ddjump.equilibrium import (
     _empirical_tv_with_ci,
     _nearest_state,
     _pi_direct,
+    _pi_power,
     _power_kernel,
     _reach,
     build_generator,
@@ -147,13 +148,18 @@ STAGES = ["enumerate", "generator", "kernel", "closed classes", "normal weights"
 def test_stage_memory_script_replays_every_stage(delta, states, stages):
     """``scripts/stage_memory.py`` runs ``stationary_exact``'s stages through
     its private functions; each stage gives one row of four numbers and no
-    error, and a one-state ball, a point mass, ends after enumerate."""
+    error, the power row is followed by its count of sparse products and
+    the time per product, and a one-state ball, a point mass, ends after
+    enumerate."""
     args = [sys.executable, str(STAGE_MEMORY), "--N", "30", "--delta", delta, "--rho-fraction", "0.5"]
     out = subprocess.run(args, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].split() == ["stage", "seconds", "peak_MB", "rise_MB", "held_MB"]
     assert lines[2] == f"  {states} states"
+    if "power" in stages:
+        products = re.fullmatch(r"  (\d+) products, (\S+) us per product", lines.pop())
+        assert products and int(products[1]) > 0 and float(products[2]) > 0.0, out.stdout
     rows = [lines[1]] + lines[3:]
     assert [r[:15].strip() for r in rows] == stages
     for r in rows:
@@ -218,6 +224,35 @@ def test_a_power_iteration_failure_says_what_was_measured(sir, cert05):
     its, first, last, lam = found.groups()
     assert (its, last, lam) == ("2289", "5.81e-06", "1141.97")
     assert float(first) > float(last)
+
+
+def test_a_stall_at_a_step_residual_below_the_floor_is_still_judged_by_pi_q():
+    # a kernel that swaps its two states with probability 1 - 1e-4: from
+    # (1/2 +- 1e-9) the step residual falls by 0.3% a check from 4e-9, below
+    # 1e-8, but ||pi Q||_1 = lam * step residual is 3.5e-6 at rate 1e3
+    eps = 1e-4
+    PT = sp.csr_matrix([[eps, 1 - eps], [1 - eps, eps]])
+    with pytest.raises(ConvergenceError, match=r"^power iteration stopped after \d+ iterations: .* \(uniformization rate 1000\)$"):
+        _pi_power(1e3, PT, np.array([0.5 + 1e-9, 0.5 - 1e-9]))
+    # at rate 1 the same streak is the floating-point floor
+    pi = _pi_power(1.0, PT, np.array([0.5 + 1e-9, 0.5 - 1e-9]))
+    assert np.abs(pi - 0.5).max() <= 1e-9
+
+
+def test_the_iteration_cap_says_what_was_measured(sir, cert05, monkeypatch):
+    # criterion 05's ball takes 2,209 steps; a cap of 100 stops it at the
+    # seventh check
+    monkeypatch.setattr(equilibrium, "POWER_MAX_ITERS", 100)
+    with pytest.raises(ConvergenceError) as err:
+        dj.stationary_exact(sir, 30, cert05, 0.78)
+    found = re.fullmatch(
+        r"power iteration hit max_iters=100: the last step residual checked was (\S+) and the best (\S+) "
+        r"\(uniformization rate (\S+)\)",
+        str(err.value),
+    )
+    assert found, str(err.value)
+    last, best, lam = map(float, found.groups())
+    assert best <= last < 1.0 and lam > 0
 
 
 def test_stationary_counts_closed_classes():
