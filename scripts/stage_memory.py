@@ -38,7 +38,7 @@ from ddjump.errors import DdjumpError
 MB = 1e6
 
 
-class _CountingCSR(scipy.sparse.csr_matrix):
+class CountingCSR(scipy.sparse.csr_matrix):
     """A CSR matrix, sharing the arrays it is built from, that counts the
     products ``self @ x`` taken with it."""
 
@@ -73,7 +73,7 @@ def _stages(m, N, cert, delta):
 
     def power():
         lam, PT = held.pop("kernel")
-        PT = _CountingCSR(PT)
+        PT = CountingCSR(PT)
         try:
             held["pi"] = eq._pi_power(lam, PT, held.pop("pi0"))
         finally:

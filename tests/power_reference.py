@@ -11,20 +11,9 @@ where they round, and must stop at the same check.
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from ddjump import equilibrium
 from ddjump.errors import ConvergenceError
-
-
-class CountingCSR(sp.csr_matrix):
-    """A CSR matrix that counts the products ``self @ x`` taken with it."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
 
 
 def pi_power_ref(lam, PT, pi0):

@@ -251,8 +251,10 @@ def test_the_iteration_cap_says_what_was_measured(sir, cert05, monkeypatch):
         str(err.value),
     )
     assert found, str(err.value)
-    last, best, lam = map(float, found.groups())
-    assert best <= last < 1.0 and lam > 0
+    last, best, lam = found.groups()
+    assert math.isfinite(float(best)) and float(best) <= float(last) < 1.0
+    Q = build_restricted_generator(sir, 30, cert05, 0.78)[1]
+    assert lam == f"{_power_kernel(Q)[0]:.6g}"
 
 
 def test_stationary_counts_closed_classes():
